@@ -40,11 +40,13 @@ bench-smoke: bench-1x
 # full wire round-trip). The gate requires the workers=8 point to beat
 # workers=1 by ×3, clamped to 0.6·min(workers, NumCPU) so a small CI
 # machine enforces "parallelism must not collapse" instead of a speedup
-# its cores cannot produce. BENCH_2.json is the committed sweep measured
-# by this protocol at -reps 10. CI runs this.
+# its cores cannot produce, and fails the sweep when the remote point's
+# allocs/test rises more than 15% above the committed BENCH_3.json.
+# BENCH_3.json is the committed sweep measured by this protocol at
+# -reps 10 (BENCH_2.json its predecessor). CI runs this.
 bench-sweep:
 	$(GO) run ./cmd/xmbench -reps 5 -sweep 1,2,4,8 -remote-workers 2 -min-scale 3 \
-		-o BENCH_sweep_smoke.json -note "ci sweep smoke"
+		-baseline BENCH_3.json -gate 15 -o BENCH_sweep_smoke.json -note "ci sweep smoke"
 
 # A full pairwise-plan campaign through the streaming engine: exercises
 # plan generation, coverage reporting and the sharded log end to end, and
@@ -147,12 +149,16 @@ daemon-smoke:
 	$(GO) test -race -count 1 -run TestDaemonSmoke ./cmd/xmrobustd
 	$(GO) test -race -count 1 ./internal/serve
 
-# A short fuzz run over the codec round-trip property (raw and json
-# codecs must agree byte for byte on arbitrary records): long enough to
-# shake out encoding regressions, short enough for every CI run. The
-# corpus under internal/campaign/testdata stays checked in. CI runs this.
+# Short fuzz runs over the codec round-trip property (raw and json
+# codecs must agree byte for byte on arbitrary records) and over the
+# remote worker's request-frame decoder (arbitrary bytes never panic,
+# never allocate past the frame, and what decodes re-encodes unchanged):
+# long enough to shake out encoding regressions, short enough for every
+# CI run. The corpus under internal/campaign/testdata stays checked in.
+# CI runs this.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONRecordRoundTrip$$' -fuzztime 10s ./internal/campaign
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestFrame$$' -fuzztime 10s ./internal/remote
 
 # The invariant lint suite: cmd/xmlint is a go vet tool (see
 # internal/lint) checking determinism, obsnil, registry and seqfield.

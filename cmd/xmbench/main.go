@@ -32,6 +32,13 @@
 // the workers=1 point. The CPU clamp keeps the gate honest on small CI
 // machines — a 1-CPU container cannot exhibit parallel speedup, and
 // pretending otherwise would make the gate a hardware lottery.
+//
+// With -sweep and -baseline, the remote point's allocs/test is gated
+// against the baseline sweep file's remote point at -gate percent, so a
+// wire-path regression fails the sweep (BENCH_3.json is the committed
+// baseline):
+//
+//	go run ./cmd/xmbench -sweep 1,2,4,8 -baseline BENCH_3.json -gate 15
 package main
 
 import (
@@ -99,7 +106,7 @@ func main() {
 		workers   = flag.Int("workers", 1, "engine workers (1 = stable per-test numbers)")
 		seed      = flag.Int64("seed", 1, "plan seed")
 		out       = flag.String("o", "", "write the measurement JSON to this file (default stdout)")
-		baseline  = flag.String("baseline", "", "compare against this BENCH_*.json and gate regressions")
+		baseline  = flag.String("baseline", "", "compare against this BENCH_*.json and gate regressions (with -sweep: the remote point's allocs/test)")
 		gate      = flag.Float64("gate", 15, "regression gate in percent for -baseline")
 		note      = flag.String("note", "", "free-form note recorded in the measurement")
 		sweepList = flag.String("sweep", "", "comma-separated workers counts: measure each and emit a schema-2 sweep file")
@@ -121,7 +128,12 @@ func main() {
 	}
 
 	if *sweepList != "" {
-		sweep(*n, *seed, *reps, *batch, *codec, *sweepList, *remoteN, *minScale, *out, *note, o)
+		s := sweep(*n, *seed, *reps, *batch, *codec, *sweepList, *remoteN, *minScale, *out, *note, o)
+		if *baseline != "" {
+			if err := gateRemote(s, *baseline, *gate); err != nil {
+				fail(err)
+			}
+		}
 		return
 	}
 
@@ -222,8 +234,8 @@ func measure(p point) (Bench, error) {
 }
 
 // sweep measures one point per workers count, plus a loopback remote:
-// point, and emits the schema-2 scaling file.
-func sweep(n int, seed int64, reps, batch int, codec, list string, remoteN int, minScale float64, out, note string, o *obs.Obs) {
+// point, emits the schema-2 scaling file, and returns it.
+func sweep(n int, seed int64, reps, batch int, codec, list string, remoteN int, minScale float64, out, note string, o *obs.Obs) Sweep {
 	var counts []int
 	for _, f := range strings.Split(list, ",") {
 		w, err := strconv.Atoi(strings.TrimSpace(f))
@@ -272,6 +284,49 @@ func sweep(n int, seed int64, reps, batch int, codec, list string, remoteN int, 
 			fail(err)
 		}
 	}
+	return s
+}
+
+// remoteOf returns a sweep's remote: point, or nil.
+func remoteOf(s Sweep) *Bench {
+	for i := range s.Points {
+		if strings.HasPrefix(s.Points[i].Target, "remote:") {
+			return &s.Points[i]
+		}
+	}
+	return nil
+}
+
+// gateRemote fails the sweep when its remote point's allocs/test rose
+// more than gatePct above the baseline sweep's remote point — the
+// wire path's machine-stable cost. Tests/sec is reported, not gated: a
+// loopback fleet's throughput depends on the host. A baseline measured
+// at a different plan, batch, codec or fleet size is refused.
+func gateRemote(cur Sweep, path string, gatePct float64) error {
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var base Sweep
+	if err := json.Unmarshal(buf, &base); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	b, c := remoteOf(base), remoteOf(cur)
+	if b == nil || c == nil {
+		return fmt.Errorf("-baseline %s: both sweeps need a remote point (-remote-workers > 0)", path)
+	}
+	if b.Plan != c.Plan || b.Batch != c.Batch || b.Codec != c.Codec || b.Target != c.Target {
+		return fmt.Errorf(
+			"%s measured its remote point as %s plan=%s batch=%d codec=%s, this run as %s plan=%s batch=%d codec=%s — rerun with matching flags (or remeasure the baseline)",
+			path, b.Target, b.Plan, b.Batch, b.Codec, c.Target, c.Plan, c.Batch, c.Codec)
+	}
+	allocs := 100 * (c.AllocsPerTest - b.AllocsPerTest) / b.AllocsPerTest
+	fmt.Fprintf(os.Stderr, "xmbench: remote point vs %s: allocs/test %+.1f%% (%.1f -> %.1f), tests/sec %.0f -> %.0f, gate +%.0f%%\n",
+		path, allocs, b.AllocsPerTest, c.AllocsPerTest, b.TestsPerSec, c.TestsPerSec, gatePct)
+	if allocs > gatePct {
+		return fmt.Errorf("remote point allocations regressed %.1f%% past the %.0f%% gate", allocs, gatePct)
+	}
+	return nil
 }
 
 // remotePoint measures the sweep's remote: leg — remoteN in-process

@@ -12,6 +12,7 @@ package campaign
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 
 	"xmrobust/internal/apispec"
@@ -128,6 +129,9 @@ func RunOne(ds testgen.Dataset, opts Options) Result {
 	tgt, err := target.New(opts.Target, target.Config{Inject: opts.injectParams()})
 	if err != nil {
 		return Result{Dataset: ds, RunErr: err.Error()}
+	}
+	if c, ok := tgt.(io.Closer); ok {
+		defer c.Close()
 	}
 	if err := tgt.Provision(1); err != nil {
 		return Result{Dataset: ds, RunErr: err.Error()}

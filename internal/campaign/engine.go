@@ -264,6 +264,12 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 		if err != nil {
 			return stats, err
 		}
+		// A target built here is this campaign's to close (the remote
+		// backend's worker connections); a TargetInstance stays its
+		// caller's.
+		if c, ok := tgt.(io.Closer); ok {
+			defer c.Close()
+		}
 	}
 	if eo.Resume && eo.ShardDir == "" {
 		// A checkpoint mark promises a durable record; without shards the

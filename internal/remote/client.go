@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -46,6 +47,9 @@ const (
 // can heal (as opposed to a protocol refusal, which is deterministic).
 var errConnDown = errors.New("remote: connection down")
 
+// errClosed fails the leases of a client after Close.
+var errClosed = errors.New("remote: client closed")
+
 // client is the "remote:" execution backend: it fans leases across one
 // managed connection per worker address. Execute and ExecuteBatch are
 // synchronous per caller — the campaign engine's worker pool provides
@@ -74,9 +78,10 @@ type client struct {
 	// handles are nil (one nil check per event) when obs is off.
 	met *obs.RemoteMetrics
 
-	mu    sync.Mutex
-	conns []*workerConn // lazily (re)dialled, one slot per addr
-	dial  []dialState   // per-addr redial pacing
+	mu     sync.Mutex
+	conns  []*workerConn // lazily (re)dialled, one slot per addr
+	dial   []dialState   // per-addr redial pacing
+	closed bool          // set by Close: no more dials
 }
 
 // dialState paces redials of one address.
@@ -85,20 +90,31 @@ type dialState struct {
 	notBefore time.Time
 }
 
-// workerConn is one live connection: a write lock, a response
-// demultiplexer keyed by request ID, and an in-flight window.
+// workerConn is one live connection: a write lock over a reused frame
+// buffer, a response demultiplexer keyed by request ID reading through
+// a buffered reader, and an in-flight window.
 type workerConn struct {
 	addr        string
 	helloTarget string // target spec the worker's hello advertised
 	conn        net.Conn
+	br          *bufio.Reader // read by dialWorker, then only by readLoop
+	done        chan struct{} // closed when readLoop exits
 	window      chan struct{}
 	met         *obs.RemoteMetrics // never nil; nil handles when obs off
 
-	wmu sync.Mutex // frame writes interleave frames, never bytes
+	wmu  sync.Mutex // frame writes interleave frames, never bytes
+	wbuf []byte     // request frame storage, guarded by wmu
 
 	pmu     sync.Mutex
-	pending map[uint64]chan []byte
+	pending map[uint64]chan response
 	downErr error
+}
+
+// response is one demultiplexed response frame: its decoded header and
+// the record lines that follow it.
+type response struct {
+	hdr     respHeader
+	records []byte
 }
 
 func newClient(arg string, cfg target.Config) (*client, error) {
@@ -176,6 +192,24 @@ func (c *client) Acquire() target.Slot { return nil }
 // Release returns a slot (a no-op; see Acquire).
 func (c *client) Release(target.Slot) {}
 
+// Close drops every worker connection and returns once their read loops
+// have exited. It dials no more: leases executed after Close fail with
+// RunErr.
+func (c *client) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	conns := c.conns
+	c.conns = make([]*workerConn, len(c.addrs))
+	c.mu.Unlock()
+	for _, wc := range conns {
+		if wc != nil {
+			wc.fail(errClosed)
+			<-wc.done
+		}
+	}
+	return nil
+}
+
 // Execute runs one dataset on some live worker.
 func (c *client) Execute(_ target.Slot, ds testgen.Dataset, spec target.RunSpec) target.Result {
 	return c.exec([]testgen.Dataset{ds}, spec)[0]
@@ -195,13 +229,10 @@ func (c *client) ExecuteBatch(_ target.Slot, batch []testgen.Dataset, spec targe
 // spent (then every test fails with RunErr — the campaign completes and
 // classifies the outage instead of hanging).
 func (c *client) exec(batch []testgen.Dataset, spec target.RunSpec) []target.Result {
-	req := execRequest{Spec: specToWire(spec)}
-	for _, ds := range batch {
-		// The dataset's Index is its global campaign position — plans and
-		// slices both key it that way — so the worker's records come back
-		// already carrying the right seq.
-		req.Tests = append(req.Tests, testToWire(ds.Index, ds))
-	}
+	// The dataset's Index is its global campaign position — plans and
+	// slices both key it that way — so the worker's records come back
+	// already carrying the right seq.
+	req := execRequest{Spec: spec, Tests: batch}
 	var lastErr error
 	for attempt := 0; attempt < execAttempts; attempt++ {
 		if err := c.ctx.Err(); err != nil {
@@ -211,6 +242,9 @@ func (c *client) exec(batch []testgen.Dataset, spec target.RunSpec) []target.Res
 			return abortedResults(batch, err)
 		}
 		wc, err := c.pick()
+		if errors.Is(err, errClosed) {
+			return errResults(batch, err)
+		}
 		if err != nil {
 			lastErr = err
 			c.met.Retries.Inc()
@@ -218,8 +252,8 @@ func (c *client) exec(batch []testgen.Dataset, spec target.RunSpec) []target.Res
 			continue
 		}
 		req.ID = c.nextID.Add(1)
-		payload, err := wc.roundTrip(c.ctx, req.ID, encodeJSON(req))
-		if c.ctx.Err() != nil && payload == nil {
+		resp, err := wc.roundTrip(c.ctx, &req)
+		if err != nil && c.ctx.Err() != nil {
 			return abortedResults(batch, c.ctx.Err())
 		}
 		if errors.Is(err, errConnDown) {
@@ -233,7 +267,7 @@ func (c *client) exec(batch []testgen.Dataset, spec target.RunSpec) []target.Res
 		if err != nil {
 			return errResults(batch, err)
 		}
-		results, err := c.decodeResults(payload, batch)
+		results, err := c.decodeResults(resp, batch)
 		if err != nil {
 			return errResults(batch, err)
 		}
@@ -266,6 +300,9 @@ func (c *client) pick() (*workerConn, error) {
 func (c *client) getConn(i int) (*workerConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return nil, errClosed
+	}
 	if wc := c.conns[i]; wc != nil && !wc.down() {
 		return wc, nil
 	}
@@ -299,8 +336,9 @@ func dialWorker(addr string, met *obs.RemoteMetrics) (*workerConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("remote: dial %s: %w", addr, err)
 	}
+	br := bufio.NewReader(conn)
 	conn.SetReadDeadline(time.Now().Add(helloTimeout))
-	payload, err := ReadFrame(conn)
+	payload, err := readFrame(br, nil)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("remote: %s: no hello: %w", addr, err)
@@ -319,9 +357,11 @@ func dialWorker(addr string, met *obs.RemoteMetrics) (*workerConn, error) {
 		addr:        addr,
 		helloTarget: hello.Target,
 		conn:        conn,
+		br:          br,
+		done:        make(chan struct{}),
 		window:      make(chan struct{}, inflightWindow),
 		met:         met,
-		pending:     map[uint64]chan []byte{},
+		pending:     map[uint64]chan response{},
 	}
 	go wc.readLoop()
 	return wc, nil
@@ -360,22 +400,20 @@ func (wc *workerConn) fail(err error) {
 	wc.conn.Close()
 }
 
-// readLoop demultiplexes response frames to their waiting round trips.
+// readLoop demultiplexes response frames to their waiting round trips,
+// decoding each header once.
 func (wc *workerConn) readLoop() {
+	defer close(wc.done)
 	for {
-		payload, err := ReadFrame(wc.conn)
+		payload, err := readFrame(wc.br, nil)
 		if err != nil {
 			wc.fail(fmt.Errorf("%w: %s: %v", errConnDown, wc.addr, err))
 			return
 		}
 		wc.met.WireRx.Add(uint64(len(payload)) + frameOverhead)
-		line := payload
-		if i := bytes.IndexByte(payload, '\n'); i >= 0 {
-			line = payload[:i]
-		}
-		var hdr respHeader
-		if err := json.Unmarshal(line, &hdr); err != nil {
-			wc.fail(fmt.Errorf("%w: %s: bad response header: %v", errConnDown, wc.addr, err))
+		hdr, records, err := decodeRespHeader(payload)
+		if err != nil {
+			wc.fail(fmt.Errorf("%w: %s: %v", errConnDown, wc.addr, err))
 			return
 		}
 		wc.pmu.Lock()
@@ -383,21 +421,21 @@ func (wc *workerConn) readLoop() {
 		delete(wc.pending, hdr.ID)
 		wc.pmu.Unlock()
 		if ch != nil {
-			ch <- payload
+			ch <- response{hdr: hdr, records: records}
 		}
 	}
 }
 
-// roundTrip sends one request frame and waits for its response payload,
+// roundTrip sends one request frame and waits for its response,
 // respecting the in-flight window. errConnDown failures are retryable
 // on another connection; a done ctx abandons the wait (the connection
 // stays healthy — the worker's eventual response is dropped by the
 // demultiplexer, whose pending entry is removed here).
-func (wc *workerConn) roundTrip(ctx context.Context, id uint64, frame []byte) ([]byte, error) {
+func (wc *workerConn) roundTrip(ctx context.Context, req *execRequest) (response, error) {
 	select {
 	case wc.window <- struct{}{}:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return response{}, ctx.Err()
 	}
 	wc.met.Inflight.Add(1)
 	defer func() {
@@ -405,55 +443,49 @@ func (wc *workerConn) roundTrip(ctx context.Context, id uint64, frame []byte) ([
 		<-wc.window
 	}()
 
-	ch := make(chan []byte, 1)
+	ch := make(chan response, 1)
 	wc.pmu.Lock()
 	if wc.downErr != nil {
 		err := wc.downErr
 		wc.pmu.Unlock()
-		return nil, err
+		return response{}, err
 	}
-	wc.pending[id] = ch
+	wc.pending[req.ID] = ch
 	wc.pmu.Unlock()
 
 	wc.wmu.Lock()
-	err := WriteFrame(wc.conn, frame)
+	wc.wbuf = appendRequest(beginFrame(wc.wbuf), req)
+	err := sendFrame(wc.conn, wc.wbuf)
+	sent := len(wc.wbuf)
 	wc.wmu.Unlock()
-	if err == nil {
-		wc.met.WireTx.Add(uint64(len(frame)) + frameOverhead)
-	}
 	if err != nil {
-		wc.fail(fmt.Errorf("%w: %s: %v", errConnDown, wc.addr, err))
-		return nil, fmt.Errorf("%w: %s: %v", errConnDown, wc.addr, err)
+		err = fmt.Errorf("%w: %s: %v", errConnDown, wc.addr, err)
+		wc.fail(err)
+		return response{}, err
 	}
+	wc.met.WireTx.Add(uint64(sent))
 
 	select {
-	case payload, ok := <-ch:
+	case resp, ok := <-ch:
 		if !ok {
 			wc.pmu.Lock()
 			err := wc.downErr
 			wc.pmu.Unlock()
-			return nil, err
+			return response{}, err
 		}
-		return payload, nil
+		return resp, nil
 	case <-ctx.Done():
 		wc.pmu.Lock()
-		delete(wc.pending, id)
+		delete(wc.pending, req.ID)
 		wc.pmu.Unlock()
-		return nil, ctx.Err()
+		return response{}, ctx.Err()
 	}
 }
 
-// decodeResults turns a response payload back into execution logs, in
-// lease order.
-func (c *client) decodeResults(payload []byte, batch []testgen.Dataset) ([]target.Result, error) {
-	i := bytes.IndexByte(payload, '\n')
-	if i < 0 {
-		return nil, fmt.Errorf("remote: response without header line")
-	}
-	var hdr respHeader
-	if err := json.Unmarshal(payload[:i], &hdr); err != nil {
-		return nil, fmt.Errorf("remote: bad response header: %w", err)
-	}
+// decodeResults turns a response back into execution logs, in lease
+// order.
+func (c *client) decodeResults(resp response, batch []testgen.Dataset) ([]target.Result, error) {
+	hdr := resp.hdr
 	if hdr.Err != "" {
 		return nil, fmt.Errorf("remote: worker refused lease: %s", hdr.Err)
 	}
@@ -461,7 +493,7 @@ func (c *client) decodeResults(payload []byte, batch []testgen.Dataset) ([]targe
 		return nil, fmt.Errorf("remote: worker returned %d records for a lease of %d", hdr.N, len(batch))
 	}
 	results := make([]target.Result, 0, len(batch))
-	rest := payload[i+1:]
+	rest := resp.records
 	for len(results) < hdr.N {
 		j := bytes.IndexByte(rest, '\n')
 		if j < 0 {

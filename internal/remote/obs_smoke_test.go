@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"xmrobust/internal/apispec"
 	"xmrobust/internal/campaign"
 	"xmrobust/internal/inject"
 	"xmrobust/internal/obs"
@@ -258,8 +259,8 @@ func TestServerGracefulShutdown(t *testing.T) {
 	if _, err := ReadFrame(conn); err != nil { // hello
 		t.Fatal(err)
 	}
-	req := execRequest{ID: 7, Tests: []wireTest{{Pos: 0, Func: "XM_get_time"}}}
-	if err := WriteFrame(conn, encodeJSON(req)); err != nil {
+	req := execRequest{ID: 7, Tests: []testgen.Dataset{{Func: apispec.Function{Name: "XM_get_time"}}}}
+	if err := WriteFrame(conn, appendRequest(nil, &req)); err != nil {
 		t.Fatal(err)
 	}
 	<-backend.started
@@ -287,13 +288,12 @@ func TestServerGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("in-flight response lost in shutdown: %v", err)
 	}
-	var hdr respHeader
-	head, _, _ := bytes.Cut(payload, []byte("\n"))
-	if err := json.Unmarshal(head, &hdr); err != nil {
+	hdr, records, err := decodeRespHeader(payload)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.ID != 7 || hdr.Err != "" || hdr.N != 1 {
-		t.Errorf("response header = %+v, want ID 7 with 1 record", hdr)
+	if hdr.ID != 7 || hdr.Err != "" || hdr.N != 1 || bytes.Count(records, []byte("\n")) != 1 {
+		t.Errorf("response header = %+v over %d record bytes, want ID 7 with 1 record", hdr, len(records))
 	}
 	if _, err := ReadFrame(conn); err == nil {
 		t.Error("connection still open after drain")

@@ -3,11 +3,14 @@ package remote
 import (
 	"bytes"
 	"net"
+	"strings"
 	"testing"
+	"time"
 
 	"xmrobust/internal/apispec"
 	"xmrobust/internal/campaign"
 	"xmrobust/internal/dict"
+	"xmrobust/internal/obs"
 	"xmrobust/internal/target"
 	"xmrobust/internal/testgen"
 )
@@ -183,5 +186,36 @@ func TestWorkerTarget(t *testing.T) {
 	}
 	if got != "phantom" {
 		t.Fatalf("hello target %q, want %q", got, "phantom")
+	}
+}
+
+// TestStreamPlanClosesRemoteConnections: a campaign closes the remote
+// target it built, so once StreamPlan returns no worker connection (and
+// no client read loop behind it) outlives the campaign.
+func TestStreamPlanClosesRemoteConnections(t *testing.T) {
+	plan := testPlan(t, "rand:20", 3, "XM_set_timer", "XM_get_time")
+	var (
+		servers []*Server
+		addrs   []string
+	)
+	for range 2 {
+		srv := &Server{Target: target.NewSim(target.Config{}), Workers: 2, Obs: obs.New()}
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		servers, addrs = append(servers, srv), append(addrs, addr)
+	}
+	mergedLog(t, plan, "remote:"+strings.Join(addrs, ","), 2, 0)
+
+	for i, srv := range servers {
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.met.Connections.Value() != 0 && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n := srv.met.Connections.Value(); n != 0 {
+			t.Errorf("worker %d reports %d open connections after the campaign returned, want 0", i, n)
+		}
 	}
 }

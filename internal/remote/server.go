@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -8,7 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"xmrobust/internal/apispec"
 	"xmrobust/internal/campaign"
+	"xmrobust/internal/dict"
 	"xmrobust/internal/obs"
 	"xmrobust/internal/target"
 	"xmrobust/internal/testgen"
@@ -17,8 +20,11 @@ import (
 // Server wraps one local target behind the wire protocol: every accepted
 // connection gets a hello, then a stream of lease requests, each executed
 // on the wrapped target and answered with campaign-log records.
-// Connections pipeline — a request is handled in its own goroutine,
-// bounded by the worker pool — so one slow lease never stalls the link.
+// Connections pipeline: each runs up to Workers executor goroutines that
+// live as long as the connection, so one slow lease never stalls the
+// link and the target's stack grows once per executor, not per request.
+// A server-wide semaphore bounds executions across all connections to
+// Workers.
 type Server struct {
 	// Target executes the leases; it may be any registered backend
 	// (sim, phantom, diff:..., inject:...). Provision is called once with
@@ -48,6 +54,12 @@ type Server struct {
 	executed      atomic.Int64
 	exitOnce      sync.Once
 	met           *obs.WorkerMetrics // set in provision; nil handles when obs off
+
+	// The run spec's header and dictionary, and the record codec, built
+	// once in provision and shared by every request.
+	header *apispec.Header
+	dict   *dict.Dictionary
+	codec  campaign.Codec
 
 	draining atomic.Bool
 	connWG   sync.WaitGroup
@@ -127,6 +139,10 @@ func (s *Server) provision() error {
 		s.sem = make(chan struct{}, s.Workers)
 		s.met = obs.NewWorkerMetrics(s.Obs.Registry())
 		s.Obs.Prog().Begin(0, 0)
+		s.header, s.dict = apispec.Default(), dict.Builtin()
+		if s.codec, s.provisionErr = campaign.NewCodec("raw"); s.provisionErr != nil {
+			return
+		}
 		s.provisionErr = s.Target.Provision(s.Workers)
 	})
 	return s.provisionErr
@@ -182,74 +198,100 @@ func (s *Server) Shutdown() {
 // distinguishes a graceful drain's listener-closed error from a fault.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
+// serverConn is one accepted connection's write side: executors'
+// responses interleave whole frames, never bytes.
+type serverConn struct {
+	conn net.Conn
+	wmu  sync.Mutex
+}
+
+// job is one decoded request handed from a connection's reader to its
+// executors; err is set when the frame did not decode.
+type job struct {
+	req execRequest
+	err error
+}
+
 // handleConn speaks the protocol on one connection: hello, then a loop
-// of pipelined lease requests until the peer hangs up (or Shutdown
-// breaks the read loop; requests already read still answer).
+// reading pipelined lease requests and handing them to the connection's
+// executors until the peer hangs up (or Shutdown breaks the read loop;
+// requests already read still answer). Executors start on demand, up to
+// Workers, and exit with the connection.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
-	var wmu sync.Mutex // responses from concurrent leases interleave frames, never bytes
-	hello := encodeJSON(Hello{Proto: ProtoVersion, Target: s.Target.Name()})
-	wmu.Lock()
-	err := WriteFrame(conn, hello)
-	wmu.Unlock()
+	hello, err := json.Marshal(Hello{Proto: ProtoVersion, Target: s.Target.Name()})
 	if err != nil {
+		return
+	}
+	if err := WriteFrame(conn, hello); err != nil {
 		return
 	}
 	s.met.WireTx.Add(uint64(len(hello)) + frameOverhead)
+
+	sc := &serverConn{conn: conn}
+	jobs := make(chan job)
 	var wg sync.WaitGroup
-	defer wg.Wait()
+	defer func() {
+		close(jobs)
+		wg.Wait()
+	}()
+	executors := 0
+	br := bufio.NewReader(conn)
+	var buf []byte
 	for {
-		payload, err := ReadFrame(conn)
+		payload, err := readFrame(br, buf)
 		if err != nil {
 			return
 		}
+		buf = payload
 		s.met.WireRx.Add(uint64(len(payload)) + frameOverhead)
-		wg.Add(1)
-		go func(payload []byte) {
-			defer wg.Done()
-			s.handleRequest(conn, &wmu, payload)
-		}(payload)
+		req, err := decodeRequest(payload, s.header)
+		j := job{req: req, err: err}
+		select {
+		case jobs <- j: // an idle executor took it
+			continue
+		default:
+		}
+		if executors < s.Workers {
+			executors++
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var frame []byte
+				for j := range jobs {
+					frame = s.handleRequest(sc, j, frame)
+				}
+			}()
+		}
+		jobs <- j
 	}
 }
 
-// handleRequest executes one lease and writes its response frame.
-func (s *Server) handleRequest(conn net.Conn, wmu *sync.Mutex, payload []byte) {
+// handleRequest executes one lease and writes its response frame,
+// building it in frame's storage; it returns the storage for reuse.
+func (s *Server) handleRequest(sc *serverConn, j job, frame []byte) []byte {
 	if s.ExitAfter > 0 && int(s.executed.Load()) >= s.ExitAfter {
 		// Already dying: a dead worker answers nothing.
-		return
+		return frame
 	}
-	var req execRequest
-	if err := unmarshalRequest(payload, &req); err != nil {
-		s.logf("refusing request: %v", err)
-		s.respond(conn, wmu, respHeader{ID: req.ID, Err: err.Error()}, nil)
-		return
+	req := j.req
+	if j.err != nil {
+		s.logf("refusing request: %v", j.err)
+		return s.respond(sc, frame, respHeader{ID: req.ID, Err: j.err.Error()}, nil, nil)
 	}
-	spec := specFromWire(req.Spec)
-	datasets := make([]testgen.Dataset, 0, len(req.Tests))
-	for _, wt := range req.Tests {
-		ds, err := testFromWire(wt, spec.Header)
-		if err != nil {
-			s.respond(conn, wmu, respHeader{ID: req.ID, Err: err.Error()}, nil)
-			return
-		}
-		datasets = append(datasets, ds)
-	}
-	codec, err := campaign.NewCodec("raw")
-	if err != nil {
-		s.respond(conn, wmu, respHeader{ID: req.ID, Err: err.Error()}, nil)
-		return
-	}
+	spec := req.Spec
+	spec.Header, spec.Dict = s.header, s.dict
 
 	s.sem <- struct{}{}
 	var results []target.Result
-	if be, ok := s.Target.(target.BatchExecutor); ok && len(datasets) > 1 {
+	if be, ok := s.Target.(target.BatchExecutor); ok && len(req.Tests) > 1 {
 		slot := s.Target.Acquire()
-		results = be.ExecuteBatch(slot, datasets, spec)
+		results = be.ExecuteBatch(slot, req.Tests, spec)
 		s.Target.Release(slot)
 	} else {
-		results = make([]target.Result, 0, len(datasets))
-		for _, ds := range datasets {
+		results = make([]target.Result, 0, len(req.Tests))
+		for _, ds := range req.Tests {
 			slot := s.Target.Acquire()
 			results = append(results, s.Target.Execute(slot, ds, spec))
 			s.Target.Release(slot)
@@ -259,46 +301,36 @@ func (s *Server) handleRequest(conn net.Conn, wmu *sync.Mutex, payload []byte) {
 	s.met.Executed.Add(uint64(len(results)))
 	s.Obs.Prog().Done(len(results))
 
-	records := make([][]byte, 0, len(results))
-	for i, r := range results {
-		rec := campaign.ToRecord(req.Tests[i].Pos, r)
-		line, err := codec.AppendEncode(nil, &rec)
-		if err != nil {
-			s.respond(conn, wmu, respHeader{ID: req.ID, Err: err.Error()}, nil)
-			return
-		}
-		records = append(records, append(line, '\n'))
-	}
 	if s.ExitAfter > 0 {
 		if total := s.executed.Add(int64(len(req.Tests))); int(total) >= s.ExitAfter {
 			// Die without responding: the client sees the connection drop
 			// with this lease in flight and must re-execute it elsewhere.
 			s.exitOnce.Do(s.OnExit)
-			return
+			return frame
 		}
 	}
-	s.respond(conn, wmu, respHeader{ID: req.ID, N: len(records)}, records)
+	return s.respond(sc, frame, respHeader{ID: req.ID, N: len(results)}, req.Tests, results)
 }
 
-// respond writes one response frame: the header line, then the records.
-func (s *Server) respond(conn net.Conn, wmu *sync.Mutex, hdr respHeader, records [][]byte) {
-	payload := append(encodeJSON(hdr), '\n')
-	for _, rec := range records {
-		payload = append(payload, rec...)
+// respond writes one response frame — the header, then one raw-codec
+// record line per result, keyed by its test's campaign position — with
+// one write, and returns the frame storage for reuse.
+func (s *Server) respond(sc *serverConn, frame []byte, hdr respHeader, tests []testgen.Dataset, results []target.Result) []byte {
+	frame = appendRespHeader(beginFrame(frame), hdr)
+	for i, r := range results {
+		rec := campaign.ToRecord(tests[i].Index, r)
+		var err error
+		if frame, err = s.codec.AppendEncode(frame, &rec); err != nil {
+			return s.respond(sc, frame, respHeader{ID: hdr.ID, Err: fmt.Sprintf("record %d: %v", i, err)}, nil, nil)
+		}
+		frame = append(frame, '\n')
 	}
-	wmu.Lock()
-	defer wmu.Unlock()
-	if err := WriteFrame(conn, payload); err != nil {
+	sc.wmu.Lock()
+	defer sc.wmu.Unlock()
+	if err := sendFrame(sc.conn, frame); err != nil {
 		s.logf("response %d: %v", hdr.ID, err)
-		return
+		return frame
 	}
-	s.met.WireTx.Add(uint64(len(payload)) + frameOverhead)
-}
-
-// unmarshalRequest decodes a request frame.
-func unmarshalRequest(payload []byte, req *execRequest) error {
-	if err := json.Unmarshal(payload, req); err != nil {
-		return fmt.Errorf("remote: bad request frame: %w", err)
-	}
-	return nil
+	s.met.WireTx.Add(uint64(len(frame)))
+	return frame
 }

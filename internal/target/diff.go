@@ -1,6 +1,7 @@
 package target
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -73,6 +74,10 @@ func (d *Diff) Provision(workers int) error {
 	}
 	return d.b.Provision(workers)
 }
+
+// Close closes the sub-targets that hold resources (io.Closer), both
+// of them even when the first fails.
+func (d *Diff) Close() error { return errors.Join(closeTarget(d.a), closeTarget(d.b)) }
 
 // Acquire reserves one slot on each sub-target.
 func (d *Diff) Acquire() Slot { return diffSlot{a: d.a.Acquire(), b: d.b.Acquire()} }

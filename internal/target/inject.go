@@ -84,6 +84,9 @@ func (t *Inject) InjectSignature() string { return t.sched.Signature() }
 // Provision provisions the wrapped backend.
 func (t *Inject) Provision(workers int) error { return t.base.Provision(workers) }
 
+// Close closes the wrapped backend when it holds resources (io.Closer).
+func (t *Inject) Close() error { return closeTarget(t.base) }
+
 // Acquire reserves one base slot (a second is never held: the two legs
 // of an injected test recycle the one slot through the base pool).
 func (t *Inject) Acquire() Slot { return &injectSlot{s: t.base.Acquire()} }

@@ -33,6 +33,7 @@ package target
 import (
 	"context"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
@@ -108,7 +109,9 @@ type BatchExecutor interface {
 
 // Target is one execution backend. Execute must be safe for concurrent
 // use across distinct slots — the campaign worker pool calls it from
-// several goroutines, each holding its own acquired slot.
+// several goroutines, each holding its own acquired slot. A backend that
+// holds resources past a campaign (the remote backend's worker
+// connections) also implements io.Closer; whoever built it closes it.
 type Target interface {
 	// Name returns the canonical target spec ("sim", "phantom",
 	// "diff:sim,phantom").
@@ -204,6 +207,15 @@ func New(spec string, cfg Config) (Target, error) {
 // menu, and where the bad name appeared.
 func componentErr(composite, component string, err error) error {
 	return fmt.Errorf("%w (resolving component %q of %q)", err, component, composite)
+}
+
+// closeTarget closes t when it holds resources (io.Closer) — how a
+// composite forwards Close to its components.
+func closeTarget(t Target) error {
+	if c, ok := t.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }
 
 // Names returns the registered backend names, sorted.
