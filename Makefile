@@ -151,8 +151,9 @@ daemon-smoke:
 
 # Short fuzz runs over the codec round-trip property (raw and json
 # codecs must agree byte for byte on arbitrary records) and over the
-# remote worker's request-frame decoder (arbitrary bytes never panic,
-# never allocate past the frame, and what decodes re-encodes unchanged):
+# remote worker's request-frame decoder (arbitrary bytes never panic, no
+# count outruns the bytes that carry it, and what decodes re-encodes
+# unchanged):
 # long enough to shake out encoding regressions, short enough for every
 # CI run. The corpus under internal/campaign/testdata stays checked in.
 # CI runs this.

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -256,7 +257,8 @@ func TestServerGracefulShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := ReadFrame(conn); err != nil { // hello
+	br := bufio.NewReader(conn)
+	if _, err := readFrame(br, nil); err != nil { // hello
 		t.Fatal(err)
 	}
 	req := execRequest{ID: 7, Tests: []testgen.Dataset{{Func: apispec.Function{Name: "XM_get_time"}}}}
@@ -284,7 +286,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 
 	// The drained lease's response made it out before the close.
-	payload, err := ReadFrame(conn)
+	payload, err := readFrame(br, nil)
 	if err != nil {
 		t.Fatalf("in-flight response lost in shutdown: %v", err)
 	}
@@ -295,7 +297,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 	if hdr.ID != 7 || hdr.Err != "" || hdr.N != 1 || bytes.Count(records, []byte("\n")) != 1 {
 		t.Errorf("response header = %+v over %d record bytes, want ID 7 with 1 record", hdr, len(records))
 	}
-	if _, err := ReadFrame(conn); err == nil {
+	if _, err := readFrame(br, nil); err == nil {
 		t.Error("connection still open after drain")
 	}
 }

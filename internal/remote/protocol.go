@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 
 	"xmrobust/internal/apispec"
 	"xmrobust/internal/dict"
@@ -75,17 +76,10 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return sendFrame(w, frame)
 }
 
-// ReadFrame reads one length-prefixed frame.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [frameOverhead]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	return readPayload(r, binary.BigEndian.Uint32(hdr[:]), nil)
-}
-
-// readFrame reads one frame from a connection's buffered reader into
-// buf's storage when it is large enough (a fresh allocation otherwise).
+// readFrame reads one length-prefixed frame from a connection's
+// buffered reader into buf's storage when it is large enough (a fresh
+// allocation otherwise), refusing a length past the frame limit before
+// allocating for it.
 func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 	hdr, err := br.Peek(frameOverhead)
 	if err != nil {
@@ -93,12 +87,6 @@ func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr)
 	br.Discard(frameOverhead) // cannot fail: Peek buffered these bytes
-	return readPayload(br, n, buf)
-}
-
-// readPayload reads an n-byte frame payload, refusing a length past the
-// frame limit before allocating for it.
-func readPayload(r io.Reader, n uint32, buf []byte) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("remote: frame of %d bytes exceeds the %d-byte limit", n, maxFrame)
 	}
@@ -106,7 +94,7 @@ func readPayload(r io.Reader, n uint32, buf []byte) ([]byte, error) {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if _, err := io.ReadFull(br, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -169,6 +157,13 @@ const (
 	minRecordBytes = 1
 )
 
+// maxDecode bounds the test and value slices one request may decode to.
+// In memory a test or value is up to ~40 times its minimal encoding, so
+// counts the frame's bytes can hold could still ask a 64 MiB frame for
+// gigabytes. With the budget, a request costs at most maxDecode of
+// slices plus its strings, which are copies of the frame's own bytes.
+const maxDecode = maxFrame
+
 // errTruncated reports a field running past the end of its frame.
 var errTruncated = errors.New("truncated field")
 
@@ -217,7 +212,7 @@ func requestFlags(spec target.RunSpec) byte {
 // request. Unknown flag bits, out-of-range numbers and trailing bytes
 // are refused.
 func decodeRequest(p []byte, h *apispec.Header) (execRequest, error) {
-	r := wireReader{b: p}
+	r := wireReader{b: p, budget: maxDecode}
 	var req execRequest
 	req.ID = r.uvarint()
 	flags := r.byte()
@@ -231,7 +226,7 @@ func decodeRequest(p []byte, h *apispec.Header) (execRequest, error) {
 	req.Spec.Faults.TimerNegativeCheck = flags&flagTimerNegativeCheck != 0
 	req.Spec.Faults.MulticallRemoved = flags&flagMulticallRemoved != 0
 	req.Spec.MAFs = r.int()
-	if n := r.count(minTestBytes); n > 0 {
+	if n := r.sliceLen(minTestBytes, unsafe.Sizeof(testgen.Dataset{})); n > 0 {
 		req.Tests = make([]testgen.Dataset, n)
 	}
 	for i := range req.Tests {
@@ -239,7 +234,7 @@ func decodeRequest(p []byte, h *apispec.Header) (execRequest, error) {
 		ds.Index = r.int()
 		name := r.string()
 		ds.State = r.string()
-		if n := r.count(minValueBytes); n > 0 {
+		if n := r.sliceLen(minValueBytes, unsafe.Sizeof(dict.Value{})); n > 0 {
 			ds.Values = make([]dict.Value, n)
 		}
 		for j := range ds.Values {
@@ -295,10 +290,12 @@ func appendString(b []byte, s string) []byte {
 
 // wireReader decodes binary frame fields, latching the first error:
 // after a failure every read returns a zero value, so a decoder checks
-// the error once, and a zero count allocates nothing.
+// the error once, and a zero count allocates nothing. budget is what
+// sliceLen may still grant, in bytes.
 type wireReader struct {
-	b   []byte
-	err error
+	b      []byte
+	err    error
+	budget uintptr
 }
 
 func (r *wireReader) fail(err error) {
@@ -356,6 +353,20 @@ func (r *wireReader) count(minBytes int) int {
 		return 0
 	}
 	return int(n)
+}
+
+// sliceLen reads the length of a slice of size-byte elements and charges
+// the slice to the budget. Like count it refuses, before anything is
+// allocated, a length the bytes left cannot hold; it also refuses one
+// the budget cannot pay for.
+func (r *wireReader) sliceLen(minBytes int, size uintptr) int {
+	n := r.count(minBytes)
+	if r.err == nil && uintptr(n) > r.budget/size {
+		r.fail(fmt.Errorf("%d elements of %d bytes exceed the %d-byte decode limit", n, size, maxDecode))
+		return 0
+	}
+	r.budget -= uintptr(n) * size
+	return n
 }
 
 func (r *wireReader) string() string {

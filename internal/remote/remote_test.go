@@ -1,7 +1,9 @@
 package remote
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -90,26 +92,37 @@ func mergedLog(t *testing.T, plan testgen.Plan, tgtSpec string, workers, batch i
 	return buf.Bytes()
 }
 
-// TestFrameRoundTrip pins the length-prefixed framing.
+// TestFrameRoundTrip pins the length-prefixed framing, read the way
+// both ends read it: through one buffered reader, into reused storage.
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payloads := [][]byte{[]byte("hello"), {}, bytes.Repeat([]byte{0xAB}, 70000)}
+	var wire bytes.Buffer
+	payloads := [][]byte{bytes.Repeat([]byte{0xAB}, 70000), []byte("hello"), {}, bytes.Repeat([]byte{0xCD}, 70001)}
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
+		if err := WriteFrame(&wire, p); err != nil {
 			t.Fatal(err)
 		}
 	}
+	br := bufio.NewReader(&wire)
+	var buf []byte
 	for i, want := range payloads {
-		got, err := ReadFrame(&buf)
+		got, err := readFrame(br, buf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("frame %d: %d bytes, want %d", i, len(got), len(want))
 		}
+		// A frame that fits the storage passed in is read into it.
+		if fits := len(want) > 0 && cap(buf) >= len(want); fits && &got[0] != &buf[:1][0] {
+			t.Errorf("frame %d: read into fresh storage, not the %d-byte buffer passed in", i, cap(buf))
+		}
+		buf = got
+	}
+	if _, err := readFrame(br, buf); err != io.EOF {
+		t.Fatalf("read past the last frame: %v, want EOF", err)
 	}
 	// A corrupt length prefix must be refused, not allocated.
-	if _, err := ReadFrame(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})); err == nil {
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})), nil); err == nil {
 		t.Fatal("oversized frame length accepted")
 	}
 }

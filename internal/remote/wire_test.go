@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"net"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"xmrobust/internal/apispec"
 	"xmrobust/internal/dict"
@@ -133,14 +135,79 @@ func TestRequestFrameRefusesMalformed(t *testing.T) {
 	if req, _ := decodeRequest(good[:len(good)-1], h); req.ID != 5 {
 		t.Errorf("refusal carries request ID %d, want 5 (the client matches the error to its lease)", req.ID)
 	}
-	// A million claimed tests would be ~90 MB of datasets if the count
+	// A million claimed tests would be ~150 MB of datasets if the count
 	// were trusted; the refusal costs an error message.
+	refusalAlloc(t, "a frame claiming 2^20 tests", header(1<<20), h)
+}
+
+// TestRequestFrameDecodeLimit: a well-formed frame whose counts its own
+// bytes can hold, but whose tests or values would decode to more than
+// maxDecode, is refused before the slice is allocated — a ~2 MB frame
+// must not make the worker allocate ~40 times its size.
+func TestRequestFrameDecodeLimit(t *testing.T) {
+	h := apispec.Default()
+	frame := func(ntests, nvalues int) []byte {
+		b := binary.AppendUvarint(nil, 5)
+		b = append(b, 0)
+		b = binary.AppendUvarint(b, 2)
+		b = binary.AppendUvarint(b, uint64(ntests))
+		for i := range ntests {
+			b = append(b, 0, 0, 0) // position, func, state
+			if i > 0 {
+				b = append(b, 0) // no values
+				continue
+			}
+			b = binary.AppendUvarint(b, uint64(nvalues))
+			for range nvalues {
+				b = append(b, 0, 0, 0) // raw, desc, validity
+			}
+		}
+		return b
+	}
+	tests := int(maxDecode/unsafe.Sizeof(testgen.Dataset{})) + 1
+	values := int(maxDecode/unsafe.Sizeof(dict.Value{})) + 1
+	for _, c := range []struct {
+		name  string
+		frame []byte
+	}{
+		{fmt.Sprintf("%d minimal tests", tests), frame(tests, 0)},
+		{fmt.Sprintf("a test of %d minimal values", values), frame(1, values)},
+	} {
+		if len(c.frame) > maxFrame/8 {
+			t.Fatalf("%s: %d-byte frame; the limit should bite far below the frame limit", c.name, len(c.frame))
+		}
+		_, err := decodeRequest(c.frame, h)
+		if err == nil || !strings.Contains(err.Error(), "decode limit") {
+			t.Errorf("%s: err %v, want a decode-limit refusal", c.name, err)
+		}
+		refusalAlloc(t, c.name, c.frame, h)
+	}
+	// The budget spans the whole request: every slice is charged to it,
+	// so many slices that each fit cannot add up past it.
+	r := wireReader{b: []byte{2, 2, 2, 0, 0, 0, 0, 0, 0}, budget: 200}
+	for i, want := range []int{2, 2, 0} {
+		if got := r.sliceLen(1, 40); got != want {
+			t.Fatalf("slice %d of two 40-byte elements against a 200-byte budget: length %d, want %d", i, got, want)
+		}
+	}
+	if r.err == nil || !strings.Contains(r.err.Error(), "decode limit") {
+		t.Errorf("third 80-byte slice against a 200-byte budget: err %v, want a decode-limit refusal", r.err)
+	}
+}
+
+// refusalAlloc decodes a frame that must be refused before its slices
+// are allocated, and fails if the refusal allocated more than 64 KiB.
+func refusalAlloc(t *testing.T, name string, frame []byte, h *apispec.Header) {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	decodeRequest(header(1<<20), h)
+	_, err := decodeRequest(frame, h)
 	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("%s: accepted", name)
+	}
 	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
-		t.Errorf("refusing a frame claiming 2^20 tests allocated %d bytes", n)
+		t.Errorf("refusing %s (%d bytes) allocated %d bytes", name, len(frame), n)
 	}
 }
 
@@ -174,9 +241,12 @@ func TestRefusesOldProtocolWorker(t *testing.T) {
 }
 
 // FuzzRequestFrame feeds arbitrary bytes to the request decoder — the
-// worker's trust boundary. It must never panic, must allocate only what
-// the frame's own bytes can hold, and whatever it accepts must survive a
-// re-encode unchanged.
+// worker's trust boundary. It must never panic or accept trailing bytes,
+// an accepted request must hold no more tests and values than its bytes
+// can encode, and whatever it accepts must survive a re-encode
+// unchanged. (What a request may allocate is capped at maxDecode;
+// TestRequestFrameDecodeLimit pins that, with frames larger than a
+// fuzz input.)
 func FuzzRequestFrame(f *testing.F) {
 	h := apispec.Default()
 	full := fullRequest(h)
@@ -189,8 +259,12 @@ func FuzzRequestFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(req.Tests)*minTestBytes > len(frame) {
-			t.Fatalf("%d tests decoded from %d bytes", len(req.Tests), len(frame))
+		values := 0
+		for _, ds := range req.Tests {
+			values += len(ds.Values)
+		}
+		if len(req.Tests)*minTestBytes+values*minValueBytes > len(frame) {
+			t.Fatalf("%d tests of %d values decoded from %d bytes", len(req.Tests), values, len(frame))
 		}
 		again, err := decodeRequest(appendRequest(nil, &req), h)
 		if err != nil {
