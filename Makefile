@@ -149,9 +149,9 @@ daemon-smoke:
 	$(GO) test -race -count 1 -run TestDaemonSmoke ./cmd/xmrobustd
 	$(GO) test -race -count 1 ./internal/serve
 
-# Short fuzz runs over the codec round-trip property (raw and json
-# codecs must agree byte for byte on arbitrary records) and over the
-# remote worker's request-frame decoder (arbitrary bytes never panic, no
+# Short fuzz runs over the codec round-trip property (the raw codec must
+# agree with encoding/json byte for byte on arbitrary records) and over
+# the remote worker's request-frame decoder (arbitrary bytes never panic, no
 # count outruns the bytes that carry it, and what decodes re-encodes
 # unchanged):
 # long enough to shake out encoding regressions, short enough for every

@@ -257,8 +257,8 @@ func BenchmarkExtensionPhantomCampaign(b *testing.B) {
 
 // --- Engine benchmarks --------------------------------------------------------
 
-// engineSuite repeats one representative dataset n times — the uniform
-// workload the pooled-vs-fresh comparison is measured on.
+// engineSuite repeats one representative dataset n times — a uniform
+// workload for the engine benchmarks.
 func engineSuite(b *testing.B, n int) []testgen.Dataset {
 	b.Helper()
 	header := apispec.Default()
@@ -276,24 +276,16 @@ func engineSuite(b *testing.B, n int) []testgen.Dataset {
 }
 
 // BenchmarkCampaign measures raw test-execution throughput of the
-// streaming engine: pooled (reset-and-verify machine reuse) against the
-// seed's fresh-machine-per-test baseline. ns/op is the cost of one test.
+// streaming engine, machines recycled through the snapshot pool. ns/op
+// is the cost of one test.
 func BenchmarkCampaign(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		fresh bool
-	}{{"fresh", true}, {"pooled", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			datasets := engineSuite(b, b.N)
-			b.ReportAllocs()
-			b.ResetTimer()
-			if _, err := campaign.Stream(datasets, campaign.EngineOptions{
-				Options:       campaign.Options{Workers: 1},
-				FreshMachines: mode.fresh,
-			}, nil); err != nil {
-				b.Fatal(err)
-			}
-		})
+	datasets := engineSuite(b, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := campaign.Stream(datasets, campaign.EngineOptions{
+		Options: campaign.Options{Workers: 1},
+	}, nil); err != nil {
+		b.Fatal(err)
 	}
 }
 

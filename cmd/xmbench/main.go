@@ -8,7 +8,7 @@
 // same fixed-seed plan for -reps repetitions through the streaming
 // engine with sharded logs; the first repetition is warm-up and is not
 // timed. Encode cost is measured separately by serialising one
-// representative executed record in a tight loop per codec.
+// representative executed record in a tight loop.
 //
 //	go run ./cmd/xmbench -o BENCH_1.json
 //	go run ./cmd/xmbench -baseline BENCH_1.json -gate 15
@@ -17,8 +17,8 @@
 // the baseline file and exits non-zero when either regresses past the
 // gate percentage — allocs/test is machine-stable, tests/sec assumes the
 // baseline was measured on comparable hardware. The comparison refuses a
-// baseline measured at a different workers/batch/codec configuration:
-// those knobs change what is being measured, not how fast it is.
+// baseline measured at a different workers/batch configuration: those
+// knobs change what is being measured, not how fast it is.
 //
 // With -sweep, one measurement per workers count runs instead (plus a
 // loopback remote: point over -remote-workers in-process xmworker-style
@@ -65,14 +65,12 @@ type Bench struct {
 	Seed          int64   `json:"seed,omitempty"`
 	Reps          int     `json:"reps,omitempty"`
 	Batch         int     `json:"batch"`
-	Codec         string  `json:"codec,omitempty"`
 	Workers       int     `json:"workers"`
 	Target        string  `json:"target,omitempty"`
 	Tests         int     `json:"tests"`
 	TestsPerSec   float64 `json:"tests_per_sec"`
 	AllocsPerTest float64 `json:"allocs_per_test"`
 	BytesPerTest  float64 `json:"bytes_per_test"`
-	EncodeNsJSON  float64 `json:"encode_ns_json,omitempty"`
 	EncodeNsRaw   float64 `json:"encode_ns_raw,omitempty"`
 	Note          string  `json:"note,omitempty"`
 }
@@ -86,7 +84,6 @@ type Sweep struct {
 	Seed   int64   `json:"seed"`
 	Reps   int     `json:"reps"`
 	Batch  int     `json:"batch"`
-	Codec  string  `json:"codec"`
 	CPUs   int     `json:"cpus"`
 	Points []Bench `json:"points"`
 	Note   string  `json:"note,omitempty"`
@@ -102,7 +99,6 @@ func main() {
 		n         = flag.Int("n", 2000, "tests per repetition (rand:N plan)")
 		reps      = flag.Int("reps", 20, "timed repetitions (one extra warm-up rep runs untimed)")
 		batch     = flag.Int("batch", 16, "tests leased per worker slot (0 = unbatched)")
-		codec     = flag.String("codec", "raw", "shard record codec")
 		workers   = flag.Int("workers", 1, "engine workers (1 = stable per-test numbers)")
 		seed      = flag.Int64("seed", 1, "plan seed")
 		out       = flag.String("o", "", "write the measurement JSON to this file (default stdout)")
@@ -128,7 +124,7 @@ func main() {
 	}
 
 	if *sweepList != "" {
-		s := sweep(*n, *seed, *reps, *batch, *codec, *sweepList, *remoteN, *minScale, *out, *note, o)
+		s := sweep(*n, *seed, *reps, *batch, *sweepList, *remoteN, *minScale, *out, *note, o)
 		if *baseline != "" {
 			if err := gateRemote(s, *baseline, *gate); err != nil {
 				fail(err)
@@ -139,18 +135,18 @@ func main() {
 
 	b, err := measure(point{
 		plan: fmt.Sprintf("rand:%d", *n), seed: *seed, reps: *reps,
-		batch: *batch, codec: *codec, workers: *workers, obs: o,
+		batch: *batch, workers: *workers, obs: o,
 	})
 	if err != nil {
 		fail(err)
 	}
 	b.Schema = 1
 	b.Note = *note
-	b.EncodeNsJSON, b.EncodeNsRaw = encodeCost()
+	b.EncodeNsRaw = encodeCost()
 
 	fmt.Fprintf(os.Stderr,
-		"xmbench: %d tests — %.0f tests/sec, %.0f allocs/test, %.0f bytes/test, encode %.0fns json / %.0fns raw\n",
-		b.Tests, b.TestsPerSec, b.AllocsPerTest, b.BytesPerTest, b.EncodeNsJSON, b.EncodeNsRaw)
+		"xmbench: %d tests — %.0f tests/sec, %.0f allocs/test, %.0f bytes/test, encode %.0fns\n",
+		b.Tests, b.TestsPerSec, b.AllocsPerTest, b.BytesPerTest, b.EncodeNsRaw)
 
 	emit(b, *out)
 	if *baseline != "" {
@@ -166,7 +162,6 @@ type point struct {
 	seed    int64
 	reps    int
 	batch   int
-	codec   string
 	workers int
 	// targetSpec selects a non-default execution backend ("" = one
 	// shared sim instance, the steady-state protocol).
@@ -181,7 +176,7 @@ type point struct {
 func measure(p point) (Bench, error) {
 	b := Bench{
 		Plan: p.plan, Seed: p.seed, Reps: p.reps, Batch: p.batch,
-		Codec: p.codec, Workers: p.workers, Target: p.targetSpec,
+		Workers: p.workers, Target: p.targetSpec,
 	}
 	opts := campaign.Options{Plan: p.plan, Seed: p.seed, Workers: p.workers}
 	if p.targetSpec != "" {
@@ -199,7 +194,6 @@ func measure(p point) (Bench, error) {
 	eo := campaign.EngineOptions{
 		Options:   ropts,
 		BatchSize: p.batch,
-		Codec:     p.codec,
 		ShardDir:  dir,
 		Obs:       p.obs,
 	}
@@ -235,7 +229,7 @@ func measure(p point) (Bench, error) {
 
 // sweep measures one point per workers count, plus a loopback remote:
 // point, emits the schema-2 scaling file, and returns it.
-func sweep(n int, seed int64, reps, batch int, codec, list string, remoteN int, minScale float64, out, note string, o *obs.Obs) Sweep {
+func sweep(n int, seed int64, reps, batch int, list string, remoteN int, minScale float64, out, note string, o *obs.Obs) Sweep {
 	var counts []int
 	for _, f := range strings.Split(list, ",") {
 		w, err := strconv.Atoi(strings.TrimSpace(f))
@@ -246,11 +240,11 @@ func sweep(n int, seed int64, reps, batch int, codec, list string, remoteN int, 
 	}
 	s := Sweep{
 		Schema: 2, Plan: fmt.Sprintf("rand:%d", n), Seed: seed,
-		Reps: reps, Batch: batch, Codec: codec,
+		Reps: reps, Batch: batch,
 		CPUs: runtime.NumCPU(), Note: note,
 	}
 	for _, w := range counts {
-		b, err := measure(point{plan: s.Plan, seed: seed, reps: reps, batch: batch, codec: codec, workers: w, obs: o})
+		b, err := measure(point{plan: s.Plan, seed: seed, reps: reps, batch: batch, workers: w, obs: o})
 		if err != nil {
 			fail(err)
 		}
@@ -259,7 +253,7 @@ func sweep(n int, seed int64, reps, batch int, codec, list string, remoteN int, 
 		s.Points = append(s.Points, b)
 	}
 	if remoteN > 0 {
-		b, err := remotePoint(s.Plan, seed, reps, batch, codec, remoteN)
+		b, err := remotePoint(s.Plan, seed, reps, batch, remoteN)
 		if err != nil {
 			fail(err)
 		}
@@ -301,7 +295,7 @@ func remoteOf(s Sweep) *Bench {
 // more than gatePct above the baseline sweep's remote point — the
 // wire path's machine-stable cost. Tests/sec is reported, not gated: a
 // loopback fleet's throughput depends on the host. A baseline measured
-// at a different plan, batch, codec or fleet size is refused.
+// at a different plan, batch or fleet size is refused.
 func gateRemote(cur Sweep, path string, gatePct float64) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -315,10 +309,10 @@ func gateRemote(cur Sweep, path string, gatePct float64) error {
 	if b == nil || c == nil {
 		return fmt.Errorf("-baseline %s: both sweeps need a remote point (-remote-workers > 0)", path)
 	}
-	if b.Plan != c.Plan || b.Batch != c.Batch || b.Codec != c.Codec || b.Target != c.Target {
+	if b.Plan != c.Plan || b.Batch != c.Batch || b.Target != c.Target {
 		return fmt.Errorf(
-			"%s measured its remote point as %s plan=%s batch=%d codec=%s, this run as %s plan=%s batch=%d codec=%s — rerun with matching flags (or remeasure the baseline)",
-			path, b.Target, b.Plan, b.Batch, b.Codec, c.Target, c.Plan, c.Batch, c.Codec)
+			"%s measured its remote point as %s plan=%s batch=%d, this run as %s plan=%s batch=%d — rerun with matching flags (or remeasure the baseline)",
+			path, b.Target, b.Plan, b.Batch, c.Target, c.Plan, c.Batch)
 	}
 	allocs := 100 * (c.AllocsPerTest - b.AllocsPerTest) / b.AllocsPerTest
 	fmt.Fprintf(os.Stderr, "xmbench: remote point vs %s: allocs/test %+.1f%% (%.1f -> %.1f), tests/sec %.0f -> %.0f, gate +%.0f%%\n",
@@ -333,7 +327,7 @@ func gateRemote(cur Sweep, path string, gatePct float64) error {
 // worker servers on loopback TCP, each wrapping its own sim target, the
 // engine fanning leases out over the remote backend. The point records
 // a stable target label, not the ephemeral ports.
-func remotePoint(plan string, seed int64, reps, batch int, codec string, remoteN int) (Bench, error) {
+func remotePoint(plan string, seed int64, reps, batch, remoteN int) (Bench, error) {
 	var addrs []string
 	for i := 0; i < remoteN; i++ {
 		srv := &remote.Server{Target: target.NewSim(target.Config{}), Workers: 1}
@@ -345,7 +339,7 @@ func remotePoint(plan string, seed int64, reps, batch int, codec string, remoteN
 		addrs = append(addrs, addr)
 	}
 	b, err := measure(point{
-		plan: plan, seed: seed, reps: reps, batch: batch, codec: codec,
+		plan: plan, seed: seed, reps: reps, batch: batch,
 		workers: remoteN, targetSpec: "remote:" + strings.Join(addrs, ","),
 	})
 	b.Target = fmt.Sprintf("remote:loopback×%d", remoteN)
@@ -403,8 +397,8 @@ func emit(b Bench, out string) {
 	}
 }
 
-// encodeCost times one representative record through both codecs.
-func encodeCost() (jsonNs, rawNs float64) {
+// encodeCost times one representative record through the codec.
+func encodeCost() float64 {
 	var res campaign.Result
 	// A single executed test gives a record with realistic field content
 	// (resolved dataset values, return codes, kernel and partition state).
@@ -417,31 +411,23 @@ func encodeCost() (jsonNs, rawNs float64) {
 		fail(err)
 	}
 	rec := campaign.ToRecord(0, res)
-	time1 := func(name string) float64 {
-		c, err := campaign.NewCodec(name)
-		if err != nil {
+	const iters = 100000
+	buf := make([]byte, 0, 4096)
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		if buf, err = (campaign.Codec{}).AppendEncode(buf[:0], &rec); err != nil {
 			fail(err)
 		}
-		const iters = 100000
-		buf := make([]byte, 0, 4096)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			buf = buf[:0]
-			if buf, err = c.AppendEncode(buf, &rec); err != nil {
-				fail(err)
-			}
-		}
-		return float64(time.Since(start).Nanoseconds()) / iters
 	}
-	return time1("json"), time1("raw")
+	return float64(time.Since(start).Nanoseconds()) / iters
 }
 
 // compare gates the measurement against a committed baseline: tests/sec
 // may not drop, and allocs/test may not rise, past the gate percentage.
 // Improvements always pass. A baseline measured at a different
-// workers/batch/codec configuration is refused outright — the knobs
-// change what is measured, and a silent apples-to-oranges comparison
-// would let a real regression hide behind a configuration change.
+// workers/batch configuration is refused outright — the knobs change
+// what is measured, and a silent apples-to-oranges comparison would let
+// a real regression hide behind a configuration change.
 func compare(cur Bench, path string, gatePct float64) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -451,10 +437,10 @@ func compare(cur Bench, path string, gatePct float64) error {
 	if err := json.Unmarshal(buf, &base); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	if base.Workers != cur.Workers || base.Batch != cur.Batch || base.Codec != cur.Codec {
+	if base.Workers != cur.Workers || base.Batch != cur.Batch {
 		return fmt.Errorf(
-			"%s was measured at workers=%d batch=%d codec=%s, this run at workers=%d batch=%d codec=%s — rerun with matching flags (or remeasure the baseline)",
-			path, base.Workers, base.Batch, base.Codec, cur.Workers, cur.Batch, cur.Codec)
+			"%s was measured at workers=%d batch=%d, this run at workers=%d batch=%d — rerun with matching flags (or remeasure the baseline)",
+			path, base.Workers, base.Batch, cur.Workers, cur.Batch)
 	}
 	speed := 100 * (cur.TestsPerSec - base.TestsPerSec) / base.TestsPerSec
 	allocs := 100 * (cur.AllocsPerTest - base.AllocsPerTest) / base.AllocsPerTest

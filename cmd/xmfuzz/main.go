@@ -39,7 +39,7 @@
 //	       [-plan STRATEGY] [-target BACKEND] [-seed N] [-corpus FILE]
 //	       [-inject-rate R] [-inject-sites LIST]
 //	       [-cover-stats] [-csv] [-issues] [-progress] [-list]
-//	       [-stream DIR] [-shards N] [-resume] [-fresh-machines]
+//	       [-stream DIR] [-shards N] [-resume]
 //	       [-ops ADDR]
 //
 // -progress renders a live stderr line (done/total, tests/sec, ETA) from
@@ -78,8 +78,6 @@ func main() {
 		stream   = flag.String("stream", "", "run the streaming engine, sharding the campaign log into this directory")
 		shards   = flag.Int("shards", 0, "shard writer count for -stream (0 = workers)")
 		resume   = flag.Bool("resume", false, "resume an interrupted -stream campaign from its checkpoint")
-		fresh    = flag.Bool("fresh-machines", false, "disable machine pooling (one fresh simulator per test)")
-		codec    = flag.String("codec", "", "shard record codec for -stream: json (default) or raw (allocation-free; identical bytes)")
 		batch    = flag.Int("batch", 0, "tests leased per worker slot on batching targets (0 = unbatched; identical results)")
 		plan     = flag.String("plan", "", "test plan: exhaustive (default), pairwise, rand:N, boundary, feedback:N, phantom (see -list)")
 		tgt      = flag.String("target", "", "execution target: sim (default), phantom, diff:a,b (see -list)")
@@ -188,15 +186,6 @@ func main() {
 		if *resume {
 			opts = append(opts, xmrobust.WithResume())
 		}
-		if *fresh {
-			opts = append(opts, xmrobust.WithFreshMachines())
-		}
-		if *codec != "" {
-			opts = append(opts, xmrobust.WithCodec(*codec))
-		}
-	} else if *codec != "" {
-		fmt.Fprintln(os.Stderr, "xmfuzz: -codec requires -stream (shard files are what a codec writes)")
-		os.Exit(2)
 	}
 	if *batch != 0 {
 		opts = append(opts, xmrobust.WithBatchSize(*batch))

@@ -8,10 +8,10 @@
 //	obsnil       observability handles nil-guard their own methods and
 //	             callers never pre-check them, keeping "obs off" at one
 //	             nil check on the hot path
-//	registry     target/plan/codec registration happens at program
-//	             start only, so inventories are complete
-//	seqfield     the raw record codec covers every JSONRecord field the
-//	             json codec serialises, so the wire format cannot drift
+//	registry     target/plan registration happens at program start
+//	             only, so inventories are complete
+//	seqfield     the raw record codec covers every JSONRecord field
+//	             encoding/json serialises, so the wire format cannot drift
 //
 // Run it through the go command, which feeds it one type-checked
 // package at a time with cached export data:

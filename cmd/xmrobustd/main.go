@@ -5,7 +5,7 @@
 //
 // API (JSON everywhere; see internal/serve):
 //
-//	POST   /v1/campaigns             submit {plan, target, seed, codec, ...}
+//	POST   /v1/campaigns             submit {plan, target, seed, ...}
 //	GET    /v1/campaigns             list campaigns
 //	GET    /v1/campaigns/{id}        one campaign's status
 //	DELETE /v1/campaigns/{id}        cancel (queued or running)

@@ -216,7 +216,7 @@ func TestDaemonSmoke(t *testing.T) {
 	d := startDaemon(t)
 
 	// Fixed-seed campaign over HTTP == library run, byte for byte.
-	st := d.submit(t, `{"plan":"rand:400","target":"inject:sim","seed":3,"workers":2,"codec":"raw","inject_rate":0.5}`)
+	st := d.submit(t, `{"plan":"rand:400","target":"inject:sim","seed":3,"workers":2,"inject_rate":0.5}`)
 	if st.Total != 400 {
 		t.Fatalf("campaign total %d, want 400", st.Total)
 	}
@@ -232,7 +232,7 @@ func TestDaemonSmoke(t *testing.T) {
 	ref := libraryLog(t,
 		xmrobust.WithPlan("rand:400"), xmrobust.WithTarget("inject:sim"),
 		xmrobust.WithSeed(3), xmrobust.WithWorkers(2),
-		xmrobust.WithCodec("raw"), xmrobust.WithInjection(0.5))
+		xmrobust.WithInjection(0.5))
 	if !bytes.Equal(httpLog, ref) {
 		t.Fatalf("daemon log (%d bytes) differs from the library run (%d bytes)",
 			len(httpLog), len(ref))

@@ -7,7 +7,6 @@
 // Usage:
 //
 //	xmworker [-listen ADDR] [-target SPEC] [-workers N] [-seed N]
-//	         [-fresh-machines] [-legacy-pool]
 //	         [-inject-rate R] [-inject-sites LIST]
 //	         [-exit-after N] [-ops ADDR]
 //
@@ -47,8 +46,6 @@ func main() {
 		tgt       = flag.String("target", "", "execution target to serve: sim (default), phantom, diff:a,b, inject:base")
 		workers   = flag.Int("workers", 1, "concurrent lease executions")
 		seed      = flag.Int64("seed", 0, "seed anchoring inject:* schedules (match the coordinator's -seed)")
-		fresh     = flag.Bool("fresh-machines", false, "disable machine pooling (one fresh simulator per test)")
-		legacy    = flag.Bool("legacy-pool", false, "use the reset-and-verify pool instead of copy-on-write snapshots")
 		injRate   = flag.Float64("inject-rate", 1, "inject:* targets: fraction of tests carrying an SEU, in (0,1]")
 		injSites  = flag.String("inject-sites", "", "inject:* targets: comma-separated flip sites (default all)")
 		exitAfter = flag.Int("exit-after", 0, "exit without responding after N tests (lease-reclaim testing)")
@@ -84,12 +81,7 @@ func main() {
 		defer ops.Close()
 		fmt.Printf("xmworker: ops on http://%s/metrics\n", ops.Addr())
 	}
-	backend, err := target.New(*tgt, target.Config{
-		FreshMachines: *fresh,
-		LegacyPool:    *legacy,
-		Inject:        params,
-		Obs:           o,
-	})
+	backend, err := target.New(*tgt, target.Config{Inject: params, Obs: o})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xmworker: %v\n", err)
 		os.Exit(2)

@@ -32,7 +32,7 @@ func main() {
 	// copy-on-write snapshot pool — the fast path; results are
 	// byte-identical to the unbatched engine.
 	legacy := run("legacy", xmrobust.WithFaults(xmrobust.LegacyFaults()),
-		xmrobust.WithSnapshotPool(false), xmrobust.WithBatchSize(16))
+		xmrobust.WithBatchSize(16))
 	fmt.Println(legacy.Summary())
 
 	patched := run("patched", xmrobust.WithPatchedKernel(),

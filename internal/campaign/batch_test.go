@@ -37,8 +37,7 @@ func planSource(t *testing.T, _ string, opts Options) Source {
 // BatchExecutor capability: a fixed-seed campaign's merged log must be
 // byte-identical whether tests execute one per slot acquisition or in
 // multi-test leases rewound in-slot — across batch sizes that divide the
-// campaign evenly and ones that leave a partial trailing lease, and
-// across both codecs.
+// campaign evenly and ones that leave a partial trailing lease.
 func TestBatchedExecutionIsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several full campaigns")
@@ -54,12 +53,10 @@ func TestBatchedExecutionIsByteIdentical(t *testing.T) {
 	}{
 		{"batch3", EngineOptions{Options: base.Options, BatchSize: 3}},
 		{"batch7-partial", EngineOptions{Options: base.Options, BatchSize: 7}},
-		{"batch3-raw", EngineOptions{Options: base.Options, BatchSize: 3, Codec: "raw"}},
-		{"unbatched-raw", EngineOptions{Options: base.Options, Codec: "raw"}},
-		{"batch-legacy-pool-ignored", EngineOptions{Options: base.Options, BatchSize: 4, PoolStrict: true}},
+		{"batch4-strict", EngineOptions{Options: base.Options, BatchSize: 4, PoolStrict: true}},
 	} {
 		if got := mergedCampaign(t, tc.eo); !bytes.Equal(want, got) {
-			t.Errorf("%s: merged log differs from unbatched json reference (%d vs %d bytes)",
+			t.Errorf("%s: merged log differs from the unbatched reference (%d vs %d bytes)",
 				tc.name, len(got), len(want))
 		}
 	}

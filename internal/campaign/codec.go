@@ -1,20 +1,16 @@
 package campaign
 
-// This file is the record codec seam: campaign-log records reach disk
-// through a Codec, registered like targets and plans. Two codecs ship
-// built in — "json" (encoding/json, the reference implementation) and
-// "raw" (a hand-rolled encoder/decoder producing byte-identical lines
-// without encoding/json's per-record reflection and allocation cost).
-// The wire format never varies with the codec: a shard written with one
-// reads back with the other, and the golden test pins both to the same
-// bytes across the fuzz corpus.
+// This file is the record codec: the hand-written encoder and decoder
+// that carry campaign-log records through shard files, merged logs,
+// remote response frames and SSE streams, without encoding/json's
+// per-record reflection and allocation cost. The wire format is
+// encoding/json's rendering of JSONRecord; the golden and fuzz tests pin
+// the codec to it byte for byte across the fuzz corpus.
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
 
@@ -25,115 +21,33 @@ import (
 // type the record embeds.
 type injectInjection = inject.Injection
 
-// Codec serialises campaign-log records to JSON Lines and back. Every
-// codec speaks the same wire format — the encoding/json rendering of
-// JSONRecord — so the codec choice is a cost decision, never a
-// compatibility one. AppendEncode appends one record (without the
-// trailing newline) to dst and returns the extended buffer; Decode
-// overwrites *rec with the record parsed from one line.
-type Codec interface {
-	Name() string
-	AppendEncode(dst []byte, rec *JSONRecord) ([]byte, error)
-	Decode(line []byte, rec *JSONRecord) error
-}
+// Codec serialises campaign-log records to JSON Lines and back. The
+// encoder reproduces encoding/json's rendering of JSONRecord byte for
+// byte (field order, omitempty, nil slices as null, HTML escaping,
+// U+FFFD replacement) without reflection or per-record allocation; the
+// decoder parses the same format strictly and defers to encoding/json
+// on any line it does not fully recognise, so hostile or foreign input
+// gets exactly the reference semantics. The zero value is ready to use.
+type Codec struct{}
 
-// CodecInfo describes one registered codec for discovery surfaces.
-type CodecInfo struct {
-	Name string
-	Desc string
-}
-
-type codecEntry struct {
-	desc  string
-	codec Codec
-}
-
-// codecRegistry mirrors the target and plan registries.
-var codecRegistry = map[string]codecEntry{}
-
-// RegisterCodec adds (or replaces) a record codec under its own Name,
-// with a one-line description for the discovery surfaces.
-func RegisterCodec(desc string, c Codec) {
-	codecRegistry[c.Name()] = codecEntry{desc: desc, codec: c}
-}
-
-// NewCodec resolves a codec name against the registry ("" defaults to
-// json, the reference implementation).
+// NewCodec returns the record codec. "" and "raw" both name it; any
+// other name is refused.
 func NewCodec(name string) (Codec, error) {
-	if name == "" {
-		name = "json"
+	if name != "" && name != "raw" {
+		return Codec{}, fmt.Errorf("campaign: unknown codec %q (have raw)", name)
 	}
-	e, ok := codecRegistry[name]
-	if !ok {
-		return nil, fmt.Errorf("campaign: unknown codec %q (have %s)", name, strings.Join(CodecNames(), ", "))
-	}
-	return e.codec, nil
+	return Codec{}, nil
 }
 
-// CodecNames returns the registered codec names, sorted.
-func CodecNames() []string {
-	out := make([]string, 0, len(codecRegistry))
-	for n := range codecRegistry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// CodecInventory returns every registered codec with its description,
-// sorted by name.
-func CodecInventory() []CodecInfo {
-	out := make([]CodecInfo, 0, len(codecRegistry))
-	for n, e := range codecRegistry {
-		out = append(out, CodecInfo{Name: n, Desc: e.desc})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	return out
-}
-
-func init() {
-	RegisterCodec("encoding/json record serialisation — the reference wire format (default)", jsonCodec{})
-	RegisterCodec("hand-rolled allocation-free serialisation, byte-identical to json", rawCodec{})
-}
-
-// --- json codec ---------------------------------------------------------
-
-// jsonCodec is the reference codec: encoding/json, whose rendering of
-// JSONRecord defines the wire format every other codec must reproduce.
-type jsonCodec struct{}
-
-func (jsonCodec) Name() string { return "json" }
-
-func (jsonCodec) AppendEncode(dst []byte, rec *JSONRecord) ([]byte, error) {
-	out, err := json.Marshal(rec)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, out...), nil
-}
-
-func (jsonCodec) Decode(line []byte, rec *JSONRecord) error {
-	*rec = JSONRecord{}
-	return json.Unmarshal(line, rec)
-}
-
-// --- raw codec ----------------------------------------------------------
-
-// rawCodec hand-rolls the JSONRecord wire format: the encoder reproduces
-// encoding/json's rendering byte for byte (field order, omitempty, nil
-// slices as null, HTML escaping, U+FFFD replacement) without reflection
-// or per-record allocation; the decoder parses the same format strictly
-// and defers to encoding/json on any line it does not fully recognise,
-// so hostile or foreign input gets exactly the reference semantics.
-type rawCodec struct{}
-
-func (rawCodec) Name() string { return "raw" }
-
-func (rawCodec) AppendEncode(dst []byte, rec *JSONRecord) ([]byte, error) {
+// AppendEncode appends one record (without the trailing newline) to dst
+// and returns the extended buffer. Every JSONRecord has a wire form, so
+// the error is always nil.
+func (Codec) AppendEncode(dst []byte, rec *JSONRecord) ([]byte, error) {
 	return rawAppendRecord(dst, rec), nil
 }
 
-func (rawCodec) Decode(line []byte, rec *JSONRecord) error {
+// Decode overwrites *rec with the record parsed from one line.
+func (Codec) Decode(line []byte, rec *JSONRecord) error {
 	*rec = JSONRecord{}
 	if rawDecodeRecord(line, rec) != nil {
 		*rec = JSONRecord{}

@@ -3,7 +3,7 @@ package campaign
 // This file is the streaming pooled execution engine: a bounded work
 // queue feeding a worker pool that executes on any registered target
 // backend (the sim target recycles simulated machines through a
-// reset-and-verify pool), streams every execution log over a channel into
+// snapshot pool), streams every execution log over a channel into
 // per-worker JSON Lines shards, and checkpoints completed tests so an
 // interrupted campaign resumes from where it stopped. The eager API
 // (Run/RunDatasets) is a thin wrapper that points the stream at an
@@ -54,32 +54,15 @@ type EngineOptions struct {
 	// full, so memory never holds more than QueueDepth undispatched jobs.
 	QueueDepth int
 
-	// FreshMachines disables machine pooling: every test packs a freshly
-	// allocated simulated target, the behaviour of the original runner.
-	// The pooled default is substantially faster (see BenchmarkCampaign).
-	FreshMachines bool
-
 	// PoolStrict makes the machine pool scan every byte of every recycled
-	// machine (sparc.MachinePool strict mode). Slow; for isolation tests.
+	// machine (sparc.SnapshotPool strict mode). Slow; for isolation tests.
 	PoolStrict bool
-
-	// LegacyPool selects the reset-and-verify MachinePool instead of the
-	// default copy-on-write SnapshotPool on backends that pool — the A/B
-	// switch behind the performance trajectory.
-	LegacyPool bool
 
 	// ShardDir, when set, streams every execution log into JSON Lines
 	// shard files <ShardDir>/shard-NNN.jsonl. Shards are opened in append
 	// mode so a resumed campaign extends them; MergeShards restores
 	// campaign order.
 	ShardDir string
-
-	// Codec selects the record codec shard files are written with
-	// ("json", the encoding/json reference and the default, or "raw",
-	// the hand-rolled allocation-free encoder). Every codec produces the
-	// same wire format byte for byte, so the choice never affects what a
-	// campaign log contains — only what encoding it costs.
-	Codec string
 
 	// BatchSize leases contiguous runs of pending tests to each worker
 	// when the target can execute them in one held slot (the
@@ -150,7 +133,8 @@ type EngineStats struct {
 	Total    int
 	Executed int
 	Skipped  int
-	// Pool holds the machine-pool counters (zero when FreshMachines).
+	// Pool holds the machine-pool counters (zero on targets that do not
+	// pool).
 	Pool sparc.PoolStats
 }
 
@@ -254,12 +238,10 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 			tgtCtx = nil
 		}
 		tgt, err = target.New(opts.Target, target.Config{
-			FreshMachines: eo.FreshMachines,
-			PoolStrict:    eo.PoolStrict,
-			LegacyPool:    eo.LegacyPool,
-			Inject:        opts.injectParams(),
-			Obs:           eo.Obs,
-			Ctx:           tgtCtx,
+			PoolStrict: eo.PoolStrict,
+			Inject:     opts.injectParams(),
+			Obs:        eo.Obs,
+			Ctx:        tgtCtx,
 		})
 		if err != nil {
 			return stats, err
@@ -356,13 +338,9 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 		}()
 	}
 
-	codec, err := NewCodec(eo.Codec)
-	if err != nil {
-		return stats, err
-	}
 	var writers []*shardWriter
 	if eo.ShardDir != "" {
-		if writers, err = openShards(st, eo.ShardDir, eo.Shards, eo.Resume, codec); err != nil {
+		if writers, err = openShards(st, eo.ShardDir, eo.Shards, eo.Resume); err != nil {
 			return stats, err
 		}
 		// Checkpoint marks promise their record is on disk, so shards
@@ -398,6 +376,11 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 	be, _ := tgt.(target.BatchExecutor)
 	if batch < 1 || be == nil || fb != nil {
 		batch = 1
+	}
+	if batch > pendingCount {
+		// No lease can hold more than the pending tests, and the
+		// workers size their lease buffers by batch.
+		batch = pendingCount
 	}
 	em.BatchSize.Set(int64(batch))
 
@@ -742,7 +725,7 @@ func (c *checkpoint) close() error { return c.w.Close() }
 // --- shards ------------------------------------------------------------
 
 // shardWriter owns one JSON Lines shard file. Records encode through the
-// campaign's codec into a reused buffer. When a checkpoint is in play the
+// record codec into a reused buffer. When a checkpoint is in play the
 // writer flushes per record so a completion mark always refers to a
 // record already on disk; without one the only reader is the post-run
 // merge, so records ride the bufio buffer until close and the per-record
@@ -753,7 +736,6 @@ func (c *checkpoint) close() error { return c.w.Close() }
 type shardWriter struct {
 	w         io.WriteCloser
 	bw        *bufio.Writer
-	codec     Codec
 	flushEach bool
 	buf       []byte
 	scr       recordScratch
@@ -771,7 +753,7 @@ func shardPath(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d.jsonl", i))
 }
 
-func openShards(st store.LogStore, dir string, n int, resume bool, codec Codec) ([]*shardWriter, error) {
+func openShards(st store.LogStore, dir string, n int, resume bool) ([]*shardWriter, error) {
 	if !resume {
 		// A fresh campaign must not inherit records: stale shards from an
 		// earlier run in the same directory would survive the seq-dedup
@@ -796,7 +778,7 @@ func openShards(st store.LogStore, dir string, n int, resume bool, codec Codec) 
 			closeShards(writers)
 			return nil, fmt.Errorf("campaign: shards: %w", err)
 		}
-		writers = append(writers, &shardWriter{w: w, bw: bufio.NewWriter(w), codec: codec})
+		writers = append(writers, &shardWriter{w: w, bw: bufio.NewWriter(w)})
 	}
 	return writers, nil
 }
@@ -810,7 +792,7 @@ func (w *shardWriter) write(pos int, r Result) error {
 		t0 = time.Now() //xmlint:allow determinism -- encode-latency histogram; the reading feeds obs, never the record bytes
 	}
 	rec := w.scr.toRecord(pos, r)
-	buf, err := w.codec.AppendEncode(w.buf[:0], &rec)
+	buf, err := Codec{}.AppendEncode(w.buf[:0], &rec)
 	if w.encNs != nil {
 		//xmlint:allow determinism -- encode-latency histogram; the reading feeds obs, never the record bytes
 		w.encNs.Observe(float64(time.Since(t0).Nanoseconds()))
@@ -867,13 +849,6 @@ func ScanShardsIn(st store.LogStore, dir string, fn func(JSONRecord) error) erro
 	if err != nil {
 		return err
 	}
-	// Shards read back through the raw codec: the wire format is the same
-	// whatever codec wrote them, and the hand-rolled decoder (with its
-	// encoding/json fallback for anything irregular) reads it cheapest.
-	codec, err := NewCodec("raw")
-	if err != nil {
-		return err
-	}
 	for _, p := range paths {
 		f, err := st.OpenLog(p)
 		if err != nil {
@@ -884,7 +859,7 @@ func ScanShardsIn(st store.LogStore, dir string, fn func(JSONRecord) error) erro
 			line, rerr := br.ReadBytes('\n')
 			if len(bytes.TrimSpace(line)) > 0 {
 				var rec JSONRecord
-				if derr := codec.Decode(line, &rec); derr != nil {
+				if derr := (Codec{}).Decode(line, &rec); derr != nil {
 					// A torn trailing record from an interrupted run —
 					// "complete" means newline-terminated, see the store's
 					// torn-tail trim — is expected; mid-file corruption is
@@ -939,9 +914,8 @@ func CollectShardsIn(st store.LogStore, dir string) ([]JSONRecord, error) {
 
 // MergeShards writes the shard records of dir to w as one JSON Lines log
 // in campaign order — the same byte stream WriteJSON produces for an
-// uninterrupted eager campaign, whichever codec wrote the shards and
-// however many workers (local or remote) executed them. It returns the
-// record count.
+// uninterrupted eager campaign, however many workers (local or remote)
+// executed them. It returns the record count.
 func MergeShards(dir string, w io.Writer) (int, error) {
 	return MergeShardsIn(store.Local(), dir, w)
 }
@@ -952,13 +926,9 @@ func MergeShardsIn(st store.LogStore, dir string, w io.Writer) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	codec, err := NewCodec("raw")
-	if err != nil {
-		return 0, err
-	}
 	var buf []byte
 	for i := range records {
-		if buf, err = codec.AppendEncode(buf[:0], &records[i]); err != nil {
+		if buf, err = (Codec{}).AppendEncode(buf[:0], &records[i]); err != nil {
 			return 0, err
 		}
 		buf = append(buf, '\n')

@@ -9,12 +9,14 @@ import (
 
 	"xmrobust/internal/apispec"
 	"xmrobust/internal/dict"
+	"xmrobust/internal/sparc"
+	"xmrobust/internal/target"
 	"xmrobust/internal/testgen"
 )
 
 // mixedSuite builds a small suite covering the interesting outcome space:
 // nominal returns, system resets, a hypervisor halt and a simulator crash
-// — everything the pool's reset-and-verify cycle has to survive.
+// — everything the pool's restore-and-verify cycle has to survive.
 func mixedSuite(t *testing.T) []testgen.Dataset {
 	t.Helper()
 	h := apispec.Default()
@@ -40,29 +42,29 @@ func mixedSuite(t *testing.T) []testgen.Dataset {
 // TestPooledMatchesFresh is the reset-isolation proof at the engine level:
 // recycled machines must yield execution logs identical to fresh ones for
 // every outcome class, with the pool's strict byte-scan verifying each
-// recycle.
+// recycle. The reference executes every dataset on a newly allocated
+// machine.
 func TestPooledMatchesFresh(t *testing.T) {
 	datasets := mixedSuite(t)
 	opts := Options{Workers: 4}
 
-	run := func(eo EngineOptions) []Result {
-		results := make([]Result, len(datasets))
-		stats, err := Stream(datasets, eo, func(pos int, r Result) { results[pos] = r })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Executed != len(datasets) {
-			t.Fatalf("executed %d of %d", stats.Executed, len(datasets))
-		}
-		return results
+	pooled := make([]Result, len(datasets))
+	stats, err := Stream(datasets, EngineOptions{Options: opts, PoolStrict: true},
+		func(pos int, r Result) { pooled[pos] = r })
+	if err != nil {
+		t.Fatal(err)
 	}
-	fresh := run(EngineOptions{Options: opts, FreshMachines: true})
-	pooled := run(EngineOptions{Options: opts, PoolStrict: true})
+	if stats.Executed != len(datasets) {
+		t.Fatalf("executed %d of %d", stats.Executed, len(datasets))
+	}
 
-	for i := range fresh {
-		if !reflect.DeepEqual(fresh[i], pooled[i]) {
+	sim := target.NewSim(target.Config{})
+	spec := opts.withDefaults().runSpec()
+	for i, ds := range datasets {
+		fresh := sim.Execute(sparc.NewDefaultMachine(), ds, spec)
+		if !reflect.DeepEqual(fresh, pooled[i]) {
 			t.Errorf("dataset %d (%s): pooled result differs from fresh\nfresh:  %+v\npooled: %+v",
-				i, datasets[i], fresh[i], pooled[i])
+				i, ds, fresh, pooled[i])
 		}
 	}
 }

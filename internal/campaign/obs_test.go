@@ -113,7 +113,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 			ShardDir:       "shards",
 			Store:          store.NewMem(),
 			BatchSize:      16,
-			Codec:          "raw",
 			Obs:            o,
 			TargetInstance: target.NewSim(target.Config{}),
 		}

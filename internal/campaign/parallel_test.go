@@ -20,7 +20,7 @@ func TestParallelInjectCampaignByteIdentical(t *testing.T) {
 
 	serial := base
 	serial.Workers = 1
-	want := mergedCampaign(t, EngineOptions{Options: serial, Codec: "raw"})
+	want := mergedCampaign(t, EngineOptions{Options: serial})
 	if len(want) == 0 {
 		t.Fatal("empty campaign log")
 	}
@@ -31,9 +31,9 @@ func TestParallelInjectCampaignByteIdentical(t *testing.T) {
 		name string
 		eo   EngineOptions
 	}{
-		{"workers8", EngineOptions{Options: par, Codec: "raw"}},
-		{"workers8-batched", EngineOptions{Options: par, Codec: "raw", BatchSize: 5}},
-		{"workers8-lease-ttl", EngineOptions{Options: par, Codec: "raw", BatchSize: 5, LeaseTTL: 25 * time.Millisecond}},
+		{"workers8", EngineOptions{Options: par}},
+		{"workers8-batched", EngineOptions{Options: par, BatchSize: 5}},
+		{"workers8-lease-ttl", EngineOptions{Options: par, BatchSize: 5, LeaseTTL: 25 * time.Millisecond}},
 	} {
 		if got := mergedCampaign(t, tc.eo); !bytes.Equal(want, got) {
 			t.Errorf("%s: merged log differs from the workers=1 run (%d vs %d bytes)",

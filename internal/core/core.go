@@ -56,7 +56,7 @@ type CampaignReport struct {
 // value: the paper's campaign — legacy kernel, default spec and
 // dictionaries, exhaustive plan, two major frames per test), retaining
 // every execution log in memory. Optional engine options tune the
-// execution machinery (batch size, pool selection) without changing
+// execution machinery (batch size, strict pool checks) without changing
 // results. Large or reduced campaigns stream instead: RunCampaignStream.
 func RunCampaign(opts campaign.Options, engine ...campaign.EngineOptions) (*CampaignReport, error) {
 	var eo campaign.EngineOptions

@@ -6,9 +6,9 @@ import (
 )
 
 // RegistryAnalyzer enforces inventory completeness: the plug-in
-// registries (execution targets, plan strategies, record codecs) must
-// be fully populated by the time main starts, because discovery
-// surfaces (xmfuzz -list, NewCodec/New error messages) and checkpoint
+// registries (execution targets, plan strategies) must be fully
+// populated by the time main starts, because discovery surfaces
+// (xmfuzz -list, target.New error messages) and checkpoint
 // validation all treat the registry as the complete universe. That
 // holds exactly when every Register* call runs from an init function or
 // a package-level variable initialiser — never from arbitrary runtime
@@ -16,7 +16,7 @@ import (
 // order.
 var RegistryAnalyzer = &Analyzer{
 	Name: "registry",
-	Doc:  "target/plan/codec registration must happen in init or package-level declarations",
+	Doc:  "target/plan registration must happen in init or package-level declarations",
 	Run:  runRegistry,
 }
 
@@ -29,7 +29,6 @@ var registrars = map[string]map[string]bool{
 		"RegisterPlanFactory": true,
 		"RegisterHeaderPlan":  true,
 	},
-	"campaign": {"RegisterCodec": true},
 }
 
 func runRegistry(pass *Pass) error {
@@ -81,8 +80,8 @@ func (p *Pass) checkRegistration(call *ast.CallExpr, atStart bool) {
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		// Same-package calls (RegisterCodec inside campaign) arrive as
-		// plain idents.
+		// Same-package calls (Register inside target) arrive as plain
+		// idents.
 		id, ok := call.Fun.(*ast.Ident)
 		if !ok {
 			return

@@ -9,19 +9,19 @@ import (
 	"strings"
 )
 
-// SeqFieldAnalyzer cross-checks the two record codec paths. The json
-// codec renders campaign.JSONRecord by reflection over struct tags; the
-// raw codec reproduces those bytes with hand-written encode/decode
-// functions. A field added to the struct but not to the hand-written
-// path would silently fork the wire format — the byte-identical
-// guarantee the codec registry promises (and the merge/resume machinery
-// relies on) would drift without a test failing until the exact field
-// was populated. The analyzer therefore requires every eligible field
+// SeqFieldAnalyzer cross-checks the record codec against the wire
+// format. The wire format is encoding/json's rendering of
+// campaign.JSONRecord, by reflection over struct tags; the raw codec
+// reproduces those bytes with hand-written encode/decode functions. A
+// field added to the struct but not to the hand-written path would
+// silently fork the wire format — the byte-identical guarantee the
+// golden tests pin (and the merge/resume machinery relies on) would
+// drift without a test failing until the exact field was populated. The analyzer therefore requires every eligible field
 // of the record structs to be (a) referenced by the raw encoder and
 // (b) named by a key case in the raw decoder.
 var SeqFieldAnalyzer = &Analyzer{
 	Name: "seqfield",
-	Doc:  "every JSONRecord (and nested codec struct) field must be handled by both the json and raw codec paths",
+	Doc:  "every JSONRecord (and nested codec struct) field must be handled by both the raw encoder and the raw decoder",
 	Run:  runSeqField,
 }
 

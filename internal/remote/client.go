@@ -63,7 +63,6 @@ type client struct {
 	spec   string
 	addrs  []string
 	header *apispec.Header
-	codec  campaign.Codec
 	// ctx is the campaign's cancellation context (target.Config.Ctx).
 	// Once done, in-flight round trips abandon their wait — the worker
 	// may still execute the lease, but nobody listens — and exec returns
@@ -127,10 +126,6 @@ func newClient(arg string, cfg target.Config) (*client, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("target: remote: no worker addresses (want remote:<addr>[,<addr>...])")
 	}
-	codec, err := campaign.NewCodec("raw")
-	if err != nil {
-		return nil, err
-	}
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -139,7 +134,6 @@ func newClient(arg string, cfg target.Config) (*client, error) {
 		spec:   Name + ":" + strings.Join(addrs, ","),
 		addrs:  addrs,
 		header: apispec.Default(),
-		codec:  codec,
 		ctx:    ctx,
 		met:    obs.NewRemoteMetrics(cfg.Obs.Registry()),
 		conns:  make([]*workerConn, len(addrs)),
@@ -500,7 +494,7 @@ func (c *client) decodeResults(resp response, batch []testgen.Dataset) ([]target
 			return nil, fmt.Errorf("remote: response truncated at record %d", len(results))
 		}
 		var rec campaign.JSONRecord
-		if err := c.codec.Decode(rest[:j+1], &rec); err != nil {
+		if err := (campaign.Codec{}).Decode(rest[:j+1], &rec); err != nil {
 			return nil, fmt.Errorf("remote: record %d: %w", len(results), err)
 		}
 		r, err := rec.Result(c.header)

@@ -55,11 +55,10 @@ type Server struct {
 	exitOnce      sync.Once
 	met           *obs.WorkerMetrics // set in provision; nil handles when obs off
 
-	// The run spec's header and dictionary, and the record codec, built
-	// once in provision and shared by every request.
+	// The run spec's header and dictionary, built once in provision and
+	// shared by every request.
 	header *apispec.Header
 	dict   *dict.Dictionary
-	codec  campaign.Codec
 
 	draining atomic.Bool
 	connWG   sync.WaitGroup
@@ -140,9 +139,6 @@ func (s *Server) provision() error {
 		s.met = obs.NewWorkerMetrics(s.Obs.Registry())
 		s.Obs.Prog().Begin(0, 0)
 		s.header, s.dict = apispec.Default(), dict.Builtin()
-		if s.codec, s.provisionErr = campaign.NewCodec("raw"); s.provisionErr != nil {
-			return
-		}
 		s.provisionErr = s.Target.Provision(s.Workers)
 	})
 	return s.provisionErr
@@ -320,7 +316,7 @@ func (s *Server) respond(sc *serverConn, frame []byte, hdr respHeader, tests []t
 	for i, r := range results {
 		rec := campaign.ToRecord(tests[i].Index, r)
 		var err error
-		if frame, err = s.codec.AppendEncode(frame, &rec); err != nil {
+		if frame, err = (campaign.Codec{}).AppendEncode(frame, &rec); err != nil {
 			return s.respond(sc, frame, respHeader{ID: hdr.ID, Err: fmt.Sprintf("record %d: %v", i, err)}, nil, nil)
 		}
 		frame = append(frame, '\n')

@@ -132,7 +132,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return nil
 		}
 		seen[rec.Seq] = true
-		line, err := s.raw.AppendEncode(buf[:0], &rec)
+		line, err := campaign.Codec{}.AppendEncode(buf[:0], &rec)
 		if err != nil {
 			return err
 		}

@@ -53,7 +53,7 @@ func (st State) Terminal() bool {
 
 // Submission is the body of POST /v1/campaigns: the campaign-shaping
 // subset of the library options. Zero values mean the library defaults
-// (exhaustive plan, sim target, seed 0, json codec).
+// (exhaustive plan, sim target, seed 0).
 type Submission struct {
 	// Plan selects the test-generation strategy ("exhaustive",
 	// "pairwise", "rand:N", "feedback:N", ...).
@@ -63,8 +63,6 @@ type Submission struct {
 	Target string `json:"target,omitempty"`
 	// Seed feeds randomised plans and injection schedules.
 	Seed int64 `json:"seed,omitempty"`
-	// Codec selects the shard record codec ("json" or "raw").
-	Codec string `json:"codec,omitempty"`
 	// MAFs is the number of major frames per test (0: default).
 	MAFs int `json:"mafs,omitempty"`
 	// Workers is the engine parallelism (0: GOMAXPROCS).
@@ -100,7 +98,6 @@ type Status struct {
 	Plan   string `json:"plan"`
 	Target string `json:"target"`
 	Seed   int64  `json:"seed"`
-	Codec  string `json:"codec"`
 	// Total is the campaign size; Executed ran in the service; Skipped
 	// were restored from a checkpoint (always 0 today — the service
 	// starts campaigns fresh; resume is the CLI's job).
@@ -145,8 +142,7 @@ type Server struct {
 	cfg Config
 	obs *obs.Obs
 	st  store.Store
-	raw campaign.Codec // merged-log wire encoding for SSE records
-	sem chan struct{}  // executor slots (MaxActive)
+	sem chan struct{} // executor slots (MaxActive)
 	wg  sync.WaitGroup
 
 	mu        sync.Mutex
@@ -199,15 +195,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	raw, err := campaign.NewCodec("raw")
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
 		cfg:       cfg,
 		obs:       cfg.Obs,
 		st:        cfg.Store,
-		raw:       raw,
 		sem:       make(chan struct{}, cfg.MaxActive),
 		jobs:      map[string]*job{},
 		perClient: map[string]int{},
@@ -269,9 +260,6 @@ func (s *Server) Submit(sub Submission, client string) (Status, error) {
 			return Status{}, &submitError{400, fmt.Sprintf("injection rate %v outside (0, 1]", sub.InjectRate)}
 		}
 		opts.Inject = inject.Params{Rate: sub.InjectRate, Sites: sub.InjectSites}
-	}
-	if _, err := campaign.NewCodec(sub.Codec); err != nil {
-		return Status{}, &submitError{400, err.Error()}
 	}
 	// Build the plan once up front so a bad spec (unknown plan or
 	// target, malformed composite) is a 400 at submission, not a failed
@@ -359,7 +347,6 @@ func (s *Server) run(j *job) {
 		Ctx:            j.ctx,
 		ShardDir:       j.dir,
 		CheckpointPath: filepath.Join(j.dir, checkpointName),
-		Codec:          j.sub.Codec,
 		Shards:         j.sub.Shards,
 		BatchSize:      j.sub.Batch,
 		Limit:          j.sub.Limit,
@@ -373,7 +360,7 @@ func (s *Server) run(j *job) {
 	var scratch []byte
 	sink := func(pos int, r campaign.Result) {
 		rec := campaign.ToRecord(pos, r)
-		line, encErr := s.raw.AppendEncode(scratch[:0], &rec)
+		line, encErr := campaign.Codec{}.AppendEncode(scratch[:0], &rec)
 		if encErr != nil {
 			return
 		}
@@ -512,7 +499,6 @@ func (j *job) status() Status {
 		Plan:     j.opts.Plan,
 		Target:   j.opts.Target,
 		Seed:     j.opts.Seed,
-		Codec:    j.sub.Codec,
 		Total:    j.total,
 		Executed: j.executed,
 		Skipped:  j.skipped,

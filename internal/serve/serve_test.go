@@ -197,7 +197,7 @@ func getLog(t *testing.T, base, id string) []byte {
 // libraryRun executes the same campaign through the engine directly and
 // returns its merged log — the reference the HTTP path must match byte
 // for byte.
-func libraryRun(t *testing.T, opts campaign.Options, eo campaign.EngineOptions) []byte {
+func libraryRun(t *testing.T, opts campaign.Options) []byte {
 	t.Helper()
 	dir := t.TempDir()
 	plan, ropts, err := campaign.BuildPlan(opts)
@@ -207,9 +207,11 @@ func libraryRun(t *testing.T, opts campaign.Options, eo campaign.EngineOptions) 
 	if c, ok := plan.(io.Closer); ok {
 		defer c.Close()
 	}
-	eo.Options = ropts
-	eo.ShardDir = dir
-	eo.CheckpointPath = filepath.Join(dir, "checkpoint.jsonl")
+	eo := campaign.EngineOptions{
+		Options:        ropts,
+		ShardDir:       dir,
+		CheckpointPath: filepath.Join(dir, "checkpoint.jsonl"),
+	}
 	if _, err := campaign.StreamPlan(plan, eo, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +231,7 @@ func TestServiceStreamMatchesLibrary(t *testing.T) {
 	_, ts := newService(t, serve.Config{})
 	sub := serve.Submission{
 		Plan: "rand:600", Target: "inject:sim", Seed: 7,
-		Workers: 2, Codec: "raw", InjectRate: 0.5,
+		Workers: 2, InjectRate: 0.5,
 	}
 	st := submit(t, ts.URL, sub)
 	if st.State != serve.StateQueued && st.State != serve.StateRunning {
@@ -262,7 +264,7 @@ func TestServiceStreamMatchesLibrary(t *testing.T) {
 	refLog := libraryRun(t, campaign.Options{
 		Plan: "rand:600", Target: "inject:sim", Seed: 7,
 		Workers: 2, Inject: inject.Params{Rate: 0.5},
-	}, campaign.EngineOptions{Codec: "raw"})
+	})
 	if !bytes.Equal(httpLog, refLog) {
 		t.Fatal("HTTP campaign log differs from the library run")
 	}
@@ -319,7 +321,7 @@ func TestServiceCancelThenResume(t *testing.T) {
 	if _, err := campaign.MergeShards(final.Dir, &resumed); err != nil {
 		t.Fatal(err)
 	}
-	ref := libraryRun(t, opts, campaign.EngineOptions{})
+	ref := libraryRun(t, opts)
 	if !bytes.Equal(resumed.Bytes(), ref) {
 		t.Fatal("cancelled-then-resumed merged log differs from the uninterrupted run")
 	}
@@ -388,19 +390,41 @@ func TestServiceValidation(t *testing.T) {
 	for _, sub := range []serve.Submission{
 		{Plan: "bogus:plan"},
 		{Target: "bogus"},
-		{Codec: "bogus"},
 		{Target: "inject:sim", InjectRate: 2},
 	} {
 		if _, code := trySubmit(t, ts.URL, sub); code != http.StatusBadRequest {
 			t.Errorf("submission %+v: status %d, want 400", sub, code)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/v1/campaigns/c999999")
+	// Fields the service does not know, such as a codec selector, are
+	// refused rather than silently ignored.
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json",
+		strings.NewReader(`{"plan":"rand:2","codec":"raw"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("submission with a codec field: status %d, want 400", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/v1/campaigns/c999999")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown campaign: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestServiceHugeBatch: a batch far larger than the campaign is a lease
+// of the whole campaign, not an allocation sized by the request — the
+// daemon must run it to completion rather than die.
+func TestServiceHugeBatch(t *testing.T) {
+	_, ts := newService(t, serve.Config{})
+	st := submit(t, ts.URL, serve.Submission{Plan: "rand:2", Batch: 1 << 62})
+	final := waitFor(t, ts.URL, st.ID, func(s serve.Status) bool { return s.State.Terminal() })
+	if final.State != serve.StateDone || final.Executed != 2 {
+		t.Fatalf("campaign ended %s with %d executed (%s), want done with 2", final.State, final.Executed, final.Error)
 	}
 }

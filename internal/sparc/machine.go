@@ -443,8 +443,8 @@ func (m *Machine) Resets() uint64 { return m.resets }
 // Reset returns the machine to its power-on state in place: memory zeroed,
 // clock at 0, timers disarmed, devices cleared, crash flag dropped. Only
 // the pages written since the last reset are scrubbed, so the cost is
-// proportional to what the previous run touched, not to the bank sizes —
-// the property the campaign's machine pool depends on.
+// proportional to what the previous run touched, not to the bank sizes.
+// It is the scrub reference tests check the dirty tracker against.
 func (m *Machine) Reset() {
 	m.dirtyRAM.scrub(m.ram)
 	m.dirtyIO.scrub(m.io)

@@ -63,41 +63,6 @@ func TestVerifyCleanFindsRawResidue(t *testing.T) {
 	}
 }
 
-func TestPoolRecyclesCleanMachines(t *testing.T) {
-	p := NewMachinePool(DefaultConfig(), 4)
-	m := p.Get()
-	if tr := m.Write(m.Config().RAMBase, []byte{9, 9, 9}); tr != nil {
-		t.Fatal(tr)
-	}
-	p.Put(m)
-	m2 := p.Get()
-	if m2 != m {
-		t.Fatal("pool did not recycle the machine")
-	}
-	if err := m2.VerifyClean(); err != nil {
-		t.Fatalf("recycled machine dirty: %v", err)
-	}
-	st := p.Stats()
-	if st.Allocated != 1 || st.Reused != 1 || st.Discarded != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestPoolDiscardsCrashedMachines(t *testing.T) {
-	p := NewMachinePool(DefaultConfig(), 4)
-	m := p.Get()
-	m.Crash("simulator died")
-	p.Put(m)
-	m2 := p.Get()
-	if m2 == m {
-		t.Fatal("pool recycled a crashed machine")
-	}
-	st := p.Stats()
-	if st.Discarded != 1 || st.Allocated != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestAuditPagesSweepsWholeBank(t *testing.T) {
 	m := NewDefaultMachine()
 	// Residue the dirty tracker knows nothing about, far into RAM.
@@ -115,25 +80,8 @@ func TestAuditPagesSweepsWholeBank(t *testing.T) {
 	}
 }
 
-func TestPoolStrictModeScans(t *testing.T) {
-	p := NewMachinePool(DefaultConfig(), 4)
-	p.SetStrict(true)
-	m := p.Get()
-	p.Put(m)
-	// Mutate behind the tracker's back: strict verification must refuse
-	// to recycle and fall back to a fresh machine.
-	m.ram[7] = 0xff
-	m2 := p.Get()
-	if m2 == m {
-		t.Fatal("strict pool recycled a machine with untracked residue")
-	}
-	if st := p.Stats(); st.Discarded != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestPoolCapsRetention(t *testing.T) {
-	p := NewMachinePool(DefaultConfig(), 1)
+	p := NewSnapshotPool(DefaultConfig(), 1)
 	a, b := p.Get(), p.Get()
 	p.Put(a)
 	p.Put(b) // over capacity: silently dropped

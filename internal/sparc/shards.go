@@ -10,7 +10,7 @@ import (
 // only dilute reuse.
 const maxStripes = 8
 
-// machineShards is the striped free list behind both pools. A single
+// machineShards is the striped free list behind SnapshotPool. A single
 // mutex-guarded slice serialises every Get and Put of an 8-worker
 // campaign on one cache line; striping spreads the traffic so workers
 // mostly lock disjoint stripes (see BenchmarkPoolContention). Round-robin

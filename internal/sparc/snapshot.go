@@ -178,15 +178,24 @@ func (m *Machine) RestoreSnapshot(s *Snapshot) error {
 	return nil
 }
 
-// SnapshotPool recycles Machines by rewinding them to the power-on
-// snapshot — the copy-on-write successor of MachinePool's
-// reset-and-verify cycle. Restore copies known content back instead of
-// merely zeroing and re-checking, so the residue audit that dominated
-// the recycle cost amortises to one rotating-window scan every
-// snapshotAuditStride recycles; the cheap power-on invariants
-// (VerifyReset) still run on every Get, and strict mode still scans
-// every byte every time. A machine that fails verification — or comes
-// back crashed — is discarded and replaced, exactly like MachinePool.
+// SnapshotPool recycles Machines across independent runs by rewinding
+// them to the power-on snapshot. A campaign that boots one simulated
+// target per test would spend most of its allocation budget on the
+// memory banks; the pool keeps them alive, and the restore costs
+// O(pages the previous run dirtied). Restore copies known content back
+// rather than zeroing and re-checking, so the residue audit amortises
+// to one rotating-window scan (AuditPages) every snapshotAuditStride
+// recycles; the cheap power-on invariants (VerifyReset) run on every
+// Get, and strict mode scans every byte (VerifyClean) every time. A
+// machine that fails verification — or comes back crashed — is
+// discarded and replaced with a fresh allocation. The rotating audit
+// bounds how long a page the dirty tracker missed could leak before
+// surfacing as a discard; strict mode and the reset-isolation tests
+// rule it out deterministically.
+//
+// The free list is striped and the counters are atomic, so concurrent
+// workers contend on disjoint stripes instead of one mutex (see
+// machineShards and BenchmarkPoolContention).
 type SnapshotPool struct {
 	cfg      Config
 	strict   bool
@@ -197,9 +206,9 @@ type SnapshotPool struct {
 
 // snapshotAuditStride is how many recycles separate two rotating page
 // audits of a snapshot pool. The audit exists to surface dirty-tracking
-// bugs; the restore path rides the same bitmaps as Reset, so the same
-// audit coverage is maintained — just spread over more recycles now
-// that the restore itself is trusted content, not merely zeroed.
+// bugs; the restore rides the same bitmaps as Reset, and it copies
+// trusted content back rather than only zeroing, so the audit can be
+// spread over several recycles.
 const snapshotAuditStride = 8
 
 // NewSnapshotPool builds a pool recycling machines with the given
@@ -223,8 +232,9 @@ func newSnapshotPoolStripes(cfg Config, max, stripes int) *SnapshotPool {
 // Baseline returns the power-on snapshot recycled machines rewind to.
 func (p *SnapshotPool) Baseline() *Snapshot { return p.baseline }
 
-// SetStrict selects exhaustive VerifyClean scans on every recycle, as
-// in MachinePool's strict mode.
+// SetStrict selects exhaustive VerifyClean scans on every recycle. This
+// is orders of magnitude slower than the default invariant check; it
+// exists for isolation tests and paranoid runs.
 func (p *SnapshotPool) SetStrict(v bool) { p.strict = v }
 
 // Get returns a machine in its power-on state: a rewound one when the

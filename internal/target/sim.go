@@ -25,14 +25,12 @@ func init() {
 }
 
 // Sim is the simulation backend: every test packs a fresh testbed onto a
-// simulated LEON3 machine (recycled through a pool unless
-// Config.FreshMachines — the copy-on-write SnapshotPool by default, the
-// reset-and-verify MachinePool under Config.LegacyPool) and runs the TSP
-// system for the selected number of cyclic schedules — the paper's
-// execution environment.
+// simulated LEON3 machine, recycled through a copy-on-write
+// sparc.SnapshotPool, and runs the TSP system for the selected number of
+// cyclic schedules — the paper's execution environment.
 type Sim struct {
 	cfg      Config
-	pool     sparc.Pool
+	pool     *sparc.SnapshotPool
 	baseline *sparc.Snapshot
 
 	// mRestores counts in-slot snapshot restores (batch rewinds and
@@ -63,20 +61,13 @@ func (s *Sim) Name() string { return SimName }
 // It is idempotent: a target shared across engine runs keeps its warm
 // pool (and parked kernels) instead of dropping them on every campaign.
 func (s *Sim) Provision(workers int) error {
-	if s.cfg.FreshMachines {
-		return nil
-	}
 	if s.pool != nil {
 		return nil
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	if s.cfg.LegacyPool {
-		s.pool = sparc.NewMachinePool(sparc.DefaultConfig(), workers)
-	} else {
-		s.pool = sparc.NewSnapshotPool(sparc.DefaultConfig(), workers)
-	}
+	s.pool = sparc.NewSnapshotPool(sparc.DefaultConfig(), workers)
 	s.pool.SetStrict(s.cfg.PoolStrict)
 	// Lazy collectors over the pool's own atomic counters: the pool
 	// hot path pays nothing, the values materialise at scrape time.
@@ -99,7 +90,7 @@ func (s *Sim) Provision(workers int) error {
 }
 
 // simSlot is the sim backend's execution slot: the leased machine (nil
-// when pooling is off — Execute then allocates fresh per test) and the
+// before Provision — Execute then allocates fresh per test) and the
 // restore point backing the SnapshotSlot capability.
 type simSlot struct {
 	owner *Sim
@@ -107,7 +98,7 @@ type simSlot struct {
 	snap  *sparc.Snapshot
 }
 
-// Machine exposes the slot's leased machine (nil when pooling is off).
+// Machine exposes the slot's leased machine (nil before Provision).
 func (sl *simSlot) Machine() *sparc.Machine { return sl.m }
 
 // Snapshot captures the slot's current machine state as its restore
@@ -141,8 +132,8 @@ func (sl *simSlot) Restore() error {
 	return sl.m.VerifyReset()
 }
 
-// Acquire reserves an execution slot (its machine is nil when pooling
-// is off — Execute then allocates a fresh one per test).
+// Acquire reserves an execution slot (its machine is nil before
+// Provision — Execute then allocates a fresh one per test).
 func (s *Sim) Acquire() Slot {
 	sl := &simSlot{owner: s}
 	if s.pool != nil {
@@ -153,7 +144,7 @@ func (s *Sim) Acquire() Slot {
 
 // Release returns a slot's machine to the pool.
 func (s *Sim) Release(slot Slot) {
-	if sl, _ := slot.(*simSlot); sl != nil && sl.m != nil && s.pool != nil {
+	if sl, _ := slot.(*simSlot); sl != nil && sl.m != nil {
 		s.pool.Put(sl.m)
 		sl.m = nil
 	}
@@ -192,7 +183,7 @@ func (s *Sim) parkKernel(m *sparc.Machine, k *xm.Kernel) {
 	s.mu.Unlock()
 }
 
-// PoolStats reports the machine-pool counters (zero when pooling is off).
+// PoolStats reports the machine-pool counters (zero before Provision).
 func (s *Sim) PoolStats() sparc.PoolStats {
 	if s.pool == nil {
 		return sparc.PoolStats{}
@@ -226,9 +217,9 @@ func machineOf(slot Slot) *sparc.Machine {
 func (s *Sim) ExecuteBatch(slot Slot, batch []testgen.Dataset, spec RunSpec) []Result {
 	out := make([]Result, len(batch))
 	sl, _ := slot.(*simSlot)
-	if sl == nil || sl.m == nil || s.pool == nil {
-		// No leased machine to rewind (pooling off, or a foreign slot):
-		// fall back to the single-test path per dataset.
+	if sl == nil || sl.m == nil {
+		// No leased machine to rewind (unprovisioned, or a foreign
+		// slot): fall back to the single-test path per dataset.
 		for i, ds := range batch {
 			out[i] = s.Execute(slot, ds, spec)
 		}
@@ -337,7 +328,8 @@ func (p *testProg) Step(env xm.Env) bool {
 // into the dataset's phantom state (when it names one — §V extension),
 // arm the fault placeholder in the FDIR partition, run the observation
 // frames and harvest the log. The machine in the slot must be in its
-// power-on state; the reset-and-verify pool guarantees that.
+// power-on state; the snapshot pool guarantees that. A slot without a
+// machine runs on a newly allocated one.
 func (s *Sim) Execute(slot Slot, ds testgen.Dataset, spec RunSpec) Result {
 	var cov *cover.Map
 	if spec.Coverage {

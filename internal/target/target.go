@@ -131,17 +131,9 @@ type Target interface {
 // Config carries backend construction options that are not per-run
 // (RunSpec) and not per-campaign sizing (Provision).
 type Config struct {
-	// FreshMachines disables machine pooling on backends that pool:
-	// every test executes on a freshly allocated simulated target.
-	FreshMachines bool
 	// PoolStrict makes the machine pool scan every byte of every
 	// recycled machine. Slow; for isolation tests.
 	PoolStrict bool
-	// LegacyPool selects the reset-and-verify MachinePool instead of the
-	// default copy-on-write SnapshotPool on backends that pool — the A/B
-	// switch behind the performance trajectory (and a fallback should
-	// the snapshot recycler ever be in doubt).
-	LegacyPool bool
 	// Inject parameterises the SEU schedule of inject:* targets (rate,
 	// sites, seed); other backends ignore it.
 	Inject inject.Params

@@ -168,10 +168,6 @@ func WithResume() Option { return func(c *config) { c.eng.Resume = true } }
 // (default: the worker count).
 func WithShards(n int) Option { return func(c *config) { c.eng.Shards = n } }
 
-// WithFreshMachines disables machine pooling on the sim target: every
-// test executes on a freshly allocated simulated machine.
-func WithFreshMachines() Option { return func(c *config) { c.eng.FreshMachines = true } }
-
 // WithBatchSize leases contiguous runs of n tests to each engine worker
 // on targets that batch (the sim backend): the machine rewinds through a
 // copy-on-write snapshot and the testbed kernel recycles in place
@@ -180,26 +176,6 @@ func WithFreshMachines() Option { return func(c *config) { c.eng.FreshMachines =
 // contract, pinned by the engine's batching tests. Targets without the
 // capability and feedback-driven plans ignore it.
 func WithBatchSize(n int) Option { return func(c *config) { c.eng.BatchSize = n } }
-
-// WithSnapshotPool selects the copy-on-write snapshot recycler for the
-// campaign's machines (the default pool), overriding WithFreshMachines
-// and the legacy reset-and-verify pool. strict makes every recycle audit
-// the full machine image instead of the sampled stride — slow, for
-// isolation studies.
-func WithSnapshotPool(strict bool) Option {
-	return func(c *config) {
-		c.eng.FreshMachines = false
-		c.eng.LegacyPool = false
-		c.eng.PoolStrict = strict
-	}
-}
-
-// WithCodec selects the record codec checkpointed campaigns write their
-// shard files with: "json" (the encoding/json reference, the default) or
-// "raw" (the hand-rolled allocation-free encoder). Every codec produces
-// the same wire format byte for byte — the choice affects encoding cost
-// only, never what a campaign log contains.
-func WithCodec(name string) Option { return func(c *config) { c.eng.Codec = name } }
 
 // WithLimit stops dispatching after n tests this call (0: run
 // everything); combined with WithCheckpoint it gives budgeted runs the
