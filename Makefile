@@ -50,10 +50,19 @@ bench-sweep:
 
 # A full pairwise-plan campaign through the streaming engine: exercises
 # plan generation, coverage reporting and the sharded log end to end, and
-# fails on harness errors. CI runs this.
+# fails on harness errors. Then the one-report invariant at the CLI: the
+# same campaign run in memory and with -stream must print byte-identical
+# summaries (one worker keeps the machine-pool line deterministic). CI
+# runs this.
 plan-smoke:
-	rm -rf /tmp/xmplan-smoke
-	$(GO) run ./cmd/xmfuzz -plan pairwise -stream /tmp/xmplan-smoke -csv > /dev/null
+	rm -rf /tmp/xmplan-smoke && mkdir -p /tmp/xmplan-smoke
+	$(GO) build -o /tmp/xmplan-smoke/xmfuzz ./cmd/xmfuzz
+	@set -e; d=/tmp/xmplan-smoke; \
+	$$d/xmfuzz -plan pairwise -stream $$d/csv -csv > /dev/null; \
+	$$d/xmfuzz -plan pairwise -workers 1 > $$d/mem.txt; \
+	$$d/xmfuzz -plan pairwise -workers 1 -stream $$d/stream > $$d/stream.txt; \
+	cmp $$d/mem.txt $$d/stream.txt; \
+	echo "plan-smoke: pairwise summaries in memory and with -stream are byte-identical"
 	rm -rf /tmp/xmplan-smoke
 
 # A short seeded feedback campaign against a rand campaign of the same

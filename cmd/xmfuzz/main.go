@@ -4,11 +4,12 @@
 // tally, Fig. 8 and the §IV.C issue list, and is a thin shell over the
 // public pkg/xmrobust API.
 //
-// By default the campaign runs eagerly in memory. With -stream DIR it runs
-// on the streaming pooled engine instead: execution logs are sharded into
-// JSON Lines files under DIR, a checkpoint tracks completed tests, and
-// -resume continues an interrupted campaign from the last completed
-// dataset — the final report is identical to an uninterrupted run's.
+// Every campaign streams through the pooled engine, its analysis folded
+// in as results land. By default the execution logs stay in memory. With
+// -stream DIR they are sharded into JSON Lines files under DIR, a
+// checkpoint tracks completed tests, and -resume continues an
+// interrupted campaign from the last completed dataset. The report is
+// the same either way, and identical to an uninterrupted run's.
 //
 // xmfuzz exits 0 when the campaign executed cleanly (robustness findings
 // are its product, not an error), 1 on campaign/harness errors, 2 on
@@ -115,9 +116,9 @@ func main() {
 		os.Exit(2)
 	}
 	if *masking && *stream != "" {
-		// The masking study needs every classified result in memory —
-		// the eager pipeline's job.
-		fmt.Fprintln(os.Stderr, "xmfuzz: -masking requires the eager engine (drop -stream)")
+		// The masking study classifies every execution log again, so
+		// the logs must stay in memory.
+		fmt.Fprintln(os.Stderr, "xmfuzz: -masking needs the execution logs in memory (drop -stream)")
 		os.Exit(2)
 	}
 

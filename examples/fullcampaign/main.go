@@ -1,5 +1,5 @@
 // Fullcampaign reproduces the paper's complete case study end to end
-// through the public pkg/xmrobust API: the 2616-test data-type
+// through the public pkg/xmrobust API: the 2661-test data-type
 // fault-model campaign against the legacy XtratuM-like kernel, the Table
 // III aggregation, the CRASH tally, the nine §IV.C issues — and then the
 // same campaign against the patched kernel as the fault-removal

@@ -62,5 +62,5 @@ func main() {
 		}
 		fmt.Printf("  %-70s -> %s\n", ds, outcome)
 	}
-	fmt.Println("\nRun cmd/xmfuzz for the full 2616-test campaign.")
+	fmt.Println("\nRun cmd/xmfuzz for the full 2661-test campaign.")
 }

@@ -142,11 +142,11 @@ func RunOne(ds testgen.Dataset, opts Options) Result {
 }
 
 // BuildPlan applies the option defaults and constructs the campaign's
-// test plan — the shared generation front of the eager and streaming
-// pipelines. The execution side is validated here too: a broken target
-// spec (unknown backend, bad composite component, bad injection
-// schedule) fails the campaign up front with the resolution error
-// instead of surfacing as one harness error per test on the eager path.
+// test plan — the generation front of every campaign. The execution
+// side is validated here too: a broken target spec (unknown backend, bad
+// composite component, bad injection schedule) fails the campaign up
+// front with the resolution error instead of surfacing as one harness
+// error per test.
 // A configured corpus file attaches to the feedback plan (and is
 // rejected for any other strategy); the caller owns closing the plan
 // when it is a Closer.
@@ -171,37 +171,10 @@ func BuildPlan(opts Options) (testgen.Plan, Options, error) {
 	return plan, opts, nil
 }
 
-// GenerateSuite applies the option defaults and materialises the
-// campaign's dataset list — the eager wrapper over BuildPlan. Dynamic
-// plans (feedback:N) breed datasets from execution results and cannot be
-// materialised up front; they are refused here — run them through
-// StreamPlan (or core.RunCampaign, which streams them internally).
-func GenerateSuite(opts Options) ([]testgen.Dataset, Options, error) {
-	plan, opts, err := BuildPlan(opts)
-	if err != nil {
-		return nil, opts, err
-	}
-	if testgen.IsDynamic(plan) {
-		return nil, opts, fmt.Errorf(
-			"campaign: plan %q schedules on execution feedback and cannot be materialised — use StreamPlan or core.RunCampaign", plan.Strategy())
-	}
-	return testgen.Materialize(plan), opts, nil
-}
-
-// Run generates the campaign's datasets and executes them all, returning
-// results in generation order.
-func Run(opts Options) ([]Result, error) {
-	datasets, opts, err := GenerateSuite(opts)
-	if err != nil {
-		return nil, err
-	}
-	return RunDatasets(datasets, opts), nil
-}
-
 // RunDatasets executes a pre-generated dataset list and returns the
-// results in dataset order. It is the eager compatibility wrapper over the
-// streaming engine: machine pooling on, no shards, no checkpoint, every
-// Result accumulated in memory.
+// results in dataset order: the collect-to-slice step over the streaming
+// engine — machine pooling on, no shards, no checkpoint, every Result
+// accumulated in memory.
 func RunDatasets(datasets []testgen.Dataset, opts Options) []Result {
 	results := make([]Result, len(datasets))
 	// Without shard or checkpoint configuration Stream fails only on a

@@ -8,7 +8,7 @@ package campaign
 // passes, so a lost worker's range always re-executes somewhere.
 // Because every plan is deterministic and index-addressable, a
 // re-executed position produces a byte-identical record, and the
-// seq-dedup of CollectShards keeps the merged log byte-identical to a
+// seq-dedup of CollectShardsIn keeps the merged log byte-identical to a
 // single-process run no matter how many times a lease bounced.
 
 import (

@@ -5,9 +5,8 @@ package campaign
 // backend (the sim target recycles simulated machines through a
 // snapshot pool), streams every execution log over a channel into
 // per-worker JSON Lines shards, and checkpoints completed tests so an
-// interrupted campaign resumes from where it stopped. The eager API
-// (Run/RunDatasets) is a thin wrapper that points the stream at an
-// in-memory slice.
+// interrupted campaign resumes from where it stopped. RunDatasets is the
+// collect-to-slice step that points the stream at an in-memory slice.
 
 import (
 	"bufio"
@@ -757,7 +756,7 @@ func openShards(st store.LogStore, dir string, n int, resume bool) ([]*shardWrit
 	if !resume {
 		// A fresh campaign must not inherit records: stale shards from an
 		// earlier run in the same directory would survive the seq-dedup
-		// of CollectShards and contaminate the merged log.
+		// of CollectShardsIn and contaminate the merged log.
 		stale, err := st.ListLogs(filepath.Join(dir, ShardPattern))
 		if err != nil {
 			return nil, fmt.Errorf("campaign: shards: %w", err)
@@ -884,15 +883,11 @@ func ScanShardsIn(st store.LogStore, dir string, fn func(JSONRecord) error) erro
 	return nil
 }
 
-// CollectShards loads every shard record of a campaign directory, restores
-// campaign order and drops duplicates (a record written twice around an
-// interruption keeps its first copy). It holds the whole log in memory —
-// merging wants random access; incremental consumers use ScanShards.
-func CollectShards(dir string) ([]JSONRecord, error) {
-	return CollectShardsIn(store.Local(), dir)
-}
-
-// CollectShardsIn is CollectShards over an explicit log store.
+// CollectShardsIn loads every shard record of a campaign directory in st,
+// restores campaign order and drops duplicates (a record written twice
+// around an interruption keeps its first copy). It holds the whole log
+// in memory — merging wants random access; incremental consumers use
+// ScanShardsIn.
 func CollectShardsIn(st store.LogStore, dir string) ([]JSONRecord, error) {
 	var records []JSONRecord
 	if err := ScanShardsIn(st, dir, func(rec JSONRecord) error {
@@ -913,9 +908,9 @@ func CollectShardsIn(st store.LogStore, dir string) ([]JSONRecord, error) {
 }
 
 // MergeShards writes the shard records of dir to w as one JSON Lines log
-// in campaign order — the same byte stream WriteJSON produces for an
-// uninterrupted eager campaign, however many workers (local or remote)
-// executed them. It returns the record count.
+// in campaign order — the same byte stream WriteJSON produces for the
+// same campaign's in-memory results, however many workers (local or
+// remote) executed them. It returns the record count.
 func MergeShards(dir string, w io.Writer) (int, error) {
 	return MergeShardsIn(store.Local(), dir, w)
 }

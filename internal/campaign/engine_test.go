@@ -10,6 +10,7 @@ import (
 	"xmrobust/internal/apispec"
 	"xmrobust/internal/dict"
 	"xmrobust/internal/sparc"
+	"xmrobust/internal/store"
 	"xmrobust/internal/target"
 	"xmrobust/internal/testgen"
 )
@@ -162,7 +163,7 @@ func TestFreshRunClearsStaleShards(t *testing.T) {
 	if _, err := Stream(datasets[:3], eo, nil); err != nil {
 		t.Fatal(err)
 	}
-	records, err := CollectShards(dir)
+	records, err := CollectShardsIn(store.Local(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestResumeTrimsTornShardTail(t *testing.T) {
 	if _, err := Stream(datasets, eo, nil); err != nil {
 		t.Fatal(err)
 	}
-	records, err := CollectShards(dir)
+	records, err := CollectShardsIn(store.Local(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestCollectShardsDeduplicates(t *testing.T) {
 	write("shard-000.jsonl", `{"func":"XM_a","seq":0,"kernel_state":"RUNNING","part_state":"NORMAL"}`+"\n"+`{"func":"XM_tor`)
 	write("shard-001.jsonl", `{"func":"XM_b","seq":1,"kernel_state":"RUNNING","part_state":"NORMAL"}`+"\n"+
 		`{"func":"XM_a","seq":0,"kernel_state":"RUNNING","part_state":"NORMAL"}`+"\n")
-	records, err := CollectShards(dir)
+	records, err := CollectShardsIn(store.Local(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,10 +335,11 @@ func TestStreamProgressCountsResumedTests(t *testing.T) {
 func TestPhantomPlanThroughEngine(t *testing.T) {
 	// The §V extension is an ordinary plan now: its 50 stateful tests
 	// stream through the same engine path as every other campaign.
-	suite, opts, err := GenerateSuite(Options{Plan: "phantom", MAFs: 1, Workers: 2})
+	plan, opts, err := BuildPlan(Options{Plan: "phantom", MAFs: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	suite := testgen.Materialize(plan)
 	if len(suite) != 50 {
 		t.Fatalf("phantom tests = %d, want 50", len(suite))
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"xmrobust/internal/corpus"
+	"xmrobust/internal/store"
 )
 
 // runFeedback streams one feedback campaign and returns the executed
@@ -92,7 +93,7 @@ func TestStreamFeedbackCheckpointResume(t *testing.T) {
 	if st.Edges == 0 {
 		t.Fatal("resumed loop has an empty frontier despite replay")
 	}
-	records, err := CollectShards(dir)
+	records, err := CollectShardsIn(store.Local(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +160,11 @@ func TestStreamFeedbackResumeExactReplay(t *testing.T) {
 		t.Fatalf("resume skipped %d executed %d, want 45 / 15", stats.Skipped, stats.Executed)
 	}
 
-	ref, err := CollectShards(refDir)
+	ref, err := CollectShardsIn(store.Local(), refDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectShards(intDir)
+	got, err := CollectShardsIn(store.Local(), intDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +201,6 @@ func corpusEntries(t *testing.T, path string) string {
 		}
 	}
 	return out.String()
-}
-
-func TestGenerateSuiteRejectsDynamic(t *testing.T) {
-	if _, _, err := GenerateSuite(Options{Plan: "feedback:10"}); err == nil {
-		t.Fatal("GenerateSuite must refuse a dynamic plan instead of deadlocking in Materialize")
-	}
 }
 
 func TestResumeRefusesCoverageMismatch(t *testing.T) {

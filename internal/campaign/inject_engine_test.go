@@ -8,6 +8,7 @@ import (
 
 	"xmrobust/internal/apispec"
 	"xmrobust/internal/inject"
+	"xmrobust/internal/store"
 	"xmrobust/internal/testgen"
 )
 
@@ -58,11 +59,11 @@ func TestStreamInjectResumeExactReplay(t *testing.T) {
 		t.Fatalf("resume skipped %d executed %d, want 25 / 15", stats.Skipped, stats.Executed)
 	}
 
-	ref, err := CollectShards(refDir)
+	ref, err := CollectShardsIn(store.Local(), refDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectShards(intDir)
+	got, err := CollectShardsIn(store.Local(), intDir)
 	if err != nil {
 		t.Fatal(err)
 	}

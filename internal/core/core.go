@@ -6,11 +6,13 @@ package core
 
 import (
 	"io"
+	"sort"
 
 	"xmrobust/internal/analysis"
 	"xmrobust/internal/campaign"
 	"xmrobust/internal/corpus"
 	"xmrobust/internal/cover"
+	"xmrobust/internal/store"
 	"xmrobust/internal/testgen"
 	"xmrobust/internal/xm"
 )
@@ -37,99 +39,148 @@ type DivergenceFinding struct {
 	Divergence campaign.Divergence
 }
 
-// CampaignReport is the complete outcome of one robustness campaign.
+// CampaignReport is the complete outcome of one robustness campaign. The
+// analysis is aggregated incrementally, so nothing in it grows with the
+// test count except the failure and divergence evidence and, for a
+// campaign without a shard directory, Results.
 type CampaignReport struct {
-	Options     campaign.Options
-	Plan        testgen.PlanStats
-	Coverage    CoverageStats
-	Datasets    []testgen.Dataset
-	Results     []campaign.Result
-	Classified  []analysis.Classified
-	Issues      []analysis.Issue
+	// Plan quantifies the generation strategy: test count, Eq. 1 size,
+	// value-pair coverage and the reduction factor.
+	Plan testgen.PlanStats
+	// Target names the execution backend the campaign ran on.
+	Target string
+	// Total is the campaign size; Executed ran in this call; Skipped were
+	// restored from a previous run's checkpoint.
+	Total    int
+	Executed int
+	Skipped  int
+	// HarnessErrors counts tests that failed in the harness rather than
+	// the kernel (Result.RunErr set) — the campaign-error signal command
+	// line tools gate their exit status on.
+	HarnessErrors int
+	// TestsByFunc counts the campaign's tests per hypercall.
+	TestsByFunc map[string]int
+	// Verdicts tallies the CRASH scale over the whole campaign.
+	Verdicts map[analysis.Verdict]int
+	// Issues is the clustered issue list (paper Table III).
+	Issues []analysis.Issue
+	// Divergences lists the diff-target disagreements in campaign order
+	// (empty outside diff campaigns).
 	Divergences []DivergenceFinding
+	// Coverage summarises the campaign's kernel edge coverage (zero
+	// value when collection was off).
+	Coverage CoverageStats
 	// Injection is the SEU study of an inject-target campaign (nil when
 	// nothing was injected).
 	Injection *analysis.InjectionStudy
+	// Engine reports what the execution engine did.
+	Engine campaign.EngineStats
+	// Results holds every execution log in campaign order when the
+	// campaign ran without a shard directory; with one it is nil and the
+	// logs live in the shard files.
+	Results []campaign.Result
 }
 
 // RunCampaign executes the full pipeline with the given options (zero
 // value: the paper's campaign — legacy kernel, default spec and
-// dictionaries, exhaustive plan, two major frames per test), retaining
-// every execution log in memory. Optional engine options tune the
-// execution machinery (batch size, strict pool checks) without changing
-// results. Large or reduced campaigns stream instead: RunCampaignStream.
+// dictionaries, exhaustive plan, two major frames per test). Optional
+// engine options tune the execution machinery (shards, checkpoint,
+// resume, batch size, store) without changing results.
+//
+// The plan generates datasets lazily, the engine streams them through
+// its worker pool, and every result is folded into the classifier,
+// clusterer, injection-study and coverage accumulators as it lands. A
+// resumed campaign also folds in the restored tests' shard records, so
+// an interrupted-then-resumed campaign reports exactly what an
+// uninterrupted one does.
 func RunCampaign(opts campaign.Options, engine ...campaign.EngineOptions) (*CampaignReport, error) {
 	var eo campaign.EngineOptions
 	if len(engine) > 0 {
 		eo = engine[0]
 	}
-	rep := &CampaignReport{Options: opts}
 	plan, ropts, err := campaign.BuildPlan(opts)
 	if err != nil {
 		return nil, err
 	}
-	rep.Options = ropts
-	eo.Options = ropts
 	defer closePlan(plan)
-	rep.Plan = testgen.Measure(plan)
-	if testgen.IsDynamic(plan) {
-		// A dynamic plan breeds datasets from execution feedback, so it
-		// cannot be materialised up front: stream it through the engine
-		// with an in-memory sink to keep the eager report shape.
-		results := make([]campaign.Result, plan.Len())
-		if _, err := campaign.StreamPlan(plan, eo,
-			func(pos int, r campaign.Result) { results[pos] = r }); err != nil {
+	eo.Options = ropts
+	rep := &CampaignReport{Plan: testgen.Measure(plan), Target: ropts.Target, Total: plan.Len()}
+	cls := analysis.NewClassifier(analysis.NewOracle(ropts.Faults))
+	clu := analysis.NewClusterer()
+	study := analysis.NewInjectionStudy()
+	var agg cover.Map
+	fold := func(pos int, res campaign.Result) {
+		if res.Cover != nil {
+			agg.Merge(res.Cover)
+		}
+		if res.Divergence != nil {
+			rep.Divergences = append(rep.Divergences, DivergenceFinding{
+				Seq: pos, Dataset: res.Dataset.String(), Divergence: *res.Divergence,
+			})
+		}
+		study.Add(res)
+		clu.Add(pos, cls.Add(res))
+	}
+	if eo.ShardDir == "" {
+		rep.Results = make([]campaign.Result, rep.Total)
+	}
+	// folded marks the positions already analysed, so a resume's shard
+	// re-read skips what this call executed and the byte-identical
+	// duplicates an interruption leaves behind.
+	var folded []bool
+	if eo.Resume {
+		folded = make([]bool, rep.Total)
+	}
+	stats, err := campaign.StreamPlan(plan, eo, func(pos int, res campaign.Result) {
+		if rep.Results != nil {
+			rep.Results[pos] = res
+		}
+		if folded != nil {
+			folded[pos] = true
+		}
+		fold(pos, res)
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep.Engine, rep.Executed, rep.Skipped = stats, stats.Executed, stats.Skipped
+	if eo.Resume {
+		st := eo.Store
+		if st == nil {
+			st = store.Local()
+		}
+		err := campaign.ScanShardsIn(st, eo.ShardDir, func(rec campaign.JSONRecord) error {
+			if rec.Seq < 0 || rec.Seq >= len(folded) || folded[rec.Seq] {
+				return nil
+			}
+			folded[rec.Seq] = true
+			res, err := rec.Result(ropts.Header)
+			if err != nil {
+				return err
+			}
+			fold(rec.Seq, res)
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
-		rep.Results = results
-		rep.Datasets = make([]testgen.Dataset, len(results))
-		for i, r := range results {
-			rep.Datasets[i] = r.Dataset
-		}
-	} else {
-		rep.Datasets = testgen.Materialize(plan)
-		results := make([]campaign.Result, len(rep.Datasets))
-		// Without shard or checkpoint configuration Stream fails only on
-		// a broken target spec, before anything executes; the error then
-		// surfaces in every result's RunErr (RunDatasets' behaviour).
-		// Cancellation is the exception: it arrives with real results
-		// already collected, so it propagates as an error instead of
-		// overwriting them.
-		if _, err := campaign.Stream(rep.Datasets, eo, func(pos int, r campaign.Result) {
-			results[pos] = r
-		}); err != nil {
-			if eo.Ctx != nil && eo.Ctx.Err() != nil {
-				return nil, err
-			}
-			for i := range results {
-				results[i] = campaign.Result{Dataset: rep.Datasets[i], RunErr: err.Error()}
-			}
-		}
-		rep.Results = results
 	}
-	var agg cover.Map
-	study := analysis.NewInjectionStudy()
-	for _, r := range rep.Results {
-		if r.Cover != nil {
-			agg.Merge(r.Cover)
-		}
-		study.Add(r)
-	}
+	// Results arrive in completion or file order; divergences read in
+	// campaign order.
+	sort.Slice(rep.Divergences, func(a, b int) bool { return rep.Divergences[a].Seq < rep.Divergences[b].Seq })
+	rep.TestsByFunc, rep.Verdicts, rep.HarnessErrors = cls.TestsByFunc, cls.Verdicts, cls.HarnessErrors
+	rep.Issues = clu.Issues()
 	rep.Coverage = coverageStats(plan, &agg)
 	if !study.Empty() {
 		rep.Injection = study
 	}
-	for i, r := range rep.Results {
-		if r.Divergence != nil {
-			rep.Divergences = append(rep.Divergences, DivergenceFinding{
-				Seq: i, Dataset: r.Dataset.String(), Divergence: *r.Divergence,
-			})
-		}
-	}
-	oracle := analysis.NewOracle(ropts.Faults)
-	rep.Classified = analysis.ClassifyAll(rep.Results, oracle)
-	rep.Issues = analysis.Cluster(rep.Classified)
 	return rep, nil
+}
+
+// RunCampaignStream is RunCampaign with explicit engine options, kept
+// for callers written against the name.
+func RunCampaignStream(opts campaign.Options, eo campaign.EngineOptions) (*CampaignReport, error) {
+	return RunCampaign(opts, eo)
 }
 
 // coverageStats folds the aggregated coverage map and (for feedback
@@ -169,16 +220,6 @@ type CategoryStats struct {
 // TableIII aggregates the campaign into the paper's Table III rows, in
 // the paper's row order, with a trailing totals row.
 func (r *CampaignReport) TableIII() []CategoryStats {
-	counts := map[string]int{}
-	for _, res := range r.Results {
-		counts[res.Dataset.Func.Name]++
-	}
-	return tableIIIRows(counts, r.Issues)
-}
-
-// tableIIIRows computes the Table III rows from per-hypercall test counts
-// — the aggregation shared by the eager and streaming reports.
-func tableIIIRows(testsByFunc map[string]int, issues []analysis.Issue) []CategoryStats {
 	byCat := map[xm.Category]*CategoryStats{}
 	var rows []*CategoryStats
 	for _, cat := range xm.Categories() {
@@ -186,7 +227,7 @@ func tableIIIRows(testsByFunc map[string]int, issues []analysis.Issue) []Categor
 		byCat[cat] = cs
 		rows = append(rows, cs)
 	}
-	for name, tests := range testsByFunc {
+	for name, tests := range r.TestsByFunc {
 		spec, ok := xm.LookupName(name)
 		if !ok {
 			continue
@@ -195,7 +236,7 @@ func tableIIIRows(testsByFunc map[string]int, issues []analysis.Issue) []Categor
 		cs.Tests += tests
 		cs.Tested++
 	}
-	for _, iss := range issues {
+	for _, iss := range r.Issues {
 		if cs, ok := byCat[iss.Category]; ok {
 			cs.Issues++
 		}
@@ -210,24 +251,4 @@ func tableIIIRows(testsByFunc map[string]int, issues []analysis.Issue) []Categor
 		total.Issues += cs.Issues
 	}
 	return append(out, total)
-}
-
-// Failures returns the classified results with failing verdicts.
-func (r *CampaignReport) Failures() []analysis.Classified {
-	var out []analysis.Classified
-	for _, c := range r.Classified {
-		if c.Verdict.Failure() {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// VerdictCounts tallies the CRASH scale over the whole campaign.
-func (r *CampaignReport) VerdictCounts() map[analysis.Verdict]int {
-	out := map[analysis.Verdict]int{}
-	for _, c := range r.Classified {
-		out[c.Verdict]++
-	}
-	return out
 }

@@ -121,7 +121,7 @@ func TestNineIssuesIdentity(t *testing.T) {
 // TestCRASHScaleTally pins the severity distribution of the failures.
 func TestCRASHScaleTally(t *testing.T) {
 	rep := legacyCampaign(t)
-	counts := rep.VerdictCounts()
+	counts := rep.Verdicts
 	if counts[analysis.Catastrophic] != 7 {
 		t.Errorf("Catastrophic = %d, want 7 (3 resets + 2 halts + 2 sim crashes)", counts[analysis.Catastrophic])
 	}
@@ -156,32 +156,60 @@ func TestPatchedKernelAblation(t *testing.T) {
 	if last.Tests != 2661 || last.Issues != 0 {
 		t.Fatalf("patched totals = %+v", last)
 	}
-	counts := rep.VerdictCounts()
+	counts := rep.Verdicts
 	if counts[analysis.Pass] != 2661 {
 		t.Fatalf("patched verdicts = %v, want all Pass", counts)
 	}
 }
 
-// TestFailuresAccessor cross-checks Failures against the issue clusters.
+// TestFailuresAccessor cross-checks the failing verdicts against the
+// issue clusters.
 func TestFailuresAccessor(t *testing.T) {
 	rep := legacyCampaign(t)
-	failures := rep.Failures()
-	if len(failures) != 17 {
-		t.Fatalf("failing tests = %d, want 17", len(failures))
+	failures := 0
+	for v, n := range rep.Verdicts {
+		if v.Failure() {
+			failures += n
+		}
+	}
+	if failures != 17 {
+		t.Fatalf("failing tests = %d, want 17", failures)
 	}
 	caseCount := 0
 	for _, iss := range rep.Issues {
 		caseCount += len(iss.Cases)
 	}
-	if caseCount != len(failures) {
-		t.Fatalf("issue cases = %d, failures = %d", caseCount, len(failures))
+	if caseCount != failures {
+		t.Fatalf("issue cases = %d, failures = %d", caseCount, failures)
 	}
 }
 
-// TestDatasetsRecorded verifies the report carries the generated suite.
+// TestDatasetsRecorded verifies the in-memory report carries every
+// execution log, in campaign order, and classified every one of them.
 func TestDatasetsRecorded(t *testing.T) {
 	rep := legacyCampaign(t)
-	if len(rep.Datasets) != 2661 || len(rep.Results) != 2661 || len(rep.Classified) != 2661 {
-		t.Fatalf("sizes = %d/%d/%d", len(rep.Datasets), len(rep.Results), len(rep.Classified))
+	plan, _, err := campaign.BuildPlan(campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(rep.Results) != 2661 || rep.Total != 2661 || plan.Len() != 2661 {
+		t.Fatalf("sizes = %d/%d/%d", len(rep.Results), rep.Total, plan.Len())
+	}
+	for i, r := range rep.Results {
+		if got, want := r.Dataset.String(), plan.At(i).String(); got != want {
+			t.Fatalf("result %d is %s, plan position %d is %s", i, got, i, want)
+		}
+	}
+	if n := classifiedTotal(rep); n != 2661 {
+		t.Fatalf("classified %d results, want 2661", n)
+	}
+}
+
+// classifiedTotal counts the results the campaign's CRASH tally covers.
+func classifiedTotal(rep *CampaignReport) int {
+	n := 0
+	for _, c := range rep.Verdicts {
+		n += c
+	}
+	return n
 }

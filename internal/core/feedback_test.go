@@ -38,20 +38,20 @@ func TestFeedbackBeatsRand(t *testing.T) {
 	}
 }
 
-// TestRunCampaignDynamicPlan exercises the eager facade over a feedback
-// plan: the suite cannot be materialised up front, so RunCampaign streams
-// it internally while keeping the eager report shape.
+// TestRunCampaignDynamicPlan runs a feedback plan in memory: the suite
+// cannot be materialised up front, and RunCampaign needs no special case
+// for it — every plan streams.
 func TestRunCampaignDynamicPlan(t *testing.T) {
 	rep, err := RunCampaign(campaign.Options{Plan: "feedback:40", Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 40 || len(rep.Datasets) != 40 {
-		t.Fatalf("results %d datasets %d, want 40", len(rep.Results), len(rep.Datasets))
+	if len(rep.Results) != 40 || rep.Total != 40 {
+		t.Fatalf("results %d total %d, want 40", len(rep.Results), rep.Total)
 	}
-	for i, ds := range rep.Datasets {
-		if ds.Func.Name == "" {
-			t.Fatalf("dataset %d has no function", i)
+	for i, r := range rep.Results {
+		if r.Dataset.Func.Name == "" {
+			t.Fatalf("result %d has no function", i)
 		}
 	}
 	if !rep.Plan.Dynamic {
@@ -60,8 +60,8 @@ func TestRunCampaignDynamicPlan(t *testing.T) {
 	if !rep.Coverage.Enabled || rep.Coverage.Edges == 0 {
 		t.Fatalf("coverage = %+v, want enabled with edges", rep.Coverage)
 	}
-	if len(rep.Classified) != 40 {
-		t.Fatalf("classified %d results, want 40", len(rep.Classified))
+	if n := classifiedTotal(rep); n != 40 {
+		t.Fatalf("classified %d results, want 40", n)
 	}
 }
 

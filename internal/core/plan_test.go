@@ -98,8 +98,8 @@ func TestStreamedPlanResumeMismatchSurfaces(t *testing.T) {
 	}
 }
 
-// TestEagerCampaignHonoursPlan: the eager pipeline generates through the
-// same plan layer.
+// TestEagerCampaignHonoursPlan: an in-memory campaign generates through
+// the same plan layer.
 func TestEagerCampaignHonoursPlan(t *testing.T) {
 	rep, err := RunCampaign(reducedOpts("rand:12", 99))
 	if err != nil {

@@ -88,15 +88,10 @@ func TableII(d *dict.Dictionary, typeName string) string {
 
 // TableIII renders the paper's Table III: the campaign per category.
 func TableIII(rep *core.CampaignReport) string {
-	return renderTableIII(rep.TableIII())
-}
-
-// renderTableIII renders Table III rows from either report flavour.
-func renderTableIII(rows []core.CategoryStats) string {
 	t := &table{header: []string{
 		"Hypercall Category", "Total Hypercalls", "Hypercalls tested", "No. of Tests", "Raised Issues",
 	}}
-	for _, row := range rows {
+	for _, row := range rep.TableIII() {
 		t.add(string(row.Category),
 			fmt.Sprintf("%d", row.TotalHypercalls),
 			fmt.Sprintf("%d", row.Tested),
@@ -108,23 +103,9 @@ func renderTableIII(rows []core.CategoryStats) string {
 
 // TableIIICSV renders Table III as CSV.
 func TableIIICSV(rep *core.CampaignReport) string {
-	return renderTableIIICSV(rep.TableIII())
-}
-
-// StreamTableIII renders a streamed campaign's Table III.
-func StreamTableIII(rep *core.StreamReport) string {
-	return renderTableIII(rep.TableIII())
-}
-
-// StreamTableIIICSV renders a streamed campaign's Table III as CSV.
-func StreamTableIIICSV(rep *core.StreamReport) string {
-	return renderTableIIICSV(rep.TableIII())
-}
-
-func renderTableIIICSV(rows []core.CategoryStats) string {
 	var b strings.Builder
 	b.WriteString("category,total_hypercalls,hypercalls_tested,tests,raised_issues\n")
-	for _, row := range rows {
+	for _, row := range rep.TableIII() {
 		fmt.Fprintf(&b, "%q,%d,%d,%d,%d\n",
 			row.Category, row.TotalHypercalls, row.Tested, row.Tests, row.Issues)
 	}
@@ -153,14 +134,10 @@ func (d Distribution) Pct(n int) float64 {
 
 // ComputeDistribution derives the Fig. 8 shares from a campaign report.
 func ComputeDistribution(rep *core.CampaignReport) Distribution {
-	tested := map[string]bool{}
-	for _, r := range rep.Results {
-		tested[r.Dataset.Func.Name] = true
-	}
 	var d Distribution
 	for _, spec := range xm.Hypercalls() {
 		switch {
-		case tested[spec.Name]:
+		case rep.TestsByFunc[spec.Name] > 0:
 			d.Tested++
 		case spec.NumParams() == 0:
 			d.UntestedNoParam++
@@ -199,16 +176,12 @@ func Issues(rep *core.CampaignReport) string {
 
 // Verdicts renders the CRASH-scale tally.
 func Verdicts(rep *core.CampaignReport) string {
-	return renderVerdicts(rep.VerdictCounts())
-}
-
-func renderVerdicts(counts map[analysis.Verdict]int) string {
 	t := &table{header: []string{"CRASH verdict", "Tests"}}
 	for _, v := range []analysis.Verdict{
 		analysis.Catastrophic, analysis.Restart, analysis.Abort,
 		analysis.Silent, analysis.Hindering, analysis.Pass,
 	} {
-		t.add(v.String(), fmt.Sprintf("%d", counts[v]))
+		t.add(v.String(), fmt.Sprintf("%d", rep.Verdicts[v]))
 	}
 	return "CRASH SEVERITY TALLY\n\n" + t.String()
 }
@@ -298,19 +271,22 @@ func DivergenceSection(targetName string, total int, divs []core.DivergenceFindi
 	return b.String()
 }
 
-// StreamSummary renders the complete report of a streamed campaign: the
-// plan coverage line, Table III, the CRASH tally, the issue list, the
-// kernel-edge-coverage section (when collected) and the engine's own
-// accounting (pool efficiency, resume skips).
-func StreamSummary(rep *core.StreamReport) string {
+// Full renders the complete campaign report: the plan coverage line,
+// Table III, the CRASH tally, Fig. 8, the issue list, the coverage,
+// divergence and injection sections (when the campaign produced them)
+// and the engine's own accounting (pool efficiency, resume skips,
+// harness errors).
+func Full(rep *core.CampaignReport) string {
 	var b strings.Builder
 	b.WriteString(PlanLine(rep.Plan))
 	b.WriteByte('\n')
-	b.WriteString(renderTableIII(rep.TableIII()))
+	b.WriteString(TableIII(rep))
 	b.WriteByte('\n')
-	b.WriteString(renderVerdicts(rep.Verdicts))
+	b.WriteString(Verdicts(rep))
 	b.WriteByte('\n')
-	b.WriteString(analysis.Summary(rep.Issues))
+	b.WriteString(Fig8(rep))
+	b.WriteByte('\n')
+	b.WriteString(Issues(rep))
 	b.WriteByte('\n')
 	if cov := CoverageSection(rep.Coverage); cov != "" {
 		b.WriteByte('\n')
@@ -337,29 +313,5 @@ func StreamSummary(rep *core.StreamReport) string {
 	return b.String()
 }
 
-// Full renders the complete campaign report.
-func Full(rep *core.CampaignReport) string {
-	var b strings.Builder
-	b.WriteString(PlanLine(rep.Plan))
-	b.WriteByte('\n')
-	b.WriteString(TableIII(rep))
-	b.WriteByte('\n')
-	b.WriteString(Verdicts(rep))
-	b.WriteByte('\n')
-	b.WriteString(Fig8(rep))
-	b.WriteByte('\n')
-	b.WriteString(Issues(rep))
-	if cov := CoverageSection(rep.Coverage); cov != "" {
-		b.WriteByte('\n')
-		b.WriteString(cov)
-	}
-	if div := DivergenceSection(rep.Options.Target, len(rep.Results), rep.Divergences); div != "" {
-		b.WriteByte('\n')
-		b.WriteString(div)
-	}
-	if inj := InjectionSection(rep.Injection); inj != "" {
-		b.WriteByte('\n')
-		b.WriteString(inj)
-	}
-	return b.String()
-}
+// StreamSummary is Full, kept for callers written against the name.
+func StreamSummary(rep *core.CampaignReport) string { return Full(rep) }

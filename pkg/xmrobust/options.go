@@ -153,11 +153,11 @@ func WithProgress(fn func(done, total int)) Option {
 	return func(c *config) { c.opts.Progress = fn }
 }
 
-// WithCheckpoint streams the campaign through the sharded engine:
-// execution logs land in JSON Lines shards under dir, and a checkpoint
-// file tracks completed tests so WithResume continues an interrupted
-// campaign. MergeLog (or Report.WriteLog) restores the single merged
-// log.
+// WithCheckpoint keeps the campaign's execution logs on disk instead
+// of in memory: they land in JSON Lines shards under dir, and a
+// checkpoint file tracks completed tests so WithResume continues an
+// interrupted campaign. MergeLog (or Report.WriteLog) restores the
+// single merged log.
 func WithCheckpoint(dir string) Option { return func(c *config) { c.eng.ShardDir = dir } }
 
 // WithResume resumes an interrupted campaign from its WithCheckpoint
@@ -178,8 +178,9 @@ func WithShards(n int) Option { return func(c *config) { c.eng.Shards = n } }
 func WithBatchSize(n int) Option { return func(c *config) { c.eng.BatchSize = n } }
 
 // WithLimit stops dispatching after n tests this call (0: run
-// everything); combined with WithCheckpoint it gives budgeted runs the
-// same semantics as an interruption.
+// everything), giving budgeted runs the same semantics as an
+// interruption. It requires WithCheckpoint, so WithResume can run the
+// rest.
 func WithLimit(n int) Option { return func(c *config) { c.eng.Limit = n } }
 
 // WithStore routes a checkpointed campaign's persistence — checkpoint,

@@ -1,147 +1,94 @@
 package xmrobust
 
 import (
-	"fmt"
+	"errors"
 	"io"
 
 	"xmrobust/internal/analysis"
 	"xmrobust/internal/campaign"
 	"xmrobust/internal/core"
 	"xmrobust/internal/report"
+	"xmrobust/internal/store"
 )
 
-// Report is the outcome of one campaign, wrapping either the eager
-// report (every Result in memory) or the streamed report (aggregates
-// only; the raw logs live in the checkpoint directory's shards).
+// Report is the outcome of one campaign: the analysis aggregated as the
+// results landed, plus where the execution logs live — in memory
+// (Results) or, with WithCheckpoint, in the checkpoint directory's
+// shards.
 type Report struct {
-	eager    *core.CampaignReport
-	stream   *core.StreamReport
-	shardDir string
+	rep    *core.CampaignReport
+	faults FaultSet
+	store  store.LogStore
+	dir    string
 }
 
-// Streamed reports whether the campaign ran through the sharded engine
-// (WithCheckpoint); only eager reports retain per-test Results in
-// memory.
-func (r *Report) Streamed() bool { return r.stream != nil }
+// Streamed reports whether the campaign ran with WithCheckpoint: its
+// execution logs live in the shard files and Results is nil.
+func (r *Report) Streamed() bool { return r.dir != "" }
 
 // Summary renders the complete campaign report: the plan line, Table
-// III, the CRASH tally, the issue list, and the coverage and divergence
-// sections when the campaign produced them.
-func (r *Report) Summary() string {
-	if r.stream != nil {
-		return report.StreamSummary(r.stream)
-	}
-	return report.Full(r.eager)
-}
+// III, the CRASH tally, Fig. 8, the issue list, the coverage, divergence
+// and injection sections when the campaign produced them, and the
+// engine's accounting.
+func (r *Report) Summary() string { return report.Full(r.rep) }
 
 // TableText renders the paper's Table III for this campaign.
-func (r *Report) TableText() string {
-	if r.stream != nil {
-		return report.StreamTableIII(r.stream)
-	}
-	return report.TableIII(r.eager)
-}
+func (r *Report) TableText() string { return report.TableIII(r.rep) }
 
 // TableCSV renders Table III as CSV.
-func (r *Report) TableCSV() string {
-	if r.stream != nil {
-		return report.StreamTableIIICSV(r.stream)
-	}
-	return report.TableIIICSV(r.eager)
-}
+func (r *Report) TableCSV() string { return report.TableIIICSV(r.rep) }
 
 // IssuesText renders the clustered issue list (§IV.C).
-func (r *Report) IssuesText() string { return analysis.Summary(r.Issues()) }
+func (r *Report) IssuesText() string { return analysis.Summary(r.rep.Issues) }
 
 // Issues returns the clustered issue list.
-func (r *Report) Issues() []Issue {
-	if r.stream != nil {
-		return r.stream.Issues
-	}
-	return r.eager.Issues
-}
+func (r *Report) Issues() []Issue { return r.rep.Issues }
 
-// Results returns every execution log of an eager campaign, in campaign
-// order (nil for streamed campaigns — their logs live in the shard
-// files; see WriteLog).
-func (r *Report) Results() []Result {
-	if r.eager == nil {
-		return nil
-	}
-	return r.eager.Results
-}
+// Results returns every execution log of the campaign in campaign order
+// (nil with WithCheckpoint — the logs live in the shard files; see
+// WriteLog).
+func (r *Report) Results() []Result { return r.rep.Results }
 
-// Total returns the campaign size; Executed how many tests ran in this
-// call; Skipped how many were restored from a checkpoint.
-func (r *Report) Total() int {
-	if r.stream != nil {
-		return r.stream.Total
-	}
-	return len(r.eager.Results)
-}
+// Total returns the campaign size.
+func (r *Report) Total() int { return r.rep.Total }
 
 // Executed returns the number of tests executed by this call.
-func (r *Report) Executed() int {
-	if r.stream != nil {
-		return r.stream.Executed
-	}
-	return len(r.eager.Results)
-}
+func (r *Report) Executed() int { return r.rep.Executed }
 
 // Skipped returns the number of tests restored from the checkpoint.
-func (r *Report) Skipped() int {
-	if r.stream != nil {
-		return r.stream.Skipped
-	}
-	return 0
-}
+func (r *Report) Skipped() int { return r.rep.Skipped }
 
 // HarnessErrors counts tests that failed in the harness rather than the
 // kernel — the campaign-health signal command-line tools gate their exit
 // status on. Robustness findings are the product, not errors.
-func (r *Report) HarnessErrors() int {
-	if r.stream != nil {
-		return r.stream.HarnessErrors
-	}
-	n := 0
-	for _, res := range r.eager.Results {
-		if res.RunErr != "" {
-			n++
-		}
-	}
-	return n
-}
+func (r *Report) HarnessErrors() int { return r.rep.HarnessErrors }
 
 // Divergences returns the diff-target disagreements of the campaign, in
 // campaign order (empty outside diff targets).
-func (r *Report) Divergences() []DivergenceFinding {
-	if r.stream != nil {
-		return r.stream.Divergences
-	}
-	return r.eager.Divergences
-}
+func (r *Report) Divergences() []DivergenceFinding { return r.rep.Divergences }
 
-// MaskingText renders the fault-masking study (paper Fig. 7). It needs
-// every classified result in memory and is therefore only available on
-// eager campaigns.
+// MaskingText renders the fault-masking study (paper Fig. 7). It
+// classifies every execution log again and therefore needs them in
+// memory: it is unavailable with WithCheckpoint.
 func (r *Report) MaskingText() (string, error) {
-	if r.eager == nil {
-		return "", fmt.Errorf("xmrobust: the masking study requires an eager campaign (drop WithCheckpoint)")
+	if r.rep.Results == nil {
+		return "", errors.New("xmrobust: the masking study needs the execution logs in memory (drop WithCheckpoint)")
 	}
-	return analysis.MaskingSummary(analysis.MaskingStudy(r.eager.Classified)), nil
+	classified := analysis.ClassifyAll(r.rep.Results, analysis.NewOracle(r.faults))
+	return analysis.MaskingSummary(analysis.MaskingStudy(classified)), nil
 }
 
 // WriteLog writes the raw campaign log to w as JSON Lines, one
 // self-contained record per test in campaign order, returning the record
-// count. Streamed campaigns merge their shard files; eager campaigns
-// serialise their in-memory results — the byte streams are identical for
-// identical campaigns.
+// count. With WithCheckpoint it merges the shard files through the
+// campaign's store; otherwise it serialises the in-memory results — the
+// byte streams are identical for identical campaigns.
 func (r *Report) WriteLog(w io.Writer) (int, error) {
-	if r.stream != nil {
-		return campaign.MergeShards(r.shardDir, w)
+	if r.dir != "" {
+		return campaign.MergeShardsIn(r.store, r.dir, w)
 	}
-	if err := campaign.WriteJSON(w, r.eager.Results); err != nil {
+	if err := campaign.WriteJSON(w, r.rep.Results); err != nil {
 		return 0, err
 	}
-	return len(r.eager.Results), nil
+	return len(r.rep.Results), nil
 }

@@ -13,21 +13,23 @@
 //	)
 //	fmt.Print(rep.Summary())
 //
-// Campaigns stream through a pooled worker engine. With WithCheckpoint
-// the execution logs shard into JSON Lines files and an interrupted
-// campaign resumes (WithResume) from its last completed test; without it
-// the campaign runs eagerly in memory and every Result stays accessible
-// through Report.Results.
+// Every campaign streams through a pooled worker engine, and its
+// analysis is folded in as each result lands. Without WithCheckpoint the
+// execution logs stay in memory (Report.Results). With it they shard
+// into JSON Lines files, and an interrupted campaign resumes
+// (WithResume) from its last completed test. The Report is the same
+// either way.
 package xmrobust
 
 import (
-	"fmt"
+	"errors"
 	"io"
 	"path/filepath"
 
 	"xmrobust/internal/analysis"
 	"xmrobust/internal/campaign"
 	"xmrobust/internal/core"
+	"xmrobust/internal/store"
 	"xmrobust/internal/target"
 	"xmrobust/internal/testgen"
 
@@ -45,23 +47,27 @@ func Run(options ...Option) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.eng.ShardDir != "" {
-		eo := cfg.eng
+	eo := cfg.eng
+	switch {
+	case eo.ShardDir != "":
 		eo.CheckpointPath = filepath.Join(eo.ShardDir, "checkpoint.jsonl")
-		srep, err := core.RunCampaignStream(cfg.opts, eo)
-		if err != nil {
-			return nil, err
-		}
-		return &Report{stream: srep, shardDir: eo.ShardDir}, nil
+	// Both need the checkpoint: a resume reads the skipped tests' logs
+	// back from its shards, and a budgeted run that cannot be resumed
+	// would report tests it never executed.
+	case eo.Resume:
+		return nil, errors.New("xmrobust: WithResume requires WithCheckpoint")
+	case eo.Limit > 0:
+		return nil, errors.New("xmrobust: WithLimit requires WithCheckpoint")
 	}
-	if cfg.eng.Resume {
-		return nil, fmt.Errorf("xmrobust: WithResume requires WithCheckpoint")
-	}
-	rep, err := core.RunCampaign(cfg.opts, cfg.eng)
+	rep, err := core.RunCampaign(cfg.opts, eo)
 	if err != nil {
 		return nil, err
 	}
-	return &Report{eager: rep}, nil
+	st := eo.Store
+	if st == nil {
+		st = store.Local()
+	}
+	return &Report{rep: rep, faults: cfg.opts.Faults, store: st, dir: eo.ShardDir}, nil
 }
 
 // RunOne executes a single dataset on the configured target (default: a
@@ -97,7 +103,7 @@ func Classify(results []Result, options ...Option) ([]Issue, error) {
 
 // MergeLog writes the shard records of a checkpointed campaign directory
 // to w as one JSON Lines log in campaign order, returning the record
-// count — byte-identical to the log an uninterrupted eager campaign
+// count — byte-identical to the log the same campaign run in memory
 // writes with Report.WriteLog.
 func MergeLog(dir string, w io.Writer) (int, error) {
 	return campaign.MergeShards(dir, w)

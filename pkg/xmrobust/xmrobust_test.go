@@ -7,21 +7,24 @@ import (
 	"testing"
 
 	"xmrobust/internal/campaign"
+	"xmrobust/internal/testgen"
 	"xmrobust/pkg/xmrobust"
 )
 
 // TestGoldenFacadeMatchesCampaignRun is the refactor's golden test: a
 // seeded sim campaign through the public facade (streamed, sharded,
 // checkpointed) must produce a merged JSON Lines log byte-identical to
-// the log of the pre-refactor campaign.Run path (eager, in-memory,
-// WriteJSON).
+// the log of the materialised plan executed by campaign.RunDatasets and
+// written by WriteJSON (in memory, encoding/json) — a reference built
+// without internal/core.
 func TestGoldenFacadeMatchesCampaignRun(t *testing.T) {
 	const plan, seed = "rand:60", int64(42)
 
-	results, err := campaign.Run(campaign.Options{Plan: plan, Seed: seed})
+	p, opts, err := campaign.BuildPlan(campaign.Options{Plan: plan, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := campaign.RunDatasets(testgen.Materialize(p), opts)
 	var want bytes.Buffer
 	if err := campaign.WriteJSON(&want, results); err != nil {
 		t.Fatal(err)
@@ -42,16 +45,104 @@ func TestGoldenFacadeMatchesCampaignRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != len(results) {
-		t.Fatalf("facade log has %d records, campaign.Run produced %d", n, len(results))
+		t.Fatalf("facade log has %d records, the reference has %d", n, len(results))
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("facade merged log differs from the campaign.Run log")
+		t.Fatal("facade merged log differs from the reference log")
 	}
 	// The default backend serialises as the target field's absence —
 	// the contract that keeps sim logs byte-identical to logs written
 	// before the target layer existed.
 	if bytes.Contains(got.Bytes(), []byte(`"target"`)) {
 		t.Fatal("sim records carry an explicit target field, breaking pre-target-layer log compatibility")
+	}
+}
+
+// TestCheckpointedSummaryMatchesInMemory pins "one report" at the facade:
+// the same campaign run in memory and through a fresh checkpoint prints
+// the same summary, byte for byte. One worker keeps the machine-pool
+// line deterministic.
+func TestCheckpointedSummaryMatchesInMemory(t *testing.T) {
+	for _, opts := range [][]xmrobust.Option{
+		nil, // the paper campaign
+		{xmrobust.WithPlan("rand:40"), xmrobust.WithSeed(7), xmrobust.WithMAFs(1),
+			xmrobust.WithTarget("diff:sim,phantom")},
+	} {
+		opts = append(opts, xmrobust.WithWorkers(1))
+		mem, err := xmrobust.Run(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpt, err := xmrobust.Run(append(opts, xmrobust.WithCheckpoint(t.TempDir()))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mem.Summary() != ckpt.Summary() {
+			t.Fatalf("summaries differ:\n--- in memory\n%s\n--- checkpointed\n%s", mem.Summary(), ckpt.Summary())
+		}
+	}
+}
+
+// TestStoreCampaignMatchesInMemory: a checkpointed campaign persisting
+// through WithStore reads its analysis and its merged log back through
+// that store, not the local disk — its log bytes and summary equal the
+// in-memory campaign's.
+func TestStoreCampaignMatchesInMemory(t *testing.T) {
+	opts := []xmrobust.Option{xmrobust.WithPlan("rand:20"), xmrobust.WithSeed(1), xmrobust.WithWorkers(1)}
+	mem, err := xmrobust.Run(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := xmrobust.Run(append(opts,
+		xmrobust.WithCheckpoint(t.TempDir()), xmrobust.WithStore(xmrobust.NewMemStore()))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if _, err := mem.WriteLog(&want); err != nil {
+		t.Fatal(err)
+	}
+	n, err := st.WriteLog(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 20 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("store campaign wrote %d records, differing from the in-memory log", n)
+	}
+	if st.Summary() != mem.Summary() {
+		t.Fatalf("summaries differ:\n--- in memory\n%s\n--- store\n%s", mem.Summary(), st.Summary())
+	}
+
+	// A resume reads the restored tests back through the store too.
+	ckpt := []xmrobust.Option{xmrobust.WithCheckpoint(t.TempDir()), xmrobust.WithStore(xmrobust.NewMemStore())}
+	if _, err := xmrobust.Run(append(append(opts, ckpt...), xmrobust.WithLimit(7))...); err != nil {
+		t.Fatal(err)
+	}
+	res, err := xmrobust.Run(append(append(opts, ckpt...), xmrobust.WithResume())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Skipped() != 7 || res.TableText() != mem.TableText() || res.IssuesText() != mem.IssuesText() {
+		t.Fatalf("resumed store campaign (%d skipped) reports differently:\n%s%s", res.Skipped(), res.TableText(), res.IssuesText())
+	}
+}
+
+// TestLimitRequiresCheckpoint: a budgeted run only makes sense with a
+// checkpoint to resume from; without one it is refused by name instead
+// of reporting tests it never executed.
+func TestLimitRequiresCheckpoint(t *testing.T) {
+	_, err := xmrobust.Run(xmrobust.WithPlan("rand:20"), xmrobust.WithSeed(1), xmrobust.WithLimit(5))
+	if err == nil || !strings.Contains(err.Error(), "WithCheckpoint") {
+		t.Fatalf("WithLimit without WithCheckpoint: %v", err)
+	}
+	rep, err := xmrobust.Run(xmrobust.WithPlan("rand:20"), xmrobust.WithSeed(1), xmrobust.WithLimit(5),
+		xmrobust.WithCheckpoint(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer
+	if n, err := rep.WriteLog(&log); err != nil || n != 5 || rep.Executed() != 5 {
+		t.Fatalf("budgeted run executed %d, logged %d (%v), want 5", rep.Executed(), n, err)
 	}
 }
 
