@@ -107,34 +107,50 @@ inject-smoke:
 	test "$$out" = "injection: 200 of 200 tests armed, 160 flips applied — masked 152, wrong-result 0, hm-detected 8, crash 0, hang 0"
 	rm -rf /tmp/xminject-smoke
 
-# Distributed-execution smoke: two loopback xmworker processes serve the
-# sim target; the same fixed-seed rand:400 campaign runs once in-process
-# and once over -target remote:..., with one worker told to die
-# mid-campaign (-exit-after) so its outstanding leases hand back and
-# re-execute on the survivor. The two merged logs must be byte-identical
-# — the distributed invariant of the coordinator — and the doomed worker
-# must actually have died, or the reclaim path went unexercised. CI runs
-# this.
+# Distributed-execution smoke: loopback xmworker processes serve the sim
+# target, and the fixed-seed rand:400 campaign's merged log from each leg
+# must be byte-identical to the in-process run's.
+#  1. One worker dies mid-campaign (-exit-after): the client retries its
+#     unanswered leases on the survivor. The doomed worker must actually
+#     have died, or the retry went unexercised.
+#  2. The whole fleet dies (after 100 and 150 tests): the campaign must
+#     exit non-zero naming the dial failure, with nothing logged for the
+#     tests it could not run. Workers restarted on the same addresses
+#     then finish it with -resume.
+# CI runs this.
 remote-smoke:
 	rm -rf /tmp/xmremote-smoke && mkdir -p /tmp/xmremote-smoke
-	$(GO) build -o /tmp/xmremote-smoke/xmworker ./cmd/xmworker
-	@set -e; d=/tmp/xmremote-smoke; \
-	$(GO) run ./cmd/xmfuzz -plan rand:400 -seed 3 -stream $$d/ref -o $$d/ref.jsonl > /dev/null; \
-	$$d/xmworker -quiet -exit-after 120 > $$d/w1.out & w1=$$!; \
-	$$d/xmworker -quiet > $$d/w2.out & w2=$$!; \
-	a1=""; a2=""; \
-	for i in 1 2 3 4 5 6 7 8 9 10; do \
-		a1=$$(sed -n 's/^xmworker: listening on \([^ ]*\).*/\1/p' $$d/w1.out); \
-		a2=$$(sed -n 's/^xmworker: listening on \([^ ]*\).*/\1/p' $$d/w2.out); \
-		test -n "$$a1" && test -n "$$a2" && break; sleep 1; \
-	done; \
-	test -n "$$a1" && test -n "$$a2"; \
-	$(GO) run ./cmd/xmfuzz -plan rand:400 -seed 3 -workers 2 \
+	$(GO) build -o /tmp/xmremote-smoke/ ./cmd/xmworker ./cmd/xmfuzz
+	@set -e; d=/tmp/xmremote-smoke; pids=""; \
+	trap 'kill $$pids 2> /dev/null || true' EXIT; \
+	addr() { for i in 1 2 3 4 5 6 7 8 9 10; do \
+		a=$$(sed -n 's/^xmworker: listening on \([^ ]*\).*/\1/p' $$1); \
+		test -n "$$a" && echo "$$a" && return 0; sleep 1; \
+	done; return 1; }; \
+	$$d/xmfuzz -plan rand:400 -seed 3 -stream $$d/ref -o $$d/ref.jsonl > /dev/null; \
+	$$d/xmworker -quiet -exit-after 120 > $$d/w1.out 2>&1 & pids="$$pids $$!"; \
+	$$d/xmworker -quiet > $$d/w2.out 2>&1 & pids="$$pids $$!"; \
+	a1=$$(addr $$d/w1.out); a2=$$(addr $$d/w2.out); \
+	$$d/xmfuzz -plan rand:400 -seed 3 -workers 2 \
 		-target remote:$$a1,$$a2 -stream $$d/dist -o $$d/dist.jsonl > /dev/null; \
-	kill $$w1 $$w2 2> /dev/null || true; \
 	grep -q 'exit-after 120 tests reached' $$d/w1.out; \
 	cmp $$d/ref.jsonl $$d/dist.jsonl; \
-	echo "remote-smoke: rand:400 over 2 remote workers (one killed mid-run) merged byte-identical"
+	echo "remote-smoke: rand:400 over 2 remote workers (one killed mid-run) merged byte-identical"; \
+	$$d/xmworker -quiet -exit-after 100 > $$d/w3.out 2>&1 & pids="$$pids $$!"; \
+	$$d/xmworker -quiet -exit-after 150 > $$d/w4.out 2>&1 & pids="$$pids $$!"; \
+	a3=$$(addr $$d/w3.out); a4=$$(addr $$d/w4.out); \
+	if $$d/xmfuzz -plan rand:400 -seed 3 -workers 2 -target remote:$$a3,$$a4 \
+		-stream $$d/out > /dev/null 2> $$d/out.err; then \
+		echo "remote-smoke: campaign on a dead fleet exited 0"; exit 1; fi; \
+	cat $$d/out.err; \
+	grep -q 'remote: dial' $$d/out.err; \
+	$$d/xmworker -quiet -listen $$a3 > $$d/w5.out 2>&1 & pids="$$pids $$!"; \
+	$$d/xmworker -quiet -listen $$a4 > $$d/w6.out 2>&1 & pids="$$pids $$!"; \
+	addr $$d/w5.out > /dev/null; addr $$d/w6.out > /dev/null; \
+	$$d/xmfuzz -plan rand:400 -seed 3 -workers 2 -target remote:$$a3,$$a4 \
+		-stream $$d/out -resume -o $$d/out.jsonl > /dev/null; \
+	cmp $$d/ref.jsonl $$d/out.jsonl; \
+	echo "remote-smoke: rand:400 stopped by a whole-fleet outage, resumed on restarted workers, merged byte-identical"
 	rm -rf /tmp/xmremote-smoke
 
 # Observability smoke: a fixed-seed SEU campaign over two loopback

@@ -2,7 +2,8 @@
 // campaigns: a coordinator running with -target remote:<addr>[,<addr>...]
 // fans its leases across a fleet of xmworker processes, and the merged
 // campaign log stays byte-identical to the same campaign executed
-// in-process (duplicated executions from re-issued leases dedupe by seq).
+// in-process (a lease the client retries on another worker after a
+// death re-executes byte-identically, and duplicates dedupe by seq).
 //
 // Usage:
 //
@@ -14,13 +15,15 @@
 // the listener is up — with -listen :0 that line is how a launcher
 // learns the bound port. -exit-after makes the process exit without
 // responding once N tests have executed: a deterministic mid-lease
-// worker death, used by the lease-reclaim smoke test.
+// worker death. make remote-smoke uses it to test the client's retry
+// onto a surviving worker, and a whole-fleet outage that stops the
+// campaign until workers are back on the same addresses for -resume.
 //
 // -ops serves the worker's observability endpoints (/metrics, /healthz,
 // /progress, /debug/pprof) on a second address. On SIGINT or SIGTERM
 // the worker drains instead of dying: it stops accepting, lets in-flight
-// leases finish and answer, then exits 0 — coordinators lose the
-// connection only between leases and re-issue nothing.
+// leases finish and answer, then exits 0 — clients lose the connection
+// only between leases and retry nothing.
 package main
 
 import (
@@ -48,7 +51,7 @@ func main() {
 		seed      = flag.Int64("seed", 0, "seed anchoring inject:* schedules (match the coordinator's -seed)")
 		injRate   = flag.Float64("inject-rate", 1, "inject:* targets: fraction of tests carrying an SEU, in (0,1]")
 		injSites  = flag.String("inject-sites", "", "inject:* targets: comma-separated flip sites (default all)")
-		exitAfter = flag.Int("exit-after", 0, "exit without responding after N tests (lease-reclaim testing)")
+		exitAfter = flag.Int("exit-after", 0, "exit without responding after N tests (worker-death testing)")
 		quiet     = flag.Bool("quiet", false, "suppress per-connection logging")
 		opsAddr   = flag.String("ops", "", "serve /metrics, /healthz, /progress and /debug/pprof on this address")
 	)

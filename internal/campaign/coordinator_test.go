@@ -4,7 +4,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 )
 
 // drain pulls every lease, completing each, and returns the issued
@@ -52,96 +51,26 @@ func TestCoordinatorSkipsDoneAndHonoursLimit(t *testing.T) {
 	}
 }
 
-func TestCoordinatorHandBackReissues(t *testing.T) {
+// TestCoordinatorNeverWaits: Next returns false once every pending
+// position is issued, with leases still out, and after Close — the engine
+// never blocks on a lease another worker holds.
+func TestCoordinatorNeverWaits(t *testing.T) {
 	c := NewCoordinator(4, nil, 2, 0, 0)
-	l1, ok := c.Next()
-	if !ok {
-		t.Fatal("no first lease")
+	a, _ := c.Next()
+	if _, ok := c.Next(); !ok {
+		t.Fatal("no second lease")
 	}
-	c.HandBack(l1.ID)
-	l2, ok := c.Next()
-	if !ok {
-		t.Fatal("no re-issued lease")
+	if l, ok := c.Next(); ok {
+		t.Fatalf("issued %v past the end of the position space", l.Pos)
 	}
-	if l2.Attempt != l1.Attempt+1 {
-		t.Fatalf("re-issue attempt %d, want %d", l2.Attempt, l1.Attempt+1)
-	}
-	if len(l2.Pos) != len(l1.Pos) || l2.Pos[0] != l1.Pos[0] {
-		t.Fatalf("re-issued positions %v, want %v", l2.Pos, l1.Pos)
-	}
-	if l2.ID == l1.ID {
-		t.Fatal("re-issue must carry a fresh ID")
-	}
-}
+	c.Complete(a.ID)
 
-func TestCoordinatorDeadlineReclaim(t *testing.T) {
-	// A fake clock drives expiry deterministically.
-	var (
-		mu  sync.Mutex
-		now = time.Unix(1000, 0)
-	)
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-
-	c := NewCoordinator(2, nil, 2, 0, time.Second)
-	c.setClock(clock)
-
-	lost, ok := c.Next()
-	if !ok {
-		t.Fatal("no lease")
+	c = NewCoordinator(4, nil, 2, 0, 0)
+	c.Next()
+	c.Close()
+	if l, ok := c.Next(); ok {
+		t.Fatalf("closed coordinator issued %v", l.Pos)
 	}
-	// The holder dies without completing. Before the deadline the lease
-	// is still outstanding; after it, Next re-issues the same range.
-	if n := c.Outstanding(); n != 1 {
-		t.Fatalf("outstanding %d, want 1", n)
-	}
-	advance(2 * time.Second)
-	re, ok := c.Next()
-	if !ok {
-		t.Fatal("expired lease was not re-issued")
-	}
-	if re.Attempt != lost.Attempt+1 || len(re.Pos) != len(lost.Pos) || re.Pos[0] != lost.Pos[0] {
-		t.Fatalf("re-issue %+v does not cover lost lease %+v", re, lost)
-	}
-	// The lost holder's late Complete must not cancel the re-issue.
-	c.Complete(lost.ID)
-	if n := c.Outstanding(); n != 1 {
-		t.Fatalf("outstanding after stale complete: %d, want 1", n)
-	}
-	c.Complete(re.ID)
-	if _, ok := c.Next(); ok {
-		t.Fatal("campaign should be complete")
-	}
-}
-
-func TestCoordinatorExtendDefersReclaim(t *testing.T) {
-	var (
-		mu  sync.Mutex
-		now = time.Unix(1000, 0)
-	)
-	c := NewCoordinator(1, nil, 1, 0, time.Second)
-	c.setClock(func() time.Time { mu.Lock(); defer mu.Unlock(); return now })
-
-	l, _ := c.Next()
-	mu.Lock()
-	now = now.Add(900 * time.Millisecond)
-	mu.Unlock()
-	c.Extend(l.ID)
-	mu.Lock()
-	now = now.Add(900 * time.Millisecond)
-	mu.Unlock()
-	// 1.8s after issue but only 0.9s after the heartbeat: still live, so
-	// the only way Next returns is the holder completing.
-	completed := make(chan struct{})
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		c.Complete(l.ID)
-		close(completed)
-	}()
-	if _, ok := c.Next(); ok {
-		t.Fatal("extended lease must not be re-issued before its refreshed deadline")
-	}
-	<-completed
 }
 
 func TestCoordinatorConcurrentWorkers(t *testing.T) {

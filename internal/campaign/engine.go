@@ -38,20 +38,17 @@ type EngineOptions struct {
 	Options
 
 	// Ctx, when non-nil, arms cooperative cancellation: once it is done
-	// the feeder stops issuing leases, queued work is skipped (feedback
-	// plans instead drain their short queue — see the worker loop),
-	// in-flight tests finish, shards flush, and every completed test's
-	// checkpoint mark is on disk, so the cancelled campaign resumes
-	// exactly like an interrupted one. StreamPlan then returns Ctx's
-	// error (errors.Is(err, context.Canceled) distinguishes a cancel
-	// from a failure). Nil: the campaign runs to completion, the
-	// historical behaviour.
+	// the feeder stops issuing leases, queued work is skipped, in-flight
+	// tests finish (or, on a remote target the engine built, are
+	// abandoned), shards flush, and every completed test's checkpoint
+	// mark is on disk, so the cancelled campaign resumes exactly like an
+	// interrupted one. StreamPlan then returns Ctx's error
+	// (errors.Is(err, context.Canceled) distinguishes a cancel from a
+	// failure). A result the target returns Aborted was not executed,
+	// whatever the cause, and is never logged; when nobody cancelled,
+	// it stops the campaign the same way and StreamPlan returns the
+	// target's error. Nil: nothing cancels, but an abort still stops.
 	Ctx context.Context
-
-	// QueueDepth bounds the work queue between the feeder and the worker
-	// pool (default 2x Workers). The feeder blocks when the queue is
-	// full, so memory never holds more than QueueDepth undispatched jobs.
-	QueueDepth int
 
 	// PoolStrict makes the machine pool scan every byte of every recycled
 	// machine (sparc.SnapshotPool strict mode). Slow; for isolation tests.
@@ -97,17 +94,6 @@ type EngineOptions struct {
 	// Pointing it elsewhere is what lets a campaign's shards live off
 	// the local disk — resume and merge never touch *os.File directly.
 	Store store.Store
-
-	// LeaseTTL arms deadline-based lease reclaim on the dispatch
-	// coordinator: a lease not completed within the TTL is re-issued to
-	// another worker, so a lost worker's range always re-executes.
-	// Duplicated executions are byte-identical (plans are deterministic)
-	// and dedupe by seq at merge time. 0 (the default) disables reclaim
-	// — in-process workers do not vanish; the knob exists for embedders
-	// driving remote or otherwise mortal executors through the engine.
-	// Feedback plans force it off: their At() serialises on earlier
-	// positions' coverage, which double-delivery would corrupt.
-	LeaseTTL time.Duration
 
 	// Limit stops dispatching after that many tests this call (0: run
 	// everything). Combined with a checkpoint it gives budgeted runs the
@@ -225,14 +211,22 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 	}
 	total := src.Len()
 	stats := EngineStats{Total: total}
+	// ctx is the campaign's own stop signal: the caller's cancel, or an
+	// Aborted result nobody cancelled (stop records the target's error
+	// as the cause).
+	parent := eo.Ctx
+	if parent == nil {
+		parent = context.Background()
+	}
+	ctx, stop := context.WithCancelCause(parent)
+	defer stop(nil)
 	var err error
 	tgt := eo.TargetInstance
 	if tgt == nil {
-		// Feedback sources never see the cancellation context: an aborted
-		// in-flight lease would leave a position's coverage undelivered and
-		// deadlock the plan's strictly-ordered At. Their cancel path is the
-		// feeder stopping — the serialised queue drains in bounded time.
-		tgtCtx := eo.Ctx
+		// Feedback sources keep a context-free target: a stop lets their
+		// in-flight tests finish and be recorded rather than abandoning
+		// them.
+		tgtCtx := ctx
 		if fb != nil {
 			tgtCtx = nil
 		}
@@ -257,9 +251,6 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 		// skipped tests' results would exist nowhere and the resumed run
 		// would silently lose them.
 		return stats, errors.New("campaign: resuming requires a shard directory")
-	}
-	if eo.QueueDepth <= 0 {
-		eo.QueueDepth = 2 * opts.Workers
 	}
 	if eo.Shards <= 0 {
 		eo.Shards = opts.Workers
@@ -385,33 +376,17 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 
 	// The coordinator walks the source's index space lazily — no pending
 	// list is materialised, so a billion-test plan costs the same as a
-	// small one until its tests actually run. With a LeaseTTL it also
-	// re-issues the range of any worker that goes silent; duplicated
-	// executions are byte-identical and dedupe by seq at merge time.
-	ttl := eo.LeaseTTL
-	if fb != nil {
-		// Feedback plans serialise on coverage delivery; a re-issued
-		// lease would deliver a position's coverage twice.
-		ttl = 0
-	}
-	coord := NewCoordinator(total, done, batch, pendingCount, ttl)
+	// small one until its tests actually run. A stop closes it: the
+	// feeder's Next returns false, the jobs channel closes, and the
+	// pipeline drains — shards flush and completed tests keep their
+	// checkpoint marks, so the stopped campaign is exactly as resumable as
+	// an interrupted one.
+	coord := NewCoordinator(total, done, batch, pendingCount, 0)
 	coord.Instrument(obs.NewLeaseMetrics(eo.Obs.Registry()), trace)
-	if ctx := eo.Ctx; ctx != nil {
-		// Cancellation closes the coordinator: the feeder's Next returns
-		// false, the jobs channel closes, and the pipeline drains — shards
-		// flush and completed tests keep their checkpoint marks, so the
-		// cancelled campaign is exactly as resumable as an interrupted one.
-		stopWatch := make(chan struct{})
-		defer close(stopWatch)
-		go func() {
-			select {
-			case <-ctx.Done():
-				coord.Close()
-			case <-stopWatch:
-			}
-		}()
-	}
-	jobs := make(chan Lease, eo.QueueDepth)
+	defer context.AfterFunc(ctx, coord.Close)()
+	// The queue holds two leases per worker, so the feeder blocks long
+	// before memory holds the plan.
+	jobs := make(chan Lease, 2*workers)
 	eo.Obs.Registry().GaugeFunc("xm_engine_queue_depth",
 		"Leases buffered between the dispatch feeder and the worker pool.",
 		func() float64 { return float64(len(jobs)) })
@@ -433,29 +408,32 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 			defer wg.Done()
 			dss := make([]testgen.Dataset, 0, batch)
 			for lease := range jobs {
-				if fb == nil && eo.Ctx != nil && eo.Ctx.Err() != nil {
-					// Cancelled: skip queued leases instead of executing
-					// them. (Feedback plans execute theirs — their At
-					// serialises on delivered coverage, and skipping a
-					// position would starve every later one.)
-					coord.HandBack(lease.ID)
-					continue
-				}
-				if be == nil || len(lease.Pos) == 1 {
-					for _, pos := range lease.Pos {
-						slot := tgt.Acquire()
-						r := tgt.Execute(slot, src.At(pos), spec)
-						tgt.Release(slot)
-						results <- posResult{pos: pos, res: r}
-					}
-					coord.Complete(lease.ID)
-					continue
-				}
 				dss = dss[:0]
 				for _, pos := range lease.Pos {
 					dss = append(dss, src.At(pos))
 				}
+				if ctx.Err() != nil {
+					// Stopped: skip the queued lease; it runs on resume.
+					// A feedback plan hears that its positions ran without
+					// coverage, so the At of a later position waiting on
+					// them returns — and, checked after At, that position
+					// is skipped in turn: nothing bred from the gap runs.
+					if fb != nil {
+						for _, pos := range lease.Pos {
+							fb.Feedback(pos, nil)
+						}
+					}
+					coord.Complete(lease.ID)
+					continue
+				}
 				slot := tgt.Acquire()
+				if be == nil || len(dss) == 1 {
+					r := tgt.Execute(slot, dss[0], spec)
+					tgt.Release(slot)
+					coord.Complete(lease.ID)
+					results <- posResult{pos: lease.Pos[0], res: r}
+					continue
+				}
 				rs := be.ExecuteBatch(slot, dss, spec)
 				tgt.Release(slot)
 				coord.Complete(lease.ID)
@@ -499,10 +477,17 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 			defer sg.Done()
 			for pr := range results {
 				if pr.res.Aborted {
-					// A cancellation abandoned this execution mid-flight
-					// (the remote client unblocking an in-flight lease).
-					// The result describes nothing: drop it unlogged and
-					// unmarked, so the position re-executes on resume.
+					// Not executed (the remote client was cancelled,
+					// closed or out of attempts). The result describes
+					// nothing, so it is dropped unlogged and unmarked and
+					// the position runs on resume. Unless a cancel came
+					// first, the abort stops the campaign with the
+					// target's error; a feedback plan hears of the gap
+					// like a skipped lease's.
+					stop(fmt.Errorf("campaign: test %d not executed: %s", pr.pos, pr.res.RunErr))
+					if fb != nil {
+						fb.Feedback(pr.pos, nil)
+					}
 					continue
 				}
 				pr.logged = true
@@ -549,11 +534,14 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 	if ps, ok := tgt.(interface{ PoolStats() sparc.PoolStats }); ok {
 		stats.Pool = ps.PoolStats()
 	}
-	if firstErr == nil && eo.Ctx != nil {
-		// Surface the cancellation: shards are flushed and every completed
-		// test is checkpointed, but the campaign did not finish — callers
-		// distinguish the cancel with errors.Is(err, context.Canceled).
-		firstErr = eo.Ctx.Err()
+	if firstErr == nil {
+		// Surface a stop: shards are flushed and every completed test is
+		// checkpointed, but the campaign did not finish. A caller's cancel
+		// returns its context's error (errors.Is(err, context.Canceled));
+		// an abort returns the error the target gave.
+		if firstErr = parent.Err(); firstErr == nil {
+			firstErr = context.Cause(ctx)
+		}
 	}
 	return stats, firstErr
 }

@@ -291,10 +291,12 @@ func TestRecordReconstruction(t *testing.T) {
 	}
 }
 
+// TestStreamBoundedQueue: one worker builds the smallest queue the
+// engine has, two leases, and still runs every test.
 func TestStreamBoundedQueue(t *testing.T) {
 	datasets := mixedSuite(t)
 	var seen int
-	stats, err := Stream(datasets, EngineOptions{Options: Options{Workers: 2}, QueueDepth: 1},
+	stats, err := Stream(datasets, EngineOptions{Options: Options{Workers: 1}},
 		func(pos int, r Result) { seen++ })
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package campaign
 import (
 	"bytes"
 	"testing"
-	"time"
 )
 
 // TestParallelInjectCampaignByteIdentical extends the determinism
@@ -33,7 +32,6 @@ func TestParallelInjectCampaignByteIdentical(t *testing.T) {
 	}{
 		{"workers8", EngineOptions{Options: par}},
 		{"workers8-batched", EngineOptions{Options: par, BatchSize: 5}},
-		{"workers8-lease-ttl", EngineOptions{Options: par, BatchSize: 5, LeaseTTL: 25 * time.Millisecond}},
 	} {
 		if got := mergedCampaign(t, tc.eo); !bytes.Equal(want, got) {
 			t.Errorf("%s: merged log differs from the workers=1 run (%d vs %d bytes)",

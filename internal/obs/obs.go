@@ -73,8 +73,6 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 type LeaseMetrics struct {
 	Issued      *Counter
 	Completed   *Counter
-	Reclaimed   *Counter
-	HandedBack  *Counter
 	Outstanding *Gauge
 }
 
@@ -86,13 +84,9 @@ func NewLeaseMetrics(r *Registry) *LeaseMetrics {
 	}
 	return &LeaseMetrics{
 		Issued: r.Counter("xm_lease_issued_total",
-			"Leases the coordinator has issued (re-issues included)."),
+			"Leases the coordinator has issued."),
 		Completed: r.Counter("xm_lease_completed_total",
-			"Leases completed by their holder."),
-		Reclaimed: r.Counter("xm_lease_reclaimed_total",
-			"Leases reclaimed after their deadline expired."),
-		HandedBack: r.Counter("xm_lease_handed_back_total",
-			"Leases cooperatively handed back for re-issue."),
+			"Leases retired by their holder: executed, or skipped on a stop."),
 		Outstanding: r.Gauge("xm_lease_outstanding",
 			"Leases currently issued and uncompleted."),
 	}
@@ -116,31 +110,12 @@ func (m *LeaseMetrics) OnComplete() {
 	m.Outstanding.Add(-1)
 }
 
-// OnReclaim records a deadline reclaim.
-func (m *LeaseMetrics) OnReclaim() {
-	if m == nil {
-		return
-	}
-	m.Reclaimed.Inc()
-	m.Outstanding.Add(-1)
-}
-
-// OnHandBack records a cooperative hand-back.
-func (m *LeaseMetrics) OnHandBack() {
-	if m == nil {
-		return
-	}
-	m.HandedBack.Inc()
-	m.Outstanding.Add(-1)
-}
-
 // RemoteMetrics is the remote client's metric set (the coordinating
 // side of a remote: target).
 type RemoteMetrics struct {
 	Dials      *Counter
 	DialErrors *Counter
 	Retries    *Counter
-	Inflight   *Gauge
 	WireTx     *Counter
 	WireRx     *Counter
 }
@@ -156,8 +131,6 @@ func NewRemoteMetrics(r *Registry) *RemoteMetrics {
 			"Worker dial attempts by result.", "result").With("error"),
 		Retries: r.Counter("xm_remote_retries_total",
 			"Exec attempts retried after a connection failure."),
-		Inflight: r.Gauge("xm_remote_inflight",
-			"Exec requests currently in flight across worker connections."),
 		WireTx: r.CounterVec("xm_remote_wire_bytes_total",
 			"Wire bytes moved by the remote client, by direction.", "dir").With("tx"),
 		WireRx: r.CounterVec("xm_remote_wire_bytes_total",

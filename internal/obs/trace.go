@@ -17,7 +17,7 @@ type Event struct {
 	// T is the wall-clock emission time (stamped by Emit when zero).
 	T time.Time `json:"t"`
 	// Kind names the moment: campaign.start, campaign.end, lease.issue,
-	// lease.complete, lease.reclaim, lease.handback.
+	// lease.complete.
 	Kind string `json:"kind"`
 	// Campaign identifies the run (the plan spec).
 	Campaign string `json:"campaign,omitempty"`
@@ -28,8 +28,6 @@ type Event struct {
 	// N is the position count (lease events) or total tests (campaign
 	// events).
 	N int `json:"n,omitempty"`
-	// Attempt is the lease re-issue generation (0: first issue).
-	Attempt int `json:"attempt,omitempty"`
 	// Detail carries kind-specific context (error strings, target names).
 	Detail string `json:"detail,omitempty"`
 }

@@ -29,13 +29,11 @@ func init() {
 		func(arg string, cfg target.Config) (target.Target, error) { return newClient(arg, cfg) })
 }
 
-// Tunables of the fan-out client. The window bounds pipelined leases per
-// connection so one worker cannot swallow the whole queue while another
-// idles; the backoff paces redials of a down worker; the attempt cap is
-// what turns "every worker is gone" into RunErr records instead of a
-// campaign hang.
+// Tunables of the fan-out client. The backoff paces redials of a down
+// worker and the waits between attempts; the attempt cap is what turns
+// "every worker is gone" into an aborted lease, which stops the
+// campaign, instead of a campaign hang.
 const (
-	inflightWindow = 8
 	dialBackoffMin = 50 * time.Millisecond
 	dialBackoffMax = 2 * time.Second
 	execAttempts   = 8
@@ -47,27 +45,28 @@ const (
 // can heal (as opposed to a protocol refusal, which is deterministic).
 var errConnDown = errors.New("remote: connection down")
 
-// errClosed fails the leases of a client after Close.
+// errClosed aborts the leases of a client after Close.
 var errClosed = errors.New("remote: client closed")
 
 // client is the "remote:" execution backend: it fans leases across one
 // managed connection per worker address. Execute and ExecuteBatch are
 // synchronous per caller — the campaign engine's worker pool provides
-// the concurrency, and per-connection windows keep each worker's
-// pipeline bounded. A connection failure retries the lease on the next
-// live worker (re-dialling dead ones behind a backoff), which is the
-// lease hand-back path: the caller still holds the lease, so the
-// coordinator sees one completion however many workers the lease
-// bounced through.
+// the concurrency and bounds the leases in flight. A connection failure
+// retries the lease on the next live worker (re-dialling dead ones
+// behind a backoff), which is the only way a lease re-executes: the
+// caller still holds the lease, so the coordinator sees one completion
+// however many workers the lease bounced through. When the attempts run
+// out, the lease comes back Aborted: not executed, nothing logged, and
+// the engine stops the campaign so a resume can finish it.
 type client struct {
 	spec   string
 	addrs  []string
 	header *apispec.Header
 	// ctx is the campaign's cancellation context (target.Config.Ctx).
-	// Once done, in-flight round trips abandon their wait — the worker
-	// may still execute the lease, but nobody listens — and exec returns
-	// Aborted results the engine discards instead of logging. Never nil
-	// (Background when the campaign runs uncancellable).
+	// Once done, in-flight round trips and retry waits abandon — the
+	// worker may still execute the lease, but nobody listens — and exec
+	// returns Aborted results the engine discards instead of logging.
+	// Never nil (Background when the campaign runs uncancellable).
 	ctx context.Context
 
 	next   atomic.Uint64 // round-robin cursor over addrs
@@ -83,22 +82,23 @@ type client struct {
 	closed bool          // set by Close: no more dials
 }
 
-// dialState paces redials of one address.
+// dialState paces redials of one address. Until notBefore, the address
+// keeps failing with its last dial error.
 type dialState struct {
 	delay     time.Duration
 	notBefore time.Time
+	err       error
 }
 
 // workerConn is one live connection: a write lock over a reused frame
-// buffer, a response demultiplexer keyed by request ID reading through
-// a buffered reader, and an in-flight window.
+// buffer and a response demultiplexer keyed by request ID reading
+// through a buffered reader.
 type workerConn struct {
 	addr        string
 	helloTarget string // target spec the worker's hello advertised
 	conn        net.Conn
-	br          *bufio.Reader // read by dialWorker, then only by readLoop
-	done        chan struct{} // closed when readLoop exits
-	window      chan struct{}
+	br          *bufio.Reader      // read by dialWorker, then only by readLoop
+	done        chan struct{}      // closed when readLoop exits
 	met         *obs.RemoteMetrics // never nil; nil handles when obs off
 
 	wmu  sync.Mutex // frame writes interleave frames, never bytes
@@ -179,16 +179,16 @@ func (c *client) Provision(workers int) error {
 	return nil
 }
 
-// Acquire and Release are trivial: the client's slots are the
-// per-connection windows, managed inside exec.
+// Acquire and Release are trivial: the client holds no per-lease state
+// outside exec.
 func (c *client) Acquire() target.Slot { return nil }
 
 // Release returns a slot (a no-op; see Acquire).
 func (c *client) Release(target.Slot) {}
 
 // Close drops every worker connection and returns once their read loops
-// have exited. It dials no more: leases executed after Close fail with
-// RunErr.
+// have exited. It dials no more: leases in flight or executed after
+// Close come back Aborted.
 func (c *client) Close() error {
 	c.mu.Lock()
 	c.closed = true
@@ -219,38 +219,35 @@ func (c *client) ExecuteBatch(_ target.Slot, batch []testgen.Dataset, spec targe
 }
 
 // exec round-trips one lease, handing it to the next worker on every
-// transport failure until a response lands or the attempt budget is
-// spent (then every test fails with RunErr — the campaign completes and
-// classifies the outage instead of hanging).
+// transport failure until a response lands. When the attempt budget is
+// spent, the client is closed or the campaign is cancelled, the lease
+// comes back Aborted (not executed); a worker's refusal or an
+// undecodable response fails every test with RunErr.
 func (c *client) exec(batch []testgen.Dataset, spec target.RunSpec) []target.Result {
-	// The dataset's Index is its global campaign position — plans and
-	// slices both key it that way — so the worker's records come back
-	// already carrying the right seq.
+	// Results come back in lease order; the engine pairs them with the
+	// lease's positions.
 	req := execRequest{Spec: spec, Tests: batch}
 	var lastErr error
 	for attempt := 0; attempt < execAttempts; attempt++ {
 		if err := c.ctx.Err(); err != nil {
-			// The campaign is cancelled: abandon the lease. Aborted
-			// results are discarded by the engine — the positions stay
-			// pending and re-execute on resume.
 			return abortedResults(batch, err)
 		}
 		wc, err := c.pick()
 		if errors.Is(err, errClosed) {
-			return errResults(batch, err)
+			return abortedResults(batch, err)
 		}
 		if err != nil {
 			lastErr = err
 			c.met.Retries.Inc()
-			time.Sleep(backoff(attempt))
+			select {
+			case <-time.After(backoff(attempt)):
+			case <-c.ctx.Done():
+			}
 			continue
 		}
 		req.ID = c.nextID.Add(1)
 		resp, err := wc.roundTrip(c.ctx, &req)
-		if err != nil && c.ctx.Err() != nil {
-			return abortedResults(batch, c.ctx.Err())
-		}
-		if errors.Is(err, errConnDown) {
+		if errors.Is(err, errConnDown) && c.ctx.Err() == nil {
 			// The worker died with our lease in flight: hand it to the
 			// next one. Anything it already executed re-executes there,
 			// byte-identically.
@@ -259,7 +256,8 @@ func (c *client) exec(batch []testgen.Dataset, spec target.RunSpec) []target.Res
 			continue
 		}
 		if err != nil {
-			return errResults(batch, err)
+			// Cancelled, or closed under us.
+			return abortedResults(batch, err)
 		}
 		results, err := c.decodeResults(resp, batch)
 		if err != nil {
@@ -267,7 +265,7 @@ func (c *client) exec(batch []testgen.Dataset, spec target.RunSpec) []target.Res
 		}
 		return results
 	}
-	return errResults(batch, lastErr)
+	return abortedResults(batch, fmt.Errorf("remote: lease abandoned after %d attempts: %w", execAttempts, lastErr))
 }
 
 // pick returns a live connection, round-robin across the fleet,
@@ -301,7 +299,7 @@ func (c *client) getConn(i int) (*workerConn, error) {
 		return wc, nil
 	}
 	if now := time.Now(); now.Before(c.dial[i].notBefore) {
-		return nil, fmt.Errorf("remote: %s is down (retry backoff)", c.addrs[i])
+		return nil, c.dial[i].err
 	}
 	wc, err := dialWorker(c.addrs[i], c.met)
 	if err != nil {
@@ -315,6 +313,7 @@ func (c *client) getConn(i int) (*workerConn, error) {
 			d.delay = dialBackoffMax
 		}
 		d.notBefore = time.Now().Add(d.delay)
+		d.err = err
 		return nil, err
 	}
 	c.met.Dials.Inc()
@@ -353,7 +352,6 @@ func dialWorker(addr string, met *obs.RemoteMetrics) (*workerConn, error) {
 		conn:        conn,
 		br:          br,
 		done:        make(chan struct{}),
-		window:      make(chan struct{}, inflightWindow),
 		met:         met,
 		pending:     map[uint64]chan response{},
 	}
@@ -420,23 +418,12 @@ func (wc *workerConn) readLoop() {
 	}
 }
 
-// roundTrip sends one request frame and waits for its response,
-// respecting the in-flight window. errConnDown failures are retryable
-// on another connection; a done ctx abandons the wait (the connection
-// stays healthy — the worker's eventual response is dropped by the
-// demultiplexer, whose pending entry is removed here).
+// roundTrip sends one request frame and waits for its response.
+// errConnDown failures are retryable on another connection; a done ctx
+// abandons the wait (the connection stays healthy — the worker's
+// eventual response is dropped by the demultiplexer, whose pending
+// entry is removed here).
 func (wc *workerConn) roundTrip(ctx context.Context, req *execRequest) (response, error) {
-	select {
-	case wc.window <- struct{}{}:
-	case <-ctx.Done():
-		return response{}, ctx.Err()
-	}
-	wc.met.Inflight.Add(1)
-	defer func() {
-		wc.met.Inflight.Add(-1)
-		<-wc.window
-	}()
-
 	ch := make(chan response, 1)
 	wc.pmu.Lock()
 	if wc.downErr != nil {
@@ -507,9 +494,10 @@ func (c *client) decodeResults(resp response, batch []testgen.Dataset) ([]target
 	return results, nil
 }
 
-// abortedResults marks every test of a cancelled lease Aborted — the
-// engine discards them instead of logging, so the positions stay
-// unmarked in the checkpoint and re-execute on resume.
+// abortedResults marks every test of a lease that was not executed
+// Aborted, carrying why — the engine discards them instead of logging,
+// so the positions stay unmarked in the checkpoint and re-execute on
+// resume.
 func abortedResults(batch []testgen.Dataset, err error) []target.Result {
 	out := make([]target.Result, 0, len(batch))
 	for _, ds := range batch {
@@ -518,9 +506,9 @@ func abortedResults(batch []testgen.Dataset, err error) []target.Result {
 	return out
 }
 
-// errResults fails every test of a lease with the transport error — the
-// harness-error shape every other backend uses for environmental
-// failures.
+// errResults fails every test of a lease a worker refused or answered
+// with undecodable records — the harness-error shape every other
+// backend uses for environmental failures.
 func errResults(batch []testgen.Dataset, err error) []target.Result {
 	out := make([]target.Result, 0, len(batch))
 	for _, ds := range batch {
@@ -529,7 +517,7 @@ func errResults(batch []testgen.Dataset, err error) []target.Result {
 	return out
 }
 
-// backoff paces lease retries when no worker is reachable.
+// backoff paces lease attempts when no worker is reachable.
 func backoff(attempt int) time.Duration {
 	d := dialBackoffMin << attempt
 	if d > dialBackoffMax {

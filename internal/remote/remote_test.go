@@ -3,8 +3,10 @@ package remote
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"net"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -144,8 +146,9 @@ func TestRemoteMergeByteIdentical(t *testing.T) {
 }
 
 // TestRemoteWorkerDeathHandsBack: a worker dying mid-lease loses nothing
-// — its unanswered leases re-execute on the surviving worker and the
-// merged log still matches the single-process run byte for byte.
+// — the client retries its unanswered leases on the surviving worker
+// while the engine still holds them, and the merged log still matches
+// the single-process run byte for byte.
 func TestRemoteWorkerDeathHandsBack(t *testing.T) {
 	plan := testPlan(t, "rand:30", 7, "XM_set_timer", "XM_get_time")
 	local := mergedLog(t, plan, "sim", 1, 0)
@@ -156,6 +159,61 @@ func TestRemoteWorkerDeathHandsBack(t *testing.T) {
 
 	if !bytes.Equal(local, remote) {
 		t.Fatalf("merged log after worker death differs from local: %d vs %d bytes", len(remote), len(local))
+	}
+}
+
+// TestRemoteFleetOutageStopsResumably: when the whole fleet dies, the
+// leases in flight come back not executed — no record carries a harness
+// error, so no checkpoint marks a test that never ran — and the campaign
+// stops with the dial failure. A worker back on the same address then
+// resumes the campaign to the bytes of the single-process run.
+func TestRemoteFleetOutageStopsResumably(t *testing.T) {
+	plan := testPlan(t, "rand:12", 7, "XM_set_timer", "XM_get_time")
+	local := mergedLog(t, plan, "sim", 1, 0)
+
+	addr, _, _ := startWorker(t, "sim", 1, 5)
+	dir := t.TempDir()
+	eo := campaign.EngineOptions{
+		Options:        campaign.Options{Workers: 2, Target: "remote:" + addr},
+		ShardDir:       dir,
+		CheckpointPath: filepath.Join(dir, "checkpoint.jsonl"),
+	}
+	stats, err := campaign.StreamPlan(plan, eo, nil)
+	if err == nil || !strings.Contains(err.Error(), "dial") {
+		t.Fatalf("campaign on a dead fleet returned %v, want the dial failure", err)
+	}
+	if stats.Executed >= plan.Len() {
+		t.Fatalf("campaign on a dead fleet executed all %d tests", stats.Executed)
+	}
+	if err := campaign.ScanShards(dir, func(rec campaign.JSONRecord) error {
+		if rec.RunErr != "" {
+			return fmt.Errorf("record %d carries run_err %q", rec.Seq, rec.RunErr)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := &Server{Target: target.NewSim(target.Config{}), Workers: 1}
+	if _, err := srv.Listen(addr); err != nil {
+		t.Fatalf("restart worker on %s: %v", addr, err)
+	}
+	t.Cleanup(srv.Close)
+	eo.Resume = true
+	resumed, err := campaign.StreamPlan(plan, eo, nil)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if resumed.Skipped != stats.Executed || resumed.Skipped+resumed.Executed != plan.Len() {
+		t.Fatalf("resume skipped %d / executed %d after a %d-test stopped leg",
+			resumed.Skipped, resumed.Executed, stats.Executed)
+	}
+	var buf bytes.Buffer
+	if _, err := campaign.MergeShards(dir, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(local, buf.Bytes()) {
+		t.Fatalf("resumed log differs from local: %d vs %d bytes", buf.Len(), len(local))
 	}
 }
 

@@ -35,8 +35,8 @@ type Server struct {
 	// ExitAfter, when positive, makes the server call OnExit once that
 	// many tests have executed — before the crossing request's response
 	// is written. It deterministically simulates a worker dying mid-lease
-	// (the lease's client never hears back), the scenario lease hand-back
-	// and re-execution exist for; see the remote-smoke make target.
+	// (the lease's client never hears back), the scenario the client's
+	// retry exists for; see the remote-smoke make target.
 	ExitAfter int
 	// OnExit is called when ExitAfter trips (required with ExitAfter).
 	OnExit func()
@@ -96,7 +96,7 @@ func (s *Server) Close() {
 
 // CloseConnections drops every live connection — the in-process analogue
 // of the worker dying (cmd/xmworker's OnExit simply exits). Clients see
-// their in-flight leases fail and hand them to another worker.
+// their in-flight leases fail and retry them on another worker.
 func (s *Server) CloseConnections() {
 	s.connsMu.Lock()
 	for conn := range s.open {
@@ -176,7 +176,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // executing and write their responses, and only then do the connections
 // close. It returns once every connection handler has exited. Clients
 // treat the subsequent connection loss like any dead worker: unanswered
-// leases hand back and re-execute elsewhere.
+// leases retry on another worker.
 func (s *Server) Shutdown() {
 	s.draining.Store(true)
 	s.connsMu.Lock()

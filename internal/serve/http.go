@@ -101,9 +101,9 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 // handleEvents is the SSE stream: an initial status event, a replay of
 // every record already in the campaign's shard files, then the live
 // feed. Subscription precedes the replay, and live records duplicated
-// by the replay (or by engine-level lease re-issue) are dropped by seq,
-// so a subscriber — however late it attaches — collects exactly the
-// records of the merged log, byte for byte.
+// by the replay are dropped by seq, so a subscriber — however late it
+// attaches — collects exactly the records of the merged log, byte for
+// byte.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j := s.jobs[r.PathValue("id")]

@@ -51,11 +51,13 @@ type Result struct {
 	// RunErr records an unexpected harness error ("" normally).
 	RunErr string
 
-	// Aborted marks a result whose execution was abandoned mid-flight by
-	// context cancellation (the remote client unblocking an in-flight
-	// lease). Aborted results never describe kernel behaviour: the engine
-	// discards them instead of logging or checkpointing, so the position
-	// re-executes on resume. The field is never serialised.
+	// Aborted means "not executed", whatever the cause: a cancelled
+	// context, a closed backend, or a remote fleet that stayed down
+	// through every attempt. RunErr then says why. Aborted results never
+	// describe kernel behaviour: the engine discards them instead of
+	// logging or checkpointing, so the position re-executes on resume,
+	// and one that nobody cancelled stops the campaign with that error.
+	// The field is never serialised.
 	Aborted bool
 
 	// Cover is the kernel edge coverage of the run (nil unless

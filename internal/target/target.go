@@ -144,9 +144,11 @@ type Config struct {
 	Obs *obs.Obs
 	// Ctx, when non-nil, is the campaign's cancellation context. Local
 	// backends finish the test in hand regardless (a single test is
-	// short); the remote client uses it to abandon in-flight leases
-	// instead of waiting out a slow worker, returning Aborted results the
-	// engine discards. Nil: executions never abort.
+	// short); the remote client uses it to abandon in-flight leases and
+	// retry waits instead of waiting out a slow or dead worker, returning
+	// Aborted results: not executed, which the engine discards. Nil: no
+	// cancel aborts an execution (a remote fleet that stays down still
+	// does).
 	Ctx context.Context
 }
 

@@ -3,7 +3,6 @@ package xmrobust
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"xmrobust/internal/apispec"
 	"xmrobust/internal/campaign"
@@ -203,14 +202,7 @@ func WithObs(o *Obs) Option { return func(c *config) { c.eng.Obs = o } }
 // abandoned), shards flush, and Run returns ctx's error — with
 // WithCheckpoint the interrupted campaign is durable, and WithResume
 // replays it to a byte-identical merged log. A nil ctx (the default)
-// runs the campaign to completion unconditionally.
+// never cancels. Either way a test the target could not execute (a
+// remote: fleet that stayed down) stops the campaign the same way, and
+// Run returns the target's error.
 func WithContext(ctx context.Context) Option { return func(c *config) { c.eng.Ctx = ctx } }
-
-// WithLeaseTTL arms the coordinator's deadline-based lease reclaim:
-// a leased range not completed within d is re-issued to another worker.
-// The engine deduplicates re-executed tests by sequence number, so the
-// merged log stays byte-identical to a single-worker run. Zero (the
-// default) trusts workers to hand leases back on failure — the remote
-// backend does — and reclaims nothing; feedback plans force 0, because
-// re-breeding from a reclaimed range would fork the schedule.
-func WithLeaseTTL(d time.Duration) Option { return func(c *config) { c.eng.LeaseTTL = d } }

@@ -204,11 +204,14 @@ func TestInventoriesListPlansAndTargets(t *testing.T) {
 }
 
 func TestDiffCampaignReportsDivergences(t *testing.T) {
+	// One worker keeps the summary's machine-pool line deterministic, so
+	// the two runs' summaries compare byte for byte.
 	rep, err := xmrobust.Run(
 		xmrobust.WithPlan("rand:30"),
 		xmrobust.WithSeed(7),
 		xmrobust.WithMAFs(1),
 		xmrobust.WithTarget("diff:sim,phantom"),
+		xmrobust.WithWorkers(1),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -232,6 +235,7 @@ func TestDiffCampaignReportsDivergences(t *testing.T) {
 		xmrobust.WithSeed(7),
 		xmrobust.WithMAFs(1),
 		xmrobust.WithTarget("diff:sim,phantom"),
+		xmrobust.WithWorkers(1),
 	)
 	if err != nil {
 		t.Fatal(err)
