@@ -79,7 +79,7 @@ func main() {
 		stream   = flag.String("stream", "", "run the streaming engine, sharding the campaign log into this directory")
 		shards   = flag.Int("shards", 0, "shard writer count for -stream (0 = workers)")
 		resume   = flag.Bool("resume", false, "resume an interrupted -stream campaign from its checkpoint")
-		batch    = flag.Int("batch", 0, "tests leased per worker slot on batching targets (0 = unbatched; identical results)")
+		batch    = flag.Int("batch", 0, "tests leased per worker slot on batching targets, amortising the slot round-trip and the remote: frame (0 = one test per lease; identical results)")
 		plan     = flag.String("plan", "", "test plan: exhaustive (default), pairwise, rand:N, boundary, feedback:N, phantom (see -list)")
 		tgt      = flag.String("target", "", "execution target: sim (default), phantom, diff:a,b (see -list)")
 		seed     = flag.Int64("seed", 0, "seed for randomised plans (rand:N, feedback:N)")

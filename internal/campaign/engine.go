@@ -2,11 +2,12 @@ package campaign
 
 // This file is the streaming pooled execution engine: a bounded work
 // queue feeding a worker pool that executes on any registered target
-// backend (the sim target recycles simulated machines through a
-// snapshot pool), streams every execution log over a channel into
-// per-worker JSON Lines shards, and checkpoints completed tests so an
-// interrupted campaign resumes from where it stopped. RunDatasets is the
-// collect-to-slice step that points the stream at an in-memory slice.
+// backend (the sim target recycles simulated machines, and the kernels
+// parked on them, through a reset-and-verify pool), streams every
+// execution log over a channel into per-worker JSON Lines shards, and
+// checkpoints completed tests so an interrupted campaign resumes from
+// where it stopped. RunDatasets is the collect-to-slice step that points
+// the stream at an in-memory slice.
 
 import (
 	"bufio"
@@ -62,20 +63,22 @@ type EngineOptions struct {
 
 	// BatchSize leases contiguous runs of pending tests to each worker
 	// when the target can execute them in one held slot (the
-	// target.BatchExecutor capability), amortising the per-test
-	// recycle-and-verify baseline across the lease. Results are
-	// byte-identical to unbatched execution — the capability's contract.
-	// 0 or 1, targets without the capability, and feedback-driven plans
-	// (whose At blocks on earlier positions' coverage) execute one test
-	// per slot acquisition as before.
+	// target.BatchExecutor capability). Every test recycles the kernel
+	// parked on its machine whatever the lease size; a larger lease only
+	// amortises the slot's pool round-trip and, on remote: targets, the
+	// request frame. Results are byte-identical to unbatched execution —
+	// the capability's contract. 0 or 1, targets without the capability,
+	// and feedback-driven plans (whose At blocks on earlier positions'
+	// coverage) lease one test per slot acquisition.
 	BatchSize int
 
 	// TargetInstance, when non-nil, is the execution backend itself,
 	// bypassing the Options.Target registry lookup. A caller that runs
 	// several campaigns against one target (the bench harness, embedders
-	// with a prepared backend) keeps its warm state — machine pool,
-	// parked kernels — across StreamPlan calls instead of rebuilding it
-	// each time; Provision is idempotent on the shared instance.
+	// with a prepared backend) keeps its warm state — the machine pool
+	// and the kernels parked on its machines — across StreamPlan calls
+	// instead of rebuilding it each time; Provision is idempotent on the
+	// shared instance.
 	TargetInstance target.Target
 
 	// Shards is the number of shard writers (default Workers).
@@ -357,11 +360,13 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 	results := make(chan posResult, workers)
 	finished := make(chan posResult, workers)
 
-	// A batch lease hands a worker several pending positions to execute
-	// in one held slot. Only targets with the BatchExecutor capability
-	// batch, and feedback sources never do: their At blocks until every
-	// earlier position's coverage arrives, which a multi-test lease would
-	// deadlock on (results only flow after the whole lease completes).
+	// A lease hands a worker pending positions to execute in one held
+	// slot; on a target with the BatchExecutor capability every lease,
+	// a lease of one included, is one ExecuteBatch call. Only such
+	// targets lease more than one position, and feedback sources never
+	// do: their At blocks until every earlier position's coverage
+	// arrives, which a multi-test lease would deadlock on (results only
+	// flow after the whole lease completes).
 	batch := eo.BatchSize
 	be, _ := tgt.(target.BatchExecutor)
 	if batch < 1 || be == nil || fb != nil {
@@ -427,7 +432,7 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 					continue
 				}
 				slot := tgt.Acquire()
-				if be == nil || len(dss) == 1 {
+				if be == nil {
 					r := tgt.Execute(slot, dss[0], spec)
 					tgt.Release(slot)
 					coord.Complete(lease.ID)

@@ -9,7 +9,6 @@ import (
 
 	"xmrobust/internal/apispec"
 	"xmrobust/internal/dict"
-	"xmrobust/internal/sparc"
 	"xmrobust/internal/store"
 	"xmrobust/internal/target"
 	"xmrobust/internal/testgen"
@@ -41,10 +40,11 @@ func mixedSuite(t *testing.T) []testgen.Dataset {
 }
 
 // TestPooledMatchesFresh is the reset-isolation proof at the engine level:
-// recycled machines must yield execution logs identical to fresh ones for
-// every outcome class, with the pool's strict byte-scan verifying each
-// recycle. The reference executes every dataset on a newly allocated
-// machine.
+// recycled machines and kernels must yield execution logs identical to
+// fresh ones for every outcome class, with the pool's strict byte-scan
+// verifying each recycle. The reference executes every dataset on its
+// own newly provisioned backend: a newly allocated machine running a
+// newly built kernel.
 func TestPooledMatchesFresh(t *testing.T) {
 	datasets := mixedSuite(t)
 	opts := Options{Workers: 4}
@@ -59,10 +59,18 @@ func TestPooledMatchesFresh(t *testing.T) {
 		t.Fatalf("executed %d of %d", stats.Executed, len(datasets))
 	}
 
-	sim := target.NewSim(target.Config{})
 	spec := opts.withDefaults().runSpec()
 	for i, ds := range datasets {
-		fresh := sim.Execute(sparc.NewDefaultMachine(), ds, spec)
+		sim := target.NewSim(target.Config{})
+		if err := sim.Provision(1); err != nil {
+			t.Fatal(err)
+		}
+		slot := sim.Acquire()
+		fresh := sim.Execute(slot, ds, spec)
+		sim.Release(slot)
+		if st := sim.PoolStats(); st.Allocated != 1 || st.Reused != 0 {
+			t.Fatalf("reference backend recycled a machine: %+v", st)
+		}
 		if !reflect.DeepEqual(fresh, pooled[i]) {
 			t.Errorf("dataset %d (%s): pooled result differs from fresh\nfresh:  %+v\npooled: %+v",
 				i, ds, fresh, pooled[i])
@@ -94,6 +102,11 @@ func TestPoolOnlyDiscardsCrashes(t *testing.T) {
 	}
 	if stats.Pool.Reused == 0 {
 		t.Fatal("pool never recycled a machine")
+	}
+	// The default lease is one test: one pool Get per test, however the
+	// target recycles between them.
+	if gets := stats.Pool.Allocated + stats.Pool.Reused; gets != uint64(stats.Executed) {
+		t.Fatalf("pool served %d acquires for %d tests, want one per test", gets, stats.Executed)
 	}
 }
 

@@ -281,7 +281,7 @@ func (s *Server) handleRequest(sc *serverConn, j job, frame []byte) []byte {
 
 	s.sem <- struct{}{}
 	var results []target.Result
-	if be, ok := s.Target.(target.BatchExecutor); ok && len(req.Tests) > 1 {
+	if be, ok := s.Target.(target.BatchExecutor); ok {
 		slot := s.Target.Acquire()
 		results = be.ExecuteBatch(slot, req.Tests, spec)
 		s.Target.Release(slot)

@@ -70,7 +70,9 @@ type Submission struct {
 	// Shards is the shard-writer count (0: workers).
 	Shards int `json:"shards,omitempty"`
 	// Batch leases contiguous runs of tests per worker slot on batching
-	// targets (0: unbatched; results identical either way).
+	// targets, amortising the slot round-trip and, on remote: targets,
+	// the request frame (0: one test per lease; results identical
+	// either way).
 	Batch int `json:"batch,omitempty"`
 	// Limit stops dispatching after N tests (0: run everything); the
 	// checkpoint makes the balance resumable.

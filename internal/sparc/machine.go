@@ -72,6 +72,10 @@ type Machine struct {
 	// stats
 	reads, writes, trapsRaised uint64
 	resets                     uint64
+
+	// host is what the embedding harness parks on the machine between
+	// runs (see Host). It is not machine state: Reset leaves it alone.
+	host any
 }
 
 // dirtyPageShift sets the dirty-tracking granularity: 4 KiB pages.
@@ -440,11 +444,27 @@ func (m *Machine) Stats() (reads, writes, traps uint64) {
 // Resets returns how many times the machine has been Reset since power-on.
 func (m *Machine) Resets() uint64 { return m.resets }
 
+// Host returns what the embedding harness parked on the machine with
+// SetHost, nil when nothing is. The sim target parks the testbed kernel
+// of a machine's last run here, so the machine's next run recycles it.
+// Reset leaves the parked value in place, and a machine the pool
+// discards takes it along: nothing outside the machine keeps it.
+func (m *Machine) Host() any { return m.host }
+
+// SetHost parks h on the machine, replacing whatever was parked; nil
+// clears it.
+func (m *Machine) SetHost(h any) { m.host = h }
+
 // Reset returns the machine to its power-on state in place: memory zeroed,
 // clock at 0, timers disarmed, devices cleared, crash flag dropped. Only
 // the pages written since the last reset are scrubbed, so the cost is
 // proportional to what the previous run touched, not to the bank sizes.
-// It is the scrub reference tests check the dirty tracker against.
+// Crashed machines reset like any other: rewinding past the crash is
+// how the inject composite recycles its slot between legs. The console
+// keeps its buffer's storage, so a recycled machine does not regrow it.
+// The reset counter survives and increments, so the pool's page-audit
+// window keeps rotating across recycles. It is the scrub reference tests
+// check the dirty tracker against.
 func (m *Machine) Reset() {
 	m.dirtyRAM.scrub(m.ram)
 	m.dirtyIO.scrub(m.io)
@@ -453,7 +473,8 @@ func (m *Machine) Reset() {
 		m.timers[i] = TimerUnit{unit: i}
 	}
 	m.irqc = IRQController{}
-	m.uart = UART{}
+	m.uart.buf.Reset()
+	m.uart.written, m.uart.dropped = 0, 0
 	m.crashed, m.crashReason = false, ""
 	m.reads, m.writes, m.trapsRaised = 0, 0, 0
 	m.resets++

@@ -8,7 +8,7 @@ type PoolStats struct {
 	Reused uint64
 	// Discarded counts machines the pool refused to recycle: crashed
 	// simulators handed back via Put, and machines that failed the
-	// post-restore verification.
+	// post-reset verification.
 	Discarded uint64
 	// Steals counts Gets served from a free-list stripe other than the
 	// caller's round-robin home — cross-stripe traffic that measures how

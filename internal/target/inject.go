@@ -122,10 +122,9 @@ func (t *Inject) Execute(slot Slot, ds testgen.Dataset, spec RunSpec) Result {
 	}
 	ref := t.base.Execute(is.s, ds, spec)
 	// The injected leg must start from power-on state. Slots with the
-	// snapshot capability rewind in place — the copy-on-write analogue
-	// of the pool round-trip, producing exactly the same power-on state;
-	// anything else (or a slot that refuses the rewind) recycles through
-	// the base backend as before.
+	// SnapshotSlot capability rewind in place, producing exactly the
+	// pool round-trip's power-on state; anything else (or a slot that
+	// refuses the rewind) recycles through the base backend.
 	if ss, ok := is.s.(SnapshotSlot); !ok || ss.Restore() != nil {
 		t.base.Release(is.s)
 		is.s = t.base.Acquire()

@@ -242,7 +242,7 @@ func TestInjectedMachineVerifiesCleanAfterReset(t *testing.T) {
 			rs.MAFs = 2
 			rs.Inject = plan
 			slot := sim.Acquire()
-			m := machineOf(slot)
+			m := slot.(*simSlot).m
 			if m == nil {
 				t.Fatal("pooled sim handed out a nil machine")
 			}

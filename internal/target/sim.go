@@ -1,8 +1,8 @@
 package target
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 
 	"xmrobust/internal/cover"
 	"xmrobust/internal/dict"
@@ -24,33 +24,28 @@ func init() {
 		})
 }
 
-// Sim is the simulation backend: every test packs a fresh testbed onto a
-// simulated LEON3 machine, recycled through a copy-on-write
-// sparc.SnapshotPool, and runs the TSP system for the selected number of
-// cyclic schedules — the paper's execution environment.
+// Sim is the simulation backend: every test runs the EagleEye testbed on
+// a simulated LEON3 machine for the selected number of cyclic schedules
+// — the paper's execution environment. Machines come from a
+// sparc.SnapshotPool, which rewinds them to power-on with Reset, and each
+// machine carries the testbed kernel of its last test (sparc.Machine.Host),
+// which its next test recycles instead of rebuilding. So every test
+// boots from a clean testbed, the way the paper boots TSIM for each one,
+// and pays neither a machine allocation nor a system construction.
 type Sim struct {
-	cfg      Config
-	pool     *sparc.SnapshotPool
-	baseline *sparc.Snapshot
+	cfg  Config
+	pool *sparc.SnapshotPool
 
-	// mRestores counts in-slot snapshot restores (batch rewinds and
-	// composite-leg recycles); nil when obs is off.
+	// mRestores counts in-slot machine rewinds (between the tests of a
+	// lease and the legs of a composite); nil when obs is off.
 	mRestores *obs.Counter
-
-	// kernels parks each pooled machine's recycled testbed kernel between
-	// batch leases, so system construction amortises across a campaign
-	// rather than per lease. A parked kernel is always dirty — ExecuteBatch
-	// recycles it before first use, the same in-place reset it applies
-	// between the lease's own tests.
-	mu      sync.Mutex
-	kernels map[*sparc.Machine]*xm.Kernel
 }
 
 // NewSim builds the simulation backend.
 func NewSim(cfg Config) *Sim {
-	s := &Sim{cfg: cfg, baseline: sparc.PowerOnSnapshot(sparc.DefaultConfig())}
+	s := &Sim{cfg: cfg}
 	s.mRestores = cfg.Obs.Registry().Counter("xm_sim_slot_restores_total",
-		"In-slot snapshot restores (batch rewinds and composite-leg recycles).")
+		"In-slot machine rewinds (between a lease's tests and a composite's legs).")
 	return s
 }
 
@@ -59,7 +54,8 @@ func (s *Sim) Name() string { return SimName }
 
 // Provision sizes the machine pool to the campaign's worker parallelism.
 // It is idempotent: a target shared across engine runs keeps its warm
-// pool (and parked kernels) instead of dropping them on every campaign.
+// pool (and the kernels parked on its machines) instead of dropping them
+// on every campaign.
 func (s *Sim) Provision(workers int) error {
 	if s.pool != nil {
 		return nil
@@ -78,7 +74,7 @@ func (s *Sim) Provision(workers int) error {
 		"Machines the pool built from scratch.",
 		func() float64 { return float64(pool.Stats().Allocated) })
 	r.CounterFunc("xm_pool_reused_total",
-		"Acquires served by recycling a pooled machine (snapshot restores on the CoW pool).",
+		"Acquires served by a pooled machine rewound to power-on.",
 		func() float64 { return float64(pool.Stats().Reused) })
 	r.CounterFunc("xm_pool_discarded_total",
 		"Machines the pool refused to recycle (crashes, failed verification).",
@@ -89,51 +85,31 @@ func (s *Sim) Provision(workers int) error {
 	return nil
 }
 
+// errNoMachine fails the tests of a slot that holds no machine: the
+// pool that leases machines exists only once Provision has run.
+var errNoMachine = errors.New("target: sim slot holds no machine (Acquire before Provision)")
+
 // simSlot is the sim backend's execution slot: the leased machine (nil
-// before Provision — Execute then allocates fresh per test) and the
-// restore point backing the SnapshotSlot capability.
+// when acquired before Provision). It backs the SnapshotSlot capability.
 type simSlot struct {
 	owner *Sim
 	m     *sparc.Machine
-	snap  *sparc.Snapshot
 }
 
-// Machine exposes the slot's leased machine (nil before Provision).
-func (sl *simSlot) Machine() *sparc.Machine { return sl.m }
-
-// Snapshot captures the slot's current machine state as its restore
-// point.
-func (sl *simSlot) Snapshot() error {
-	if sl.m == nil {
-		return fmt.Errorf("target: slot holds no machine to snapshot")
-	}
-	sl.snap = sl.m.Snapshot()
-	return nil
-}
-
-// Restore rewinds the slot's machine to the last captured restore point
-// — the power-on baseline when none was captured. A crashed machine
-// rewinds like any other. Power-on restores additionally pass the reset
-// invariant check, so the restored state is exactly what a pool
-// round-trip would have certified; a captured mid-run state is restored
-// verbatim (its clock, console and devices are part of the capture, so
-// the power-on invariants deliberately do not apply).
+// Restore rewinds the slot's machine to power-on in place, crashed or
+// not, and certifies it with the reset invariants: exactly the state a
+// pool round-trip would hand out.
 func (sl *simSlot) Restore() error {
 	if sl.m == nil {
-		return fmt.Errorf("target: slot holds no machine to restore")
+		return errNoMachine
 	}
 	sl.owner.mRestores.Inc()
-	if sl.snap != nil {
-		return sl.m.RestoreSnapshot(sl.snap)
-	}
-	if err := sl.m.RestoreSnapshot(sl.owner.baseline); err != nil {
-		return err
-	}
+	sl.m.Reset()
 	return sl.m.VerifyReset()
 }
 
-// Acquire reserves an execution slot (its machine is nil before
-// Provision — Execute then allocates a fresh one per test).
+// Acquire reserves an execution slot, leasing a machine from the pool
+// (none before Provision).
 func (s *Sim) Acquire() Slot {
 	sl := &simSlot{owner: s}
 	if s.pool != nil {
@@ -142,45 +118,13 @@ func (s *Sim) Acquire() Slot {
 	return sl
 }
 
-// Release returns a slot's machine to the pool.
+// Release returns a slot's machine, and the kernel parked on it, to the
+// pool.
 func (s *Sim) Release(slot Slot) {
 	if sl, _ := slot.(*simSlot); sl != nil && sl.m != nil {
 		s.pool.Put(sl.m)
 		sl.m = nil
 	}
-}
-
-// takeKernel claims the kernel parked for m, removing it from the cache.
-// It returns nil when no kernel is parked (a fresh or replaced machine).
-func (s *Sim) takeKernel(m *sparc.Machine) *xm.Kernel {
-	if m == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := s.kernels[m]
-	if k != nil {
-		delete(s.kernels, m)
-	}
-	return k
-}
-
-// parkKernel caches m's kernel for the machine's next lease. Machines the
-// pool has discarded leave dead entries behind; the cap bounds that drift
-// by restarting the cache, which only costs the next few leases a rebuild.
-func (s *Sim) parkKernel(m *sparc.Machine, k *xm.Kernel) {
-	if m == nil || k == nil {
-		return
-	}
-	s.mu.Lock()
-	if len(s.kernels) >= 32 {
-		s.kernels = nil
-	}
-	if s.kernels == nil {
-		s.kernels = make(map[*sparc.Machine]*xm.Kernel)
-	}
-	s.kernels[m] = k
-	s.mu.Unlock()
 }
 
 // PoolStats reports the machine-pool counters (zero before Provision).
@@ -191,55 +135,44 @@ func (s *Sim) PoolStats() sparc.PoolStats {
 	return s.pool.Stats()
 }
 
-// machineOf extracts the leased machine from a slot: the sim backend's
-// own slot struct, or a bare machine handed in directly by embedders.
-func machineOf(slot Slot) *sparc.Machine {
-	switch v := slot.(type) {
-	case *simSlot:
-		return v.m
-	case *sparc.Machine:
-		return v
-	}
-	return nil
+// Execute runs one dataset against the testbed: a lease of one.
+func (s *Sim) Execute(slot Slot, ds testgen.Dataset, spec RunSpec) Result {
+	return s.ExecuteBatch(slot, []testgen.Dataset{ds}, spec)[0]
 }
 
-// ExecuteBatch runs a contiguous lease of datasets while holding one
-// slot. Between tests the machine rewinds to the power-on baseline
-// in-slot — the copy-on-write analogue of the pool's Put/Get round-trip
-// — and the testbed kernel is recycled in place rather than rebuilt, so
-// both the per-test verification baseline and the system construction
-// cost amortise across the lease. Every test still boots a fresh
-// incarnation from power-on state: results are byte-identical to a loop
-// of Execute calls. A machine the in-slot rewind cannot certify is
-// replaced through the pool, exactly as a round-trip would have
-// replaced it, and the recycled kernel is re-pointed at the
-// replacement.
+// ExecuteBatch runs a lease of datasets while holding one slot. Every
+// test boots a fresh incarnation from power-on state: between tests the
+// machine rewinds in-slot, the same Reset a pool round-trip applies, and
+// the testbed kernel is recycled in place rather than rebuilt. The
+// kernel is the one parked on the slot's machine by its last lease; a
+// machine without one (newly allocated) gets a newly built system. At
+// the end of the lease the kernel is parked on the machine again, so it
+// leaves with the machine when the pool discards it. A machine the
+// in-slot rewind cannot certify is replaced through the pool, exactly as
+// a round-trip would have replaced it, and the kernel is re-pointed at
+// the replacement. Results are byte-identical to a loop of Execute calls
+// with pool round-trips in between.
 func (s *Sim) ExecuteBatch(slot Slot, batch []testgen.Dataset, spec RunSpec) []Result {
 	out := make([]Result, len(batch))
 	sl, _ := slot.(*simSlot)
 	if sl == nil || sl.m == nil {
-		// No leased machine to rewind (unprovisioned, or a foreign
-		// slot): fall back to the single-test path per dataset.
 		for i, ds := range batch {
-			out[i] = s.Execute(slot, ds, spec)
+			out[i] = simRunErr(ds, errNoMachine)
 		}
 		return out
 	}
-	k := s.takeKernel(sl.m) // parked dirty: recycled below before use
-	var opts []xm.Option    // rebuilt only when the machine or sink changes
+	// Take the parked kernel off the machine while it runs, so a
+	// mid-lease replacement cannot Put it away with the old machine.
+	k, _ := sl.m.Host().(*xm.Kernel)
+	sl.m.SetHost(nil)
+	var opts []xm.Option // rebuilt only when the machine or sink changes
 	for i, ds := range batch {
-		if i > 0 {
-			sl.snap = nil
-			if sl.Restore() != nil {
-				// Rewind refused (layout drift, invariant failure):
-				// replace the machine through the pool's discard path.
-				s.pool.Put(sl.m)
-				sl.m = s.pool.Get()
-				opts = nil
-				if k == nil {
-					k = s.takeKernel(sl.m)
-				}
-			}
+		if i > 0 && sl.Restore() != nil {
+			// Rewind refused (an invariant failure): replace the machine
+			// through the pool's discard path.
+			s.pool.Put(sl.m)
+			sl.m = s.pool.Get()
+			opts = nil
 		}
 		var cov *cover.Map
 		if spec.Coverage {
@@ -252,21 +185,28 @@ func (s *Sim) ExecuteBatch(slot Slot, batch []testgen.Dataset, spec RunSpec) []R
 		if k == nil {
 			var err error
 			if k, err = eagleeye.NewSystem(opts...); err != nil {
-				out[i] = Result{Dataset: ds, TestPartition: eagleeye.FDIR, Target: SimName, RunErr: err.Error()}
+				out[i] = simRunErr(ds, err)
 				continue
 			}
 		} else {
 			k.Recycle(opts...)
 			if err := eagleeye.AttachOBSW(k); err != nil {
-				out[i] = Result{Dataset: ds, TestPartition: eagleeye.FDIR, Target: SimName, RunErr: err.Error()}
+				out[i] = simRunErr(ds, err)
 				k = nil
 				continue
 			}
 		}
 		out[i] = s.runOn(k, cov, ds, spec)
 	}
-	s.parkKernel(sl.m, k)
+	if k != nil {
+		sl.m.SetHost(k)
+	}
 	return out
+}
+
+// simRunErr is the log of a test the harness could not run.
+func simRunErr(ds testgen.Dataset, err error) Result {
+	return Result{Dataset: ds, TestPartition: eagleeye.FDIR, Target: SimName, RunErr: err.Error()}
 }
 
 // sysOptions assembles the construction (or recycle) options for one
@@ -274,10 +214,7 @@ func (s *Sim) ExecuteBatch(slot Slot, batch []testgen.Dataset, spec RunSpec) []R
 // coverage sink when coverage is on.
 func (s *Sim) sysOptions(m *sparc.Machine, spec RunSpec, cov *cover.Map) []xm.Option {
 	opts := make([]xm.Option, 0, 3)
-	opts = append(opts, xm.WithFaults(spec.Faults))
-	if m != nil {
-		opts = append(opts, xm.WithMachine(m))
-	}
+	opts = append(opts, xm.WithFaults(spec.Faults), xm.WithMachine(m))
 	if cov != nil {
 		opts = append(opts, xm.WithCoverage(cov))
 	}
@@ -324,28 +261,12 @@ func (p *testProg) Step(env xm.Env) bool {
 	return false
 }
 
-// Execute runs one dataset against the testbed: boot, drive the system
-// into the dataset's phantom state (when it names one — §V extension),
-// arm the fault placeholder in the FDIR partition, run the observation
-// frames and harvest the log. The machine in the slot must be in its
-// power-on state; the snapshot pool guarantees that. A slot without a
-// machine runs on a newly allocated one.
-func (s *Sim) Execute(slot Slot, ds testgen.Dataset, spec RunSpec) Result {
-	var cov *cover.Map
-	if spec.Coverage {
-		cov = &cover.Map{}
-	}
-	k, err := eagleeye.NewSystem(s.sysOptions(machineOf(slot), spec, cov)...)
-	if err != nil {
-		return Result{Dataset: ds, TestPartition: eagleeye.FDIR, Target: SimName, RunErr: err.Error()}
-	}
-	return s.runOn(k, cov, ds, spec)
-}
-
-// runOn drives one dataset on an already-constructed (or recycled)
-// testbed system: the kernel must be freshly built — no frames run, the
-// machine at power-on — with the OBSW attached and the right fault set
-// and coverage sink already wired in.
+// runOn drives one dataset on a newly built or recycled testbed system:
+// drive the system into the dataset's phantom state (when it names one —
+// §V extension), arm the fault placeholder in the FDIR partition, run
+// the observation frames and harvest the log. The kernel must have run
+// no frames, its machine at power-on, with the OBSW attached and the
+// right fault set and coverage sink already wired in.
 func (s *Sim) runOn(k *xm.Kernel, cov *cover.Map, ds testgen.Dataset, spec RunSpec) Result {
 	res := Result{Dataset: ds, TestPartition: eagleeye.FDIR, Target: SimName, Cover: cov}
 

@@ -1,14 +1,13 @@
 package target
 
 import (
-	"bytes"
 	"testing"
 
 	"xmrobust/internal/inject"
 	"xmrobust/internal/sparc"
 )
 
-// The snapshot/restore sweep of the TestResetScrubsEverything family at
+// The in-slot rewind sweep of the TestResetScrubsEverything family at
 // the target layer: whatever an execution leg does to the leased machine
 // — ordinary runs, crashed simulators, inject peek-poke flips — a slot
 // Restore must rewind it to a state the exhaustive VerifyClean scan
@@ -43,9 +42,7 @@ func TestSlotRestoreScrubsInjectedAndCrashedLegs(t *testing.T) {
 			if res.SimCrashed {
 				crashed++
 			}
-			// Rewind the leg in-slot: no captured restore point, so the
-			// power-on baseline — the batched engine's between-test path.
-			sl.snap = nil
+			// Rewind the leg in-slot: the between-test path of a lease.
 			if err := sl.Restore(); err != nil {
 				t.Fatalf("%s rank %d: restore after leg: %v", fn, rank, err)
 			}
@@ -61,65 +58,9 @@ func TestSlotRestoreScrubsInjectedAndCrashedLegs(t *testing.T) {
 	}
 }
 
-// TestSlotSnapshotOfDirtyMachineRestores captures a restore point on a
-// machine mid-campaign (dirty from a completed leg), diverges it with a
-// further leg, and checks Restore rewinds the observables — clock,
-// console, RAM — to exactly the captured point.
-func TestSlotSnapshotOfDirtyMachineRestores(t *testing.T) {
-	sim := NewSim(Config{PoolStrict: true})
-	if err := sim.Provision(1); err != nil {
-		t.Fatal(err)
-	}
-	slot := sim.Acquire()
-	defer sim.Release(slot)
-	sl := slot.(*simSlot)
-
-	// Leg one dirties the machine; its end state is the restore point.
-	if res := sim.Execute(slot, dataset(t, "XM_set_timer", 1), spec1()); res.RunErr != "" {
-		t.Fatalf("leg one: %v", res.RunErr)
-	}
-	if err := sl.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	window := sl.m.Config().RAMBase + 0x1000
-	ref, tr := sl.m.Read(window, 256)
-	if tr != nil {
-		t.Fatal(tr)
-	}
-	ref = append([]byte(nil), ref...)
-	refNow := sl.m.Now()
-	refConsole := sl.m.UART().String()
-
-	// Leg two diverges well past the capture, then crashes the machine.
-	if res := sim.Execute(slot, dataset(t, "XM_resume_partition", 2), spec1()); res.RunErr != "" {
-		t.Fatalf("leg two: %v", res.RunErr)
-	}
-	sl.m.Crash("post-snapshot crash")
-
-	if err := sl.Restore(); err != nil {
-		t.Fatal(err)
-	}
-	if crashed, _ := sl.m.Crashed(); crashed {
-		t.Fatal("restore did not rewind the crash flag")
-	}
-	if now := sl.m.Now(); now != refNow {
-		t.Fatalf("restored clock at %dus, want %d", now, refNow)
-	}
-	if got := sl.m.UART().String(); got != refConsole {
-		t.Fatalf("restored console diverges:\n got %q\nwant %q", got, refConsole)
-	}
-	got, tr := sl.m.Read(window, 256)
-	if tr != nil {
-		t.Fatal(tr)
-	}
-	if !bytes.Equal(got, ref) {
-		t.Fatal("restored RAM window diverges from the captured state")
-	}
-}
-
 // TestSlotRestoreComposesWithInjectPokes pins the Restore/FlipBit
-// composition directly: peek-poke upsets landed between capture and
-// restore (the inject target's primitives) vanish without trace.
+// composition directly: peek-poke upsets landed on a leased machine (the
+// inject target's primitives) vanish without trace.
 func TestSlotRestoreComposesWithInjectPokes(t *testing.T) {
 	sim := NewSim(Config{PoolStrict: true})
 	if err := sim.Provision(1); err != nil {
@@ -134,7 +75,6 @@ func TestSlotRestoreComposesWithInjectPokes(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		m.FlipBit(base+sparc.Addr(i)<<12, uint8(i))
 	}
-	sl.snap = nil
 	if err := sl.Restore(); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,8 @@
 //   - sim:     the simulated LEON3 machine running the XtratuM-like
 //     kernel on the EagleEye testbed — the paper's execution environment
 //     and the campaign default. Machines are recycled through a
-//     reset-and-verify pool sized by Provision.
+//     reset-and-verify pool sized by Provision, each carrying the testbed
+//     kernel its next test recycles.
 //   - phantom: a fast analytical model of the kernel as its reference
 //     manual documents it — no simulator is booted; outcomes are
 //     predicted from the dictionary's validity annotations and the ABI's
@@ -85,23 +86,22 @@ type RunSpec struct {
 }
 
 // SnapshotSlot is an optional capability of slots whose backing state
-// can be checkpointed: Snapshot captures the slot's current state as
-// its restore point, and Restore rewinds the slot to the last captured
-// point — the power-on baseline when none was captured. Composites use
-// Restore to recycle a slot between execution legs without a
-// Release/Acquire round-trip through the backend's pool; the restored
-// state is exactly what a round-trip would have produced.
+// can be rewound in place: Restore returns the slot to its power-on
+// state. Composites use it to recycle a slot between execution legs
+// without a Release/Acquire round-trip through the backend's pool; the
+// rewound state is exactly what a round-trip would have produced.
 type SnapshotSlot interface {
-	Snapshot() error
 	Restore() error
 }
 
-// BatchExecutor is an optional capability of targets that can execute a
-// contiguous lease of tests while holding one slot, amortising the
-// per-test recycle-and-verify baseline across the lease. Each dataset
-// executes with exactly Execute's semantics: the results are
-// byte-identical to a loop of Execute calls with pool round-trips in
-// between — only the verification and allocation overhead amortises,
+// BatchExecutor is an optional capability of targets that execute a
+// lease of tests while holding one slot. The campaign engine and the
+// remote worker hand every lease on such a target to one ExecuteBatch
+// call, a lease of one included; other targets get one Execute per
+// test. Each dataset executes with exactly Execute's semantics: the
+// results are byte-identical to a loop of Execute calls with pool
+// round-trips in between — only the per-test overhead amortises across
+// the lease (the slot round-trip, and for the remote client the frame),
 // never what a test observes.
 type BatchExecutor interface {
 	ExecuteBatch(slot Slot, batch []testgen.Dataset, spec RunSpec) []Result

@@ -150,16 +150,15 @@ func New(cfg Config, opts ...Option) (*Kernel, error) {
 // guest software before running frames.
 //
 // The machine is deliberately untouched: Recycle owns the host-side
-// state only, and the caller owns machine state (restore a snapshot
-// taken at the same point in the machine's life — for a kernel that has
-// run no frames, the power-on state, since construction never writes to
-// the machine). Options are re-applied after the reset, so a per-run
-// coverage sink, fault set or replacement machine can be supplied
-// exactly as to New.
+// state only, and the caller owns machine state (Reset it to power-on,
+// the state a newly constructed kernel finds, since construction never
+// writes to the machine). Options are re-applied after the reset, so a
+// per-run coverage sink, fault set or replacement machine can be
+// supplied exactly as to New.
 //
 // A recycled kernel is indistinguishable from a freshly constructed one
-// by guests and by every accessor: batch executors lean on that to reuse
-// one kernel across a lease of tests.
+// by guests and by every accessor: the sim target leans on that to run
+// every test on the kernel its machine ran last.
 func (k *Kernel) Recycle(opts ...Option) {
 	k.curPlan, k.nextPlan = 0, -1
 	k.mafCount = 0

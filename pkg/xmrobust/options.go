@@ -168,9 +168,10 @@ func WithResume() Option { return func(c *config) { c.eng.Resume = true } }
 func WithShards(n int) Option { return func(c *config) { c.eng.Shards = n } }
 
 // WithBatchSize leases contiguous runs of n tests to each engine worker
-// on targets that batch (the sim backend): the machine rewinds through a
-// copy-on-write snapshot and the testbed kernel recycles in place
-// between the lease's tests, amortising per-test setup across the run.
+// on targets that batch (sim and remote:). Every sim test already
+// rewinds its machine with Reset and recycles the testbed kernel parked
+// on it, whatever the lease size; a larger lease only amortises the
+// slot's pool round-trip and, on remote: targets, the request frame.
 // Results are byte-identical to unbatched execution — the capability's
 // contract, pinned by the engine's batching tests. Targets without the
 // capability and feedback-driven plans ignore it.
