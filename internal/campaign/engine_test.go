@@ -2,9 +2,13 @@ package campaign
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"xmrobust/internal/apispec"
@@ -226,6 +230,80 @@ func TestResumeTrimsTornShardTail(t *testing.T) {
 		if rec.Func == "XM_torn" {
 			t.Fatal("torn fragment survived the resume")
 		}
+	}
+}
+
+// failingShardStore is an in-memory store whose n-th shard Write,
+// counted over every shard it opened, fails without writing a byte.
+type failingShardStore struct {
+	*store.Mem
+	n      int64
+	writes atomic.Int64
+}
+
+func (s *failingShardStore) AppendLog(name string, trimTorn bool) (io.WriteCloser, error) {
+	w, err := s.Mem.AppendLog(name, trimTorn)
+	if err != nil {
+		return nil, err
+	}
+	return failingShardWriter{WriteCloser: w, s: s}, nil
+}
+
+type failingShardWriter struct {
+	io.WriteCloser
+	s *failingShardStore
+}
+
+func (w failingShardWriter) Write(p []byte) (int, error) {
+	if w.s.writes.Add(1) == w.s.n {
+		return 0, errors.New("injected shard write failure")
+	}
+	return w.WriteCloser.Write(p)
+}
+
+// TestFailedShardWriteIsNeverCheckpointed: a checkpoint mark promises
+// that its test's record is in a shard, so a record whose write fails
+// stays unmarked. The campaign reports the write error, and a resume
+// re-runs the unmarked tests to the bytes of an uninterrupted run.
+func TestFailedShardWriteIsNeverCheckpointed(t *testing.T) {
+	datasets := mixedSuite(t)
+	opts := Options{Workers: 1}
+
+	ref := store.NewMem()
+	if _, err := Stream(datasets, EngineOptions{Options: opts, ShardDir: "ref", Store: ref}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if _, err := MergeShardsIn(ref, "ref", &want); err != nil {
+		t.Fatal(err)
+	}
+
+	mem := store.NewMem()
+	eo := EngineOptions{Options: opts, ShardDir: "run", CheckpointPath: "run/ckpt.jsonl",
+		Store: &failingShardStore{Mem: mem, n: 3}}
+	if _, err := Stream(datasets, eo, nil); err == nil || !strings.Contains(err.Error(), "campaign: shard record") {
+		t.Fatalf("campaign with a failed shard write returned %v, want the shard record error", err)
+	}
+	data, err := mem.ReadCheckpoint("run/ckpt.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The header line, then one mark per record that reached the shard.
+	if marks := strings.Count(string(data), "\n") - 1; marks != 2 {
+		t.Fatalf("checkpoint holds %d marks, want the 2 records written before the failure:\n%s", marks, data)
+	}
+
+	eo.Store = mem
+	eo.Resume = true
+	if _, err := Stream(datasets, eo, nil); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if _, err := MergeShardsIn(mem, "run", &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Fatalf("resumed log differs from an uninterrupted run (%d vs %d bytes)", got.Len(), want.Len())
 	}
 }
 
