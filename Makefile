@@ -13,8 +13,12 @@ build:
 examples:
 	$(GO) build ./examples/...
 
+# The race run, then the engine's stop and resume tests repeated under
+# the race detector: workers and a stop interleave differently on each
+# pass, and a single pass can miss the one that breaks. CI runs this.
 test:
 	$(GO) test -race ./...
+	$(GO) test -race -count 20 -run 'Cancel|Abort|Resume' ./internal/campaign
 
 # Full benchmark run with allocation stats.
 bench:

@@ -6,8 +6,8 @@
 //
 // Every campaign streams through the pooled engine, its analysis folded
 // in as results land. By default the execution logs stay in memory. With
-// -stream DIR they are sharded into JSON Lines files under DIR, a
-// checkpoint tracks completed tests, and -resume continues an
+// -stream DIR they are sharded into JSON Lines files under DIR, one per
+// running worker, a checkpoint tracks completed tests, and -resume continues an
 // interrupted campaign from the last completed dataset. The report is
 // the same either way, and identical to an uninterrupted run's.
 //
@@ -40,7 +40,7 @@
 //	       [-plan STRATEGY] [-target BACKEND] [-seed N] [-corpus FILE]
 //	       [-inject-rate R] [-inject-sites LIST]
 //	       [-cover-stats] [-csv] [-issues] [-progress] [-list]
-//	       [-stream DIR] [-shards N] [-resume]
+//	       [-stream DIR] [-resume]
 //	       [-ops ADDR]
 //
 // -progress renders a live stderr line (done/total, tests/sec, ETA) from
@@ -77,7 +77,6 @@ func main() {
 		masking  = flag.Bool("masking", false, "append the fault-masking study (paper Fig. 7)")
 		output   = flag.String("o", "", "write the raw campaign log (JSON Lines) to this file")
 		stream   = flag.String("stream", "", "run the streaming engine, sharding the campaign log into this directory")
-		shards   = flag.Int("shards", 0, "shard writer count for -stream (0 = workers)")
 		resume   = flag.Bool("resume", false, "resume an interrupted -stream campaign from its checkpoint")
 		batch    = flag.Int("batch", 0, "tests leased per worker slot on batching targets, amortising the slot round-trip and the remote: frame (0 = one test per lease; identical results)")
 		plan     = flag.String("plan", "", "test plan: exhaustive (default), pairwise, rand:N, boundary, feedback:N, phantom (see -list)")
@@ -183,7 +182,7 @@ func main() {
 		stopProgress = progressLine(o)
 	}
 	if *stream != "" {
-		opts = append(opts, xmrobust.WithCheckpoint(*stream), xmrobust.WithShards(*shards))
+		opts = append(opts, xmrobust.WithCheckpoint(*stream))
 		if *resume {
 			opts = append(opts, xmrobust.WithResume())
 		}

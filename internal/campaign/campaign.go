@@ -78,8 +78,6 @@ type Options struct {
 	// The schedule is keyed by Seed, so one campaign seed reproduces
 	// both the plan and the fault sequence.
 	Inject inject.Params
-	// Progress, when non-nil, receives (done, total) after every test.
-	Progress func(done, total int)
 }
 
 func (o Options) withDefaults() Options {

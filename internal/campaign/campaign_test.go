@@ -5,6 +5,7 @@ import (
 
 	"xmrobust/internal/apispec"
 	"xmrobust/internal/dict"
+	"xmrobust/internal/obs"
 	"xmrobust/internal/testgen"
 	"xmrobust/internal/xm"
 )
@@ -177,24 +178,27 @@ func TestRunDatasetsParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestProgressCallback: the progress tracker behind -progress and
+// /progress counts every test of a campaign once, and tallies its
+// outcome.
 func TestProgressCallback(t *testing.T) {
 	h := apispec.Default()
 	f, _ := h.Function("XM_multicall")
 	m, _ := testgen.BuildMatrix(f, dict.Builtin())
-	var calls int
-	var last int
-	RunDatasets(m.Datasets(), Options{
-		Workers: 4,
-		Progress: func(done, total int) {
-			calls++
-			last = done
-			if total != 9 {
-				t.Errorf("total = %d, want 9", total)
-			}
-		},
-	})
-	if calls != 9 || last != 9 {
-		t.Fatalf("progress calls = %d, last = %d", calls, last)
+	o := obs.New()
+	if _, err := Stream(m.Datasets(), EngineOptions{Options: Options{Workers: 4}, Obs: o}, nil); err != nil {
+		t.Fatal(err)
+	}
+	s := o.Prog().Snapshot()
+	if s.Done != 9 || s.Total != 9 {
+		t.Fatalf("progress = %d/%d, want 9/9", s.Done, s.Total)
+	}
+	var outcomes int64
+	for _, n := range s.Outcomes {
+		outcomes += n
+	}
+	if outcomes != 9 {
+		t.Fatalf("progress tallied %d outcomes, want 9", outcomes)
 	}
 }
 

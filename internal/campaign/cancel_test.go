@@ -75,7 +75,8 @@ func TestCancelledCampaignResumesByteIdentical(t *testing.T) {
 }
 
 // TestPreCancelledContextRunsNothing: a context already done when the
-// campaign starts must stop the feeder before any lease is issued.
+// campaign starts runs no test — a lease a worker takes before the stop
+// closes the coordinator is skipped.
 func TestPreCancelledContextRunsNothing(t *testing.T) {
 	datasets := mixedSuite(t)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -1,11 +1,12 @@
 package campaign
 
-// This file is the streaming pooled execution engine: a bounded work
-// queue feeding a worker pool that executes on any registered target
-// backend (the sim target recycles simulated machines, and the kernels
-// parked on them, through a reset-and-verify pool), streams every
-// execution log over a channel into per-worker JSON Lines shards, and
-// checkpoints completed tests so an interrupted campaign resumes from
+// This file is the streaming pooled execution engine. Each worker
+// goroutine takes its next lease straight from the coordinator, executes
+// it on any registered target backend (the sim target recycles simulated
+// machines, and the kernels parked on them, through a reset-and-verify
+// pool), and encodes and writes every execution log to its own JSON
+// Lines shard. It then hands the result to the single collector, which
+// checkpoints completed tests, so an interrupted campaign resumes from
 // where it stopped. RunDatasets is the collect-to-slice step that points
 // the stream at an in-memory slice.
 
@@ -39,11 +40,11 @@ type EngineOptions struct {
 	Options
 
 	// Ctx, when non-nil, arms cooperative cancellation: once it is done
-	// the feeder stops issuing leases, queued work is skipped, in-flight
-	// tests finish (or, on a remote target the engine built, are
-	// abandoned), shards flush, and every completed test's checkpoint
-	// mark is on disk, so the cancelled campaign resumes exactly like an
-	// interrupted one. StreamPlan then returns Ctx's error
+	// the coordinator stops issuing leases, a lease already taken is
+	// skipped, in-flight tests finish (or, on a remote target the engine
+	// built, are abandoned), shards flush, and every completed test's
+	// checkpoint mark is on disk, so the cancelled campaign resumes
+	// exactly like an interrupted one. StreamPlan then returns Ctx's error
 	// (errors.Is(err, context.Canceled) distinguishes a cancel from a
 	// failure). A result the target returns Aborted was not executed,
 	// whatever the cause, and is never logged; when nobody cancelled,
@@ -56,9 +57,10 @@ type EngineOptions struct {
 	PoolStrict bool
 
 	// ShardDir, when set, streams every execution log into JSON Lines
-	// shard files <ShardDir>/shard-NNN.jsonl. Shards are opened in append
-	// mode so a resumed campaign extends them; MergeShards restores
-	// campaign order.
+	// shard files <ShardDir>/shard-NNN.jsonl, one per running worker:
+	// min(Workers, pending tests) of them, worker w writing shard w.
+	// Shards are opened in append mode so a resumed campaign extends
+	// them; MergeShards restores campaign order.
 	ShardDir string
 
 	// BatchSize leases contiguous runs of pending tests to each worker
@@ -80,9 +82,6 @@ type EngineOptions struct {
 	// instead of rebuilding it each time; Provision is idempotent on the
 	// shared instance.
 	TargetInstance target.Target
-
-	// Shards is the number of shard writers (default Workers).
-	Shards int
 
 	// CheckpointPath, when set, appends one line per completed test to a
 	// checkpoint file. With Resume, tests already recorded there are
@@ -196,14 +195,20 @@ func Stream(datasets []testgen.Dataset, eo EngineOptions, sink func(pos int, r R
 	return StreamPlan(DatasetSlice(datasets), eo, sink)
 }
 
-// StreamPlan executes a dataset source through the engine. Each completed
-// test is handed to sink (when non-nil) from a single goroutine, tagged
-// with its position in the source; neither the suite nor the results are
-// retained in memory, so a campaign's footprint no longer grows with its
-// test count. Results arrive in completion order, not campaign order.
-// Note that on a resumed run the sink only sees the tests executed by
-// this call — the skipped tests' logs live in the shard files
-// (ScanShards reads them back).
+// StreamPlan executes a dataset source through the engine. A campaign
+// runs min(Workers, pending tests) worker goroutines, one closer and the
+// collector. A worker runs each of its tests start to finish: it takes a
+// lease from the coordinator, executes it, writes every record to its
+// own shard, and hands the result to the collector. The collector marks
+// the checkpoint, feeds coverage back, and hands each completed test to
+// sink (when non-nil), tagged with its position in the source, so the
+// sink always runs on one goroutine, after the test's shard write and
+// checkpoint mark. Neither the suite nor the results are retained in
+// memory, so a campaign's footprint no longer grows with its test count.
+// Results arrive in completion order, not campaign order. Note that on a
+// resumed run the sink only sees the tests executed by this call — the
+// skipped tests' logs live in the shard files (ScanShards reads them
+// back).
 func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (EngineStats, error) {
 	opts := eo.Options.withDefaults()
 	fb, _ := src.(FeedbackSource)
@@ -254,9 +259,6 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 		// skipped tests' results would exist nowhere and the resumed run
 		// would silently lose them.
 		return stats, errors.New("campaign: resuming requires a shard directory")
-	}
-	if eo.Shards <= 0 {
-		eo.Shards = opts.Workers
 	}
 	st := eo.Store
 	if st == nil {
@@ -331,9 +333,13 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 		}()
 	}
 
+	// One worker per pending test at most, and one shard per worker:
+	// worker w owns shard w. A fresh campaign with nothing pending still
+	// opens its (zero) shards, which clears a previous run's stale ones.
+	workers := min(opts.Workers, pendingCount)
 	var writers []*shardWriter
 	if eo.ShardDir != "" {
-		if writers, err = openShards(st, eo.ShardDir, eo.Shards, eo.Resume); err != nil {
+		if writers, err = openShards(st, eo.ShardDir, workers, eo.Resume); err != nil {
 			return stats, err
 		}
 		// Checkpoint marks promise their record is on disk, so shards
@@ -347,18 +353,11 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 		return stats, closeShards(writers)
 	}
 
-	workers := opts.Workers
-	if workers > pendingCount {
-		workers = pendingCount
-	}
 	if err := tgt.Provision(workers); err != nil {
 		closeShards(writers)
 		return stats, err
 	}
 	spec := opts.runSpec()
-
-	results := make(chan posResult, workers)
-	finished := make(chan posResult, workers)
 
 	// A lease hands a worker pending positions to execute in one held
 	// slot; on a target with the BatchExecutor capability every lease,
@@ -381,45 +380,85 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 
 	// The coordinator walks the source's index space lazily — no pending
 	// list is materialised, so a billion-test plan costs the same as a
-	// small one until its tests actually run. A stop closes it: the
-	// feeder's Next returns false, the jobs channel closes, and the
-	// pipeline drains — shards flush and completed tests keep their
+	// small one until its tests actually run. A stop closes it: every
+	// worker's next Next returns false, the workers return, and the
+	// collector drains — shards flush and completed tests keep their
 	// checkpoint marks, so the stopped campaign is exactly as resumable as
 	// an interrupted one.
 	coord := NewCoordinator(total, done, batch, pendingCount, 0)
 	coord.Instrument(obs.NewLeaseMetrics(eo.Obs.Registry()), trace)
 	defer context.AfterFunc(ctx, coord.Close)()
-	// The queue holds two leases per worker, so the feeder blocks long
-	// before memory holds the plan.
-	jobs := make(chan Lease, 2*workers)
-	eo.Obs.Registry().GaugeFunc("xm_engine_queue_depth",
-		"Leases buffered between the dispatch feeder and the worker pool.",
-		func() float64 { return float64(len(jobs)) })
-	go func() {
-		defer close(jobs)
-		for {
-			lease, ok := coord.Next()
-			if !ok {
-				return
-			}
-			jobs <- lease
-		}
-	}()
 
+	// Write errors are latched, not fatal mid-flight — the campaign
+	// completes and reports the first failure.
+	var (
+		errMu    sync.Mutex
+		firstErr error
+	)
+	latch := func(err error) {
+		if err == nil {
+			return
+		}
+		errMu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		errMu.Unlock()
+	}
+
+	// Four buffered results per worker: the collector's per-test work
+	// (checkpoint mark, feedback, sink) is serial, and the slack lets the
+	// workers keep executing while it catches up instead of parking on a
+	// full channel. One slot per worker made a cold `xmfuzz -stream` run
+	// about 5% slower on a 2-vCPU host.
+	results := make(chan posResult, 4*workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		var shard *shardWriter
+		if len(writers) > 0 {
+			shard = writers[w]
+		}
+		// record logs one result of the worker's lease to its shard and
+		// hands it to the collector.
+		record := func(pos int, r Result) {
+			if r.Aborted {
+				// Not executed (the remote client was cancelled, closed or
+				// out of attempts). The result describes nothing, so it is
+				// dropped unlogged and unmarked and the position runs on
+				// resume. Unless a cancel came first, the abort stops the
+				// campaign with the target's error; a feedback plan hears
+				// of the gap like a skipped lease's.
+				stop(fmt.Errorf("campaign: test %d not executed: %s", pos, r.RunErr))
+				if fb != nil {
+					fb.Feedback(pos, nil)
+				}
+				return
+			}
+			pr := posResult{pos: pos, res: r, logged: true}
+			if shard != nil {
+				if err := shard.write(pos, r); err != nil {
+					latch(err)
+					pr.logged = false
+				}
+			}
+			results <- pr
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			dss := make([]testgen.Dataset, 0, batch)
-			for lease := range jobs {
+			for {
+				lease, ok := coord.Next()
+				if !ok {
+					return
+				}
 				dss = dss[:0]
 				for _, pos := range lease.Pos {
 					dss = append(dss, src.At(pos))
 				}
 				if ctx.Err() != nil {
-					// Stopped: skip the queued lease; it runs on resume.
-					// A feedback plan hears that its positions ran without
+					// Stopped: skip the lease; it runs on resume. A
+					// feedback plan hears that its positions ran without
 					// coverage, so the At of a later position waiting on
 					// them returns — and, checked after At, that position
 					// is skipped in turn: nothing bred from the gap runs.
@@ -436,14 +475,14 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 					r := tgt.Execute(slot, dss[0], spec)
 					tgt.Release(slot)
 					coord.Complete(lease.ID)
-					results <- posResult{pos: lease.Pos[0], res: r}
+					record(lease.Pos[0], r)
 					continue
 				}
 				rs := be.ExecuteBatch(slot, dss, spec)
 				tgt.Release(slot)
 				coord.Complete(lease.ID)
 				for i, pos := range lease.Pos {
-					results <- posResult{pos: pos, res: rs[i]}
+					record(pos, rs[i])
 				}
 			}
 		}()
@@ -453,66 +492,7 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 		close(results)
 	}()
 
-	// The shard stage: writers drain the results channel into their own
-	// shard file (or pass through when shards are off) and forward to the
-	// collector. Write errors are latched, not fatal mid-flight — the
-	// campaign completes and reports the first failure.
-	var (
-		errMu    sync.Mutex
-		firstErr error
-	)
-	latch := func(err error) {
-		if err == nil {
-			return
-		}
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	var sg sync.WaitGroup
-	stage := len(writers)
-	if stage == 0 {
-		stage = 1
-	}
-	for s := 0; s < stage; s++ {
-		sg.Add(1)
-		go func(s int) {
-			defer sg.Done()
-			for pr := range results {
-				if pr.res.Aborted {
-					// Not executed (the remote client was cancelled,
-					// closed or out of attempts). The result describes
-					// nothing, so it is dropped unlogged and unmarked and
-					// the position runs on resume. Unless a cancel came
-					// first, the abort stops the campaign with the
-					// target's error; a feedback plan hears of the gap
-					// like a skipped lease's.
-					stop(fmt.Errorf("campaign: test %d not executed: %s", pr.pos, pr.res.RunErr))
-					if fb != nil {
-						fb.Feedback(pr.pos, nil)
-					}
-					continue
-				}
-				pr.logged = true
-				if len(writers) > 0 {
-					if err := writers[s].write(pr.pos, pr.res); err != nil {
-						latch(err)
-						pr.logged = false
-					}
-				}
-				finished <- pr
-			}
-		}(s)
-	}
-	go func() {
-		sg.Wait()
-		close(finished)
-	}()
-
-	completed := stats.Skipped
-	for pr := range finished {
+	for pr := range results {
 		if ckpt != nil && pr.logged {
 			latch(ckpt.mark(pr.pos))
 		}
@@ -530,10 +510,6 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 			sink(pr.pos, pr.res)
 		}
 		stats.Executed++
-		completed++
-		if opts.Progress != nil {
-			opts.Progress(completed, total)
-		}
 	}
 	latch(closeShards(writers))
 	if ps, ok := tgt.(interface{ PoolStats() sparc.PoolStats }); ok {

@@ -13,6 +13,7 @@ import (
 
 	"xmrobust/internal/apispec"
 	"xmrobust/internal/dict"
+	"xmrobust/internal/obs"
 	"xmrobust/internal/store"
 	"xmrobust/internal/target"
 	"xmrobust/internal/testgen"
@@ -186,6 +187,24 @@ func TestFreshRunClearsStaleShards(t *testing.T) {
 	}
 	if len(records) != 3 {
 		t.Fatalf("merged log holds %d records after a 3-test fresh run", len(records))
+	}
+}
+
+// TestShardPerRunningWorker: a campaign opens one shard per worker that
+// runs, and no more workers run than there are tests, so a small plan
+// under a huge worker count opens as many shards as it has tests.
+func TestShardPerRunningWorker(t *testing.T) {
+	st := store.NewMem()
+	eo := EngineOptions{Options: Options{Workers: 64}, ShardDir: "shards", Store: st}
+	if _, err := StreamPlan(DatasetSlice(mixedSuite(t)[:2]), eo, nil); err != nil {
+		t.Fatal(err)
+	}
+	shards, err := st.ListLogs(filepath.Join("shards", ShardPattern))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shards) != 2 {
+		t.Fatalf("a 2-test campaign at 64 workers opened %d shards, want 2", len(shards))
 	}
 }
 
@@ -382,8 +401,9 @@ func TestRecordReconstruction(t *testing.T) {
 	}
 }
 
-// TestStreamBoundedQueue: one worker builds the smallest queue the
-// engine has, two leases, and still runs every test.
+// TestStreamBoundedQueue: a single worker, the smallest pool the engine
+// runs, takes every lease from the coordinator in turn and runs every
+// test.
 func TestStreamBoundedQueue(t *testing.T) {
 	datasets := mixedSuite(t)
 	var seen int
@@ -397,6 +417,9 @@ func TestStreamBoundedQueue(t *testing.T) {
 	}
 }
 
+// TestStreamProgressCountsResumedTests: a resumed campaign's progress
+// counts the tests its checkpoint restored as done, so it runs from the
+// first test after them to the campaign total.
 func TestStreamProgressCountsResumedTests(t *testing.T) {
 	datasets := mixedSuite(t)
 	dir := t.TempDir()
@@ -405,23 +428,25 @@ func TestStreamProgressCountsResumedTests(t *testing.T) {
 	if _, err := Stream(datasets, eo, nil); err != nil {
 		t.Fatal(err)
 	}
-	var first, last int
+	o := obs.New()
+	var first int64
 	eo.Limit = 0
 	eo.Resume = true
-	eo.Progress = func(done, total int) {
+	eo.Obs = o
+	stats, err := Stream(datasets, eo, func(int, Result) {
 		if first == 0 {
-			first = done
+			first = o.Prog().Snapshot().Done
 		}
-		last = done
-		if total != len(datasets) {
-			t.Errorf("total = %d, want %d", total, len(datasets))
-		}
-	}
-	if _, err := Stream(datasets, eo, nil); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if first != 6 || last != len(datasets) {
-		t.Fatalf("progress ran %d..%d, want 6..%d", first, last, len(datasets))
+	if stats.Skipped != 5 {
+		t.Fatalf("resume skipped %d tests, want 5", stats.Skipped)
+	}
+	s := o.Prog().Snapshot()
+	if first != 6 || s.Done != int64(len(datasets)) || s.Total != int64(len(datasets)) {
+		t.Fatalf("progress ran %d..%d of %d, want 6..%d of %d", first, s.Done, s.Total, len(datasets), len(datasets))
 	}
 }
 

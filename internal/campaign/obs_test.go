@@ -65,7 +65,6 @@ func TestStreamPlanObs(t *testing.T) {
 	}
 	for _, want := range []string{
 		"xm_engine_tests_executed_total 60",
-		"xm_engine_queue_depth",
 		"xm_lease_issued_total",
 		"xm_lease_completed_total",
 		"xm_engine_encode_ns_count",

@@ -230,80 +230,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// MergeFiles merges per-shard corpus files into one, deduplicating by
-// dataset identity (function name + value tuple) and keeping each
-// dataset's first occurrence in src-list order — so the merge is a pure
-// function of the source list, and a fleet of workers that each grew a
-// private corpus (the graceful degradation of feedback campaigns over
-// targets that cannot share one file) combine into the same merged
-// corpus on every machine that runs the merge. Run markers are dropped:
-// the merged file is a pool of mutation parents, not a resume journal.
-// Torn trailing lines of a source are skipped, like on attach. The
-// destination is truncated, not appended — merging is a rebuild.
-func MergeFiles(cs store.CorpusStore, dst string, srcs ...string) (int, error) {
-	type key struct {
-		fn    string
-		tuple string
-	}
-	seen := map[key]bool{}
-	var out bytes.Buffer
-	n := 0
-	for _, src := range srcs {
-		data, err := cs.ReadCorpus(src)
-		if errors.Is(err, store.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			return 0, fmt.Errorf("corpus: merge %s: %w", src, err)
-		}
-		dec := json.NewDecoder(bytes.NewReader(data))
-		for dec.More() {
-			var fe fileEntry
-			if err := dec.Decode(&fe); err != nil {
-				break // torn trailing line
-			}
-			if fe.Run != "" {
-				continue
-			}
-			k := key{fn: fe.Func, tuple: fmt.Sprint(fe.Tuple)}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			line, _ := json.Marshal(fe)
-			out.Write(append(line, '\n'))
-			n++
-		}
-	}
-	// Rebuild via the checkpoint surface: CreateCheckpoint is the store's
-	// truncate-and-write primitive, and a corpus rebuild wants exactly
-	// that, not an append.
-	w, err := createCorpus(cs, dst)
-	if err != nil {
-		return 0, fmt.Errorf("corpus: merge: %w", err)
-	}
-	if _, err := w.Write(out.Bytes()); err != nil {
-		w.Close()
-		return 0, fmt.Errorf("corpus: merge: %w", err)
-	}
-	return n, w.Close()
-}
-
-// createCorpus truncates dst. Stores expose truncation on the
-// checkpoint surface; plain CorpusStores fall back to remove-and-append
-// when they also serve logs, and append-only stores merge additively.
-func createCorpus(cs store.CorpusStore, dst string) (io.WriteCloser, error) {
-	if c, ok := cs.(store.CheckpointStore); ok {
-		return c.CreateCheckpoint(dst)
-	}
-	if l, ok := cs.(store.LogStore); ok {
-		if err := l.RemoveLog(dst); err != nil {
-			return nil, err
-		}
-	}
-	return cs.AppendCorpus(dst)
-}
-
 // tupleFits validates a tuple against a matrix's shape.
 func tupleFits(m testgen.Matrix, tuple []int) bool {
 	if len(tuple) != len(m.Rows) {

@@ -9,7 +9,6 @@ import (
 	"xmrobust/internal/apispec"
 	"xmrobust/internal/cover"
 	"xmrobust/internal/dict"
-	"xmrobust/internal/store"
 	"xmrobust/internal/testgen"
 )
 
@@ -232,82 +231,5 @@ func TestMutateTupleDeterministic(t *testing.T) {
 				t.Fatalf("iteration %d: %v vs %v", i, ca, cb)
 			}
 		}
-	}
-}
-
-// TestMergeFilesDeterministic: merging per-shard corpora dedupes by
-// dataset, keeps first occurrence in src order, drops run markers, and
-// yields byte-identical output regardless of how often it runs.
-func TestMergeFilesDeterministic(t *testing.T) {
-	suite := testSuite(t)
-	dir := t.TempDir()
-	shardA := filepath.Join(dir, "corpus.0.jsonl")
-	shardB := filepath.Join(dir, "corpus.1.jsonl")
-	dst := filepath.Join(dir, "corpus.jsonl")
-
-	tupleA := make([]int, len(suite[0].Rows))
-	tupleB := make([]int, len(suite[1].Rows))
-	tupleC := append([]int(nil), tupleA...)
-	tupleC[len(tupleC)-1] = 1
-
-	sa := NewStore(suite)
-	if err := sa.AttachFile(shardA, "shard-0"); err != nil {
-		t.Fatal(err)
-	}
-	sa.Admit(0, tupleA, mapOf(1, 2))
-	sa.Admit(1, tupleB, mapOf(3))
-	sa.Close()
-
-	sb := NewStore(suite)
-	if err := sb.AttachFile(shardB, "shard-1"); err != nil {
-		t.Fatal(err)
-	}
-	sb.Admit(0, tupleA, mapOf(1, 2)) // duplicate of shard 0's first member
-	sb.Admit(0, tupleC, mapOf(4))
-	sb.Close()
-
-	cs := store.Local()
-	n, err := MergeFiles(cs, dst, shardA, shardB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("merged %d entries, want 3 (duplicate dropped)", n)
-	}
-	first, err := os.ReadFile(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(first), `"run"`) {
-		t.Fatal("merged corpus still carries run markers")
-	}
-
-	// The merged file loads as plain parents for a new campaign.
-	s := NewStore(suite)
-	if err := s.AttachFile(dst, "campaign-merged"); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	if s.Loaded() != 3 {
-		t.Fatalf("merged corpus loaded %d parents, want 3", s.Loaded())
-	}
-
-	// Re-merging produces the identical file: the merge is a rebuild,
-	// not an append, and first-occurrence order is stable. (The load
-	// above appended a run marker; the rebuild must discard it.)
-	if _, err := MergeFiles(cs, dst, shardA, shardB); err != nil {
-		t.Fatal(err)
-	}
-	again, err := os.ReadFile(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(first) != string(again) {
-		t.Fatalf("re-merge changed the file:\n--- first\n%s--- again\n%s", first, again)
-	}
-
-	// A missing shard is an empty shard, not an error.
-	if n, err := MergeFiles(cs, dst, shardA, filepath.Join(dir, "corpus.9.jsonl")); err != nil || n != 2 {
-		t.Fatalf("merge with missing shard = (%d, %v), want (2, nil)", n, err)
 	}
 }

@@ -67,8 +67,6 @@ type Submission struct {
 	MAFs int `json:"mafs,omitempty"`
 	// Workers is the engine parallelism (0: GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-	// Shards is the shard-writer count (0: workers).
-	Shards int `json:"shards,omitempty"`
 	// Batch leases contiguous runs of tests per worker slot on batching
 	// targets, amortising the slot round-trip and, on remote: targets,
 	// the request frame (0: one test per lease; results identical
@@ -349,7 +347,6 @@ func (s *Server) run(j *job) {
 		Ctx:            j.ctx,
 		ShardDir:       j.dir,
 		CheckpointPath: filepath.Join(j.dir, checkpointName),
-		Shards:         j.sub.Shards,
 		BatchSize:      j.sub.Batch,
 		Limit:          j.sub.Limit,
 		Store:          s.st,

@@ -396,18 +396,19 @@ func TestServiceValidation(t *testing.T) {
 			t.Errorf("submission %+v: status %d, want 400", sub, code)
 		}
 	}
-	// Fields the service does not know, such as a codec selector, are
-	// refused rather than silently ignored.
-	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json",
-		strings.NewReader(`{"plan":"rand:2","codec":"raw"}`))
-	if err != nil {
-		t.Fatal(err)
+	// Fields the service does not know, such as a codec selector or a
+	// shard count, are refused rather than silently ignored.
+	for _, body := range []string{`{"plan":"rand:2","codec":"raw"}`, `{"plan":"rand:2","shards":4}`} {
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submission %s: status %d, want 400", body, resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("submission with a codec field: status %d, want 400", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + "/v1/campaigns/c999999")
+	resp, err := http.Get(ts.URL + "/v1/campaigns/c999999")
 	if err != nil {
 		t.Fatal(err)
 	}

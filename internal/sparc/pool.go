@@ -10,9 +10,9 @@ type PoolStats struct {
 	// simulators handed back via Put, and machines that failed the
 	// post-reset verification.
 	Discarded uint64
-	// Steals counts Gets served from a free-list stripe other than the
-	// caller's round-robin home — cross-stripe traffic that measures how
-	// well the striping spreads the workers.
+	// Steals is always 0: the pool keeps one free list, so no Get is
+	// served from another's. The field stays because the perfbench
+	// module, which changes only together with its benchmark, sums it.
 	Steals uint64
 }
 

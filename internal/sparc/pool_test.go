@@ -88,36 +88,7 @@ func TestPoolCapsRetention(t *testing.T) {
 	if got := p.Get(); got != a {
 		t.Fatal("expected the one retained machine")
 	}
-	if got := p.free.get(); got != nil {
+	if got := p.pop(); got != nil {
 		t.Fatalf("free list still holds %p", got)
-	}
-}
-
-// TestShardsRetainAcrossStripes: a machine put while one stripe is full
-// overflows to another instead of being dropped, and get steals from
-// whatever stripe holds one.
-func TestShardsRetainAcrossStripes(t *testing.T) {
-	s := newMachineShardsN(4, 4)
-	cfg := DefaultConfig()
-	machines := make(map[*Machine]bool)
-	for i := 0; i < 4; i++ {
-		m := NewMachine(cfg)
-		machines[m] = true
-		if !s.put(m) {
-			t.Fatalf("put %d refused with capacity for 4", i)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		m := s.get()
-		if m == nil {
-			t.Fatalf("get %d found nothing with 4 machines pooled", i)
-		}
-		if !machines[m] {
-			t.Fatalf("get %d returned a machine never put", i)
-		}
-		delete(machines, m)
-	}
-	if s.get() != nil {
-		t.Fatal("empty shards returned a machine")
 	}
 }

@@ -1,5 +1,10 @@
 package sparc
 
+import (
+	"sync"
+	"sync/atomic"
+)
+
 // auditStride is how many recycles separate two rotating page audits.
 // The audit exists to surface dirty-tracking bugs, which Reset's scrub
 // shares with every other user of the bitmaps, so it can be spread over
@@ -23,31 +28,27 @@ const auditStride = 8
 // The pool holds no snapshot. The name is held because the perfbench
 // module, which changes only together with its benchmark, builds one.
 //
-// The free list is striped and the counters are atomic, so concurrent
-// workers contend on disjoint stripes instead of one mutex (see
-// machineShards and BenchmarkPoolContention).
+// The free list is one LIFO stack under one mutex, so a worker usually
+// gets back the cache-warm machine it just returned. The counters are
+// atomics, read without the lock.
 type SnapshotPool struct {
 	cfg    Config
 	strict bool
-	free   *machineShards
-	stats  poolCounters
+	max    int // idle machines retained (<= 0: unbounded)
+
+	mu   sync.Mutex
+	free []*Machine
+
+	allocated atomic.Uint64
+	reused    atomic.Uint64
+	discarded atomic.Uint64
 }
 
 // NewSnapshotPool builds a pool recycling machines with the given
 // layout. max bounds how many idle machines are retained (<= 0:
 // unbounded, callers are a fixed worker set).
 func NewSnapshotPool(cfg Config, max int) *SnapshotPool {
-	return newSnapshotPoolStripes(cfg, max, 0)
-}
-
-// newSnapshotPoolStripes is NewSnapshotPool with an explicit free-list
-// stripe count (0: size from max) — the contention benchmark's A/B knob.
-func newSnapshotPoolStripes(cfg Config, max, stripes int) *SnapshotPool {
-	free := newMachineShards(max)
-	if stripes > 0 {
-		free = newMachineShardsN(max, stripes)
-	}
-	return &SnapshotPool{cfg: cfg, free: free}
+	return &SnapshotPool{cfg: cfg, max: max}
 }
 
 // SetStrict selects exhaustive VerifyClean scans on every recycle. This
@@ -58,7 +59,7 @@ func (p *SnapshotPool) SetStrict(v bool) { p.strict = v }
 // Get returns a machine in its power-on state: a rewound one when the
 // reset-and-verify cycle succeeds, a fresh allocation otherwise.
 func (p *SnapshotPool) Get() *Machine {
-	if m := p.free.get(); m != nil {
+	if m := p.pop(); m != nil {
 		m.Reset()
 		err := m.VerifyReset()
 		if err == nil {
@@ -69,32 +70,55 @@ func (p *SnapshotPool) Get() *Machine {
 			}
 		}
 		if err == nil {
-			p.stats.reused.Add(1)
+			p.reused.Add(1)
 			return m
 		}
-		p.stats.discarded.Add(1)
+		p.discarded.Add(1)
 	}
-	p.stats.allocated.Add(1)
+	p.allocated.Add(1)
 	return NewMachine(p.cfg)
+}
+
+// pop takes the most recently returned machine off the free list, or
+// returns nil when the list is empty.
+func (p *SnapshotPool) pop() *Machine {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	m := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return m
 }
 
 // Put hands a machine back for recycling. Crashed simulators are
 // discarded — the contract of Crash is that the embedding harness must
 // not trust them again — as is anything built with a different layout.
+// A machine handed back while max idle machines are already pooled is
+// dropped.
 func (p *SnapshotPool) Put(m *Machine) {
 	if m == nil {
 		return
 	}
 	if crashed, _ := m.Crashed(); crashed || m.Config() != p.cfg {
-		p.stats.discarded.Add(1)
+		p.discarded.Add(1)
 		return
 	}
-	p.free.put(m)
+	p.mu.Lock()
+	if p.max <= 0 || len(p.free) < p.max {
+		p.free = append(p.free, m)
+	}
+	p.mu.Unlock()
 }
 
 // Stats snapshots the pool counters.
 func (p *SnapshotPool) Stats() PoolStats {
-	st := p.stats.snapshot()
-	st.Steals = p.free.steals.Load()
-	return st
+	return PoolStats{
+		Allocated: p.allocated.Load(),
+		Reused:    p.reused.Load(),
+		Discarded: p.discarded.Load(),
+	}
 }

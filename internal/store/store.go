@@ -1,13 +1,18 @@
-// Package store is the persistence seam of the campaign stack: every
-// byte a campaign durably writes — checkpoint marks, log shards, corpus
-// admissions — flows through one of three narrow interfaces instead of
-// direct file I/O. The local filesystem implementation (FS) reproduces
-// exactly what the engine did before the seam existed; the in-memory
-// implementation (Mem) backs tests and embedders that want no disk at
-// all. The seam is what lets shards live on different machines: a
-// distributed campaign points the engine at a store whose names resolve
-// somewhere else, and resume, merge and feedback keep working because
-// none of them ever knew about *os.File.
+// Package store is the persistence seam of the campaign stack: the
+// checkpoint marks and log shards a campaign writes flow through the
+// campaign's store instead of direct file I/O. The local filesystem
+// implementation (FS) reproduces exactly what the engine did before the
+// seam existed; the in-memory implementation (Mem) backs tests and
+// embedders that want no disk at all. The seam is what lets shards live
+// on different machines: a distributed campaign points the engine at a
+// store whose names resolve somewhere else, and resume (a feedback
+// plan's coverage replay included) and merge keep working because none
+// of them ever knew about *os.File.
+//
+// The feedback corpus is the exception. CorpusStore is its interface,
+// but a campaign attaches its corpus file through the FS store whatever
+// store the campaign uses, so the corpus file always lands on the local
+// disk.
 //
 // All three interfaces speak names, not paths: a name is an opaque
 // string the store resolves (the FS store treats it as a filesystem

@@ -113,7 +113,6 @@ func (d *Diff) PoolStats() sparc.PoolStats {
 			out.Allocated += st.Allocated
 			out.Reused += st.Reused
 			out.Discarded += st.Discarded
-			out.Steals += st.Steals
 		}
 	}
 	return out

@@ -79,9 +79,6 @@ func (s *Sim) Provision(workers int) error {
 	r.CounterFunc("xm_pool_discarded_total",
 		"Machines the pool refused to recycle (crashes, failed verification).",
 		func() float64 { return float64(pool.Stats().Discarded) })
-	r.CounterFunc("xm_pool_steals_total",
-		"Acquires served from a free-list stripe other than the caller's home.",
-		func() float64 { return float64(pool.Stats().Steals) })
 	return nil
 }
 

@@ -48,9 +48,9 @@ type (
 	// FaultSet selects the kernel version under test.
 	FaultSet = xm.FaultSet
 	// Store is the persistence seam of checkpointed campaigns: where
-	// checkpoints, log shards and corpus files live (WithStore). The
-	// default is the local filesystem; NewMemStore keeps everything in
-	// memory.
+	// checkpoints and log shards live (WithStore). The default is the
+	// local filesystem; NewMemStore keeps them in memory. A WithCorpus
+	// file always lives on the local filesystem.
 	Store = store.Store
 )
 

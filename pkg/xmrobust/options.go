@@ -146,12 +146,6 @@ func WithDict(d *Dictionary) Option { return func(c *config) { c.opts.Dict = d }
 // WithFunction restricts the campaign to one hypercall.
 func WithFunction(name string) Option { return func(c *config) { c.fn = name } }
 
-// WithProgress installs a (done, total) callback invoked after every
-// test.
-func WithProgress(fn func(done, total int)) Option {
-	return func(c *config) { c.opts.Progress = fn }
-}
-
 // WithCheckpoint keeps the campaign's execution logs on disk instead
 // of in memory: they land in JSON Lines shards under dir, and a
 // checkpoint file tracks completed tests so WithResume continues an
@@ -162,10 +156,6 @@ func WithCheckpoint(dir string) Option { return func(c *config) { c.eng.ShardDir
 // WithResume resumes an interrupted campaign from its WithCheckpoint
 // state. The checkpoint refuses a plan, seed or target mismatch by name.
 func WithResume() Option { return func(c *config) { c.eng.Resume = true } }
-
-// WithShards sets the shard-writer count of a checkpointed campaign
-// (default: the worker count).
-func WithShards(n int) Option { return func(c *config) { c.eng.Shards = n } }
 
 // WithBatchSize leases contiguous runs of n tests to each engine worker
 // on targets that batch (sim and remote:). Every sim test already
@@ -183,10 +173,13 @@ func WithBatchSize(n int) Option { return func(c *config) { c.eng.BatchSize = n 
 // rest.
 func WithLimit(n int) Option { return func(c *config) { c.eng.Limit = n } }
 
-// WithStore routes a checkpointed campaign's persistence — checkpoint,
-// log shards, corpus — through the given store instead of the local
-// filesystem. The seam distributed campaigns use when shards live away
-// from the coordinating process; NewMemStore() gives ephemeral runs.
+// WithStore routes a checkpointed campaign's checkpoint and log shards
+// through the given store instead of the local filesystem. The seam
+// distributed campaigns use when shards live away from the coordinating
+// process; NewMemStore() gives ephemeral runs. The feedback corpus file
+// does not follow it: WithCorpus always opens its file on the local
+// filesystem, so WithStore(NewMemStore()) plus WithCorpus(path) still
+// writes path to disk.
 func WithStore(s Store) Option { return func(c *config) { c.eng.Store = s } }
 
 // WithObs attaches an observability handle to the campaign: the engine,
