@@ -7,9 +7,9 @@
 // Every campaign streams through the pooled engine, its analysis folded
 // in as results land. By default the execution logs stay in memory. With
 // -stream DIR they are sharded into JSON Lines files under DIR, one per
-// running worker, a checkpoint tracks completed tests, and -resume continues an
-// interrupted campaign from the last completed dataset. The report is
-// the same either way, and identical to an uninterrupted run's.
+// running worker, a checkpoint tracks completed tests, and -resume
+// continues an interrupted campaign from the last completed dataset. The
+// report is the same either way, and identical to an uninterrupted run's.
 //
 // xmfuzz exits 0 when the campaign executed cleanly (robustness findings
 // are its product, not an error), 1 on campaign/harness errors, 2 on
