@@ -183,16 +183,20 @@ daemon-smoke:
 	$(GO) test -race -count 1 ./internal/serve
 
 # Short fuzz runs over the codec round-trip property (the raw codec must
-# agree with encoding/json byte for byte on arbitrary records) and over
+# agree with encoding/json byte for byte on arbitrary records), over
 # the remote worker's request-frame decoder (arbitrary bytes never panic, no
 # count outruns the bytes that carry it, and what decodes re-encodes
-# unchanged):
-# long enough to shake out encoding regressions, short enough for every
-# CI run. The corpus under internal/campaign/testdata stays checked in.
-# CI runs this.
+# unchanged) and over the simulated machine's memory (FuzzMachineMemory:
+# the paged banks must agree with a flat reference on every read, trap,
+# counter and dirty page of an arbitrary sequence of stores, loads, flips
+# and resets):
+# long enough to shake out encoding and paging regressions, short enough
+# for every CI run. The corpus under internal/campaign/testdata stays
+# checked in. CI runs this.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONRecordRoundTrip$$' -fuzztime 10s ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestFrame$$' -fuzztime 10s ./internal/remote
+	$(GO) test -run '^$$' -fuzz '^FuzzMachineMemory$$' -fuzztime 10s ./internal/sparc
 
 # The invariant lint suite: cmd/xmlint is a go vet tool (see
 # internal/lint) checking determinism, obsnil, registry and seqfield.

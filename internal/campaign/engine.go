@@ -113,6 +113,24 @@ type EngineOptions struct {
 	Obs *obs.Obs
 }
 
+// Validate refuses a negative count: MAFs, Workers, BatchSize or Limit
+// below zero is an error naming the field, where the engine would
+// otherwise run the default as if the field were unset. Zero keeps
+// selecting each one's default. Entry points call it before they build
+// anything: the pkg/xmrobust facade (and so xmfuzz) and the daemon's
+// Submit.
+func (eo EngineOptions) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		n    int
+	}{{"mafs", eo.MAFs}, {"workers", eo.Workers}, {"batch", eo.BatchSize}, {"limit", eo.Limit}} {
+		if f.n < 0 {
+			return fmt.Errorf("campaign: %s %d is negative (0 selects the default)", f.name, f.n)
+		}
+	}
+	return nil
+}
+
 // EngineStats reports what one Stream call did.
 type EngineStats struct {
 	// Total is the campaign size; Executed ran this call; Skipped were

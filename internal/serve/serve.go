@@ -253,6 +253,9 @@ func (s *Server) Submit(sub Submission, client string) (Status, error) {
 	if sub.Patched {
 		opts.Faults = xm.PatchedFaults()
 	}
+	if err := (campaign.EngineOptions{Options: opts, BatchSize: sub.Batch, Limit: sub.Limit}).Validate(); err != nil {
+		return Status{}, &submitError{400, err.Error()}
+	}
 	if sub.InjectRate != 0 || len(sub.InjectSites) > 0 {
 		// Negated form so NaN fails too (the library's WithInjection
 		// check).

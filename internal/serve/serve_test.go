@@ -391,6 +391,10 @@ func TestServiceValidation(t *testing.T) {
 		{Plan: "bogus:plan"},
 		{Target: "bogus"},
 		{Target: "inject:sim", InjectRate: 2},
+		{Plan: "rand:2", MAFs: -5},
+		{Plan: "rand:2", Workers: -3},
+		{Plan: "rand:2", Batch: -7},
+		{Plan: "rand:2", Limit: -1},
 	} {
 		if _, code := trySubmit(t, ts.URL, sub); code != http.StatusBadRequest {
 			t.Errorf("submission %+v: status %d, want 400", sub, code)

@@ -3,6 +3,7 @@ package sparc
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Time is virtual time in microseconds since machine power-on. The whole
@@ -48,11 +49,17 @@ func DefaultConfig() Config {
 // plays the role of TSIM in the paper's test setup, including TSIM's
 // failure mode: Crash marks the simulator itself dead, distinct from any
 // guest or kernel failure.
+//
+// Memory is paged: each bank is a table of 4 KiB pages, and a page gets
+// storage on its first store. A page nothing has stored to reads as zero
+// and costs one nil pointer, so a machine's footprint is its page tables
+// plus the pages its runs have actually touched, not the sizes of its
+// banks.
 type Machine struct {
 	cfg Config
-	rom []byte
-	ram []byte
-	io  []byte
+	// ROM has a page table but never a page: stores to it trap and flips
+	// refuse it, so it reads as zero.
+	rom, ram, io bank
 
 	now    Time
 	timers [NumTimerUnits]TimerUnit
@@ -62,49 +69,98 @@ type Machine struct {
 	crashed     bool
 	crashReason string
 
-	// dirtyRAM/dirtyIO track which pages of the writable banks have been
-	// stored to since power-on (or the last Reset), so Reset scrubs only
-	// what a run actually touched instead of the whole bank. ROM needs no
-	// tracking: writes to it trap.
-	dirtyRAM dirtySet
-	dirtyIO  dirtySet
-
 	// stats
 	reads, writes, trapsRaised uint64
 	resets                     uint64
+
+	// auditNext is where the next AuditPages window starts: an index
+	// into the allocated pages of RAM, then I/O.
+	auditNext int
 
 	// host is what the embedding harness parks on the machine between
 	// runs (see Host). It is not machine state: Reset leaves it alone.
 	host any
 }
 
-// dirtyPageShift sets the dirty-tracking granularity: 4 KiB pages.
-const dirtyPageShift = 12
+// pageShift sets the page size of the banks: 4 KiB. A page is the unit
+// of storage and of dirty tracking alike.
+const pageShift = 12
 
-// DirtyPageSize is the dirty-tracking granularity in bytes — the page
-// size DirtyPages addresses are aligned to.
-const DirtyPageSize = 1 << dirtyPageShift
+// DirtyPageSize is the page size in bytes: the granularity of storage and
+// dirty tracking, and the alignment of DirtyPages addresses.
+const DirtyPageSize = 1 << pageShift
 
-// dirtySet is a page-granular dirty bitmap over one memory bank.
-type dirtySet []uint64
+// pageMask extracts the offset within a page.
+const pageMask = DirtyPageSize - 1
 
-func newDirtySet(bankSize uint32) dirtySet {
-	pages := (uint64(bankSize) + (1 << dirtyPageShift) - 1) >> dirtyPageShift
-	return make(dirtySet, (pages+63)/64)
+// page is the storage of one bank page.
+type page = [DirtyPageSize]byte
+
+// bank is one memory bank as a table of pages. A nil entry is a page
+// that was never stored to; it has no storage and reads as zero. dirty
+// marks the pages stored to since power-on or the last Reset, which
+// Reset zeroes in place. A page, once allocated, stays allocated for the
+// machine's lifetime, and alloc lists the allocated pages in allocation
+// order for the scans that must see every byte that can be non-zero.
+type bank struct {
+	pages []*page
+	dirty []uint64
+	alloc []uint32
 }
 
-// mark records that [off, off+size) was written.
-func (d dirtySet) mark(off uint64, size uint32) {
-	first := off >> dirtyPageShift
-	last := (off + uint64(size) - 1) >> dirtyPageShift
-	for p := first; p <= last; p++ {
-		d[p/64] |= 1 << (p % 64)
+func newBank(size uint32) bank {
+	n := (uint64(size) + pageMask) >> pageShift
+	return bank{pages: make([]*page, n), dirty: make([]uint64, (n+63)/64)}
+}
+
+// storage returns page i's storage, allocating it on first use. It does
+// not mark the page dirty; stores go through store.
+func (b *bank) storage(i uint64) *page {
+	p := b.pages[i]
+	if p == nil {
+		p = new(page)
+		b.pages[i] = p
+		b.alloc = append(b.alloc, uint32(i))
+	}
+	return p
+}
+
+// store returns page i's storage for a store: allocated on first touch
+// and marked dirty in the same step, so no store escapes Reset.
+func (b *bank) store(i uint64) *page {
+	b.dirty[i/64] |= 1 << (i % 64)
+	return b.storage(i)
+}
+
+// read copies the bytes at in-bank offset off into dst, split at page
+// boundaries; a page with no storage reads as zero.
+func (b *bank) read(off uint64, dst []byte) {
+	for len(dst) > 0 {
+		in := off & pageMask
+		n := min(uint64(len(dst)), DirtyPageSize-in)
+		if p := b.pages[off>>pageShift]; p != nil {
+			copy(dst[:n], p[in:])
+		} else {
+			clear(dst[:n])
+		}
+		dst = dst[n:]
+		off += n
 	}
 }
 
-// empty reports whether no page is marked.
-func (d dirtySet) empty() bool {
-	for _, w := range d {
+// write stores src at in-bank offset off, split at page boundaries.
+func (b *bank) write(off uint64, src []byte) {
+	for len(src) > 0 {
+		p := b.store(off >> pageShift)
+		n := copy(p[off&pageMask:], src)
+		src = src[n:]
+		off += uint64(n)
+	}
+}
+
+// clean reports whether no page is dirty.
+func (b *bank) clean() bool {
+	for _, w := range b.dirty {
 		if w != 0 {
 			return false
 		}
@@ -112,41 +168,45 @@ func (d dirtySet) empty() bool {
 	return true
 }
 
-// scrub zeroes every marked page of mem and clears the set.
-func (d dirtySet) scrub(mem []byte) {
-	for wi, w := range d {
-		if w == 0 {
-			continue
+// reset zeroes every dirty page in place and clears the dirty set. The
+// pages keep their storage for the machine's next run.
+func (b *bank) reset() {
+	for wi, w := range b.dirty {
+		for ; w != 0; w &= w - 1 {
+			clear(b.pages[wi*64+bits.TrailingZeros64(w)][:])
 		}
-		for b := 0; b < 64; b++ {
-			if w&(1<<b) == 0 {
-				continue
-			}
-			start := (uint64(wi)*64 + uint64(b)) << dirtyPageShift
-			end := start + (1 << dirtyPageShift)
-			if end > uint64(len(mem)) {
-				end = uint64(len(mem))
-			}
-			clear(mem[start:end])
-		}
-		d[wi] = 0
+		b.dirty[wi] = 0
 	}
 }
 
-// NewMachine powers on a machine with the given layout. Memory is zeroed,
-// the clock is at 0, timers are disarmed.
+// residue returns the offset of p's first non-zero byte, or -1 when the
+// page is all zero. The scan is word-wise; a hit is pinned down to the
+// byte.
+func residue(p *page) int {
+	for off := 0; off < len(p); off += 8 {
+		if binary.NativeEndian.Uint64(p[off:]) != 0 {
+			for p[off] == 0 {
+				off++
+			}
+			return off
+		}
+	}
+	return -1
+}
+
+// NewMachine powers on a machine with the given layout. Memory reads as
+// zero, the clock is at 0, timers are disarmed. Only the page tables are
+// allocated; pages come with the first store to them.
 func NewMachine(cfg Config) *Machine {
 	m := &Machine{
 		cfg: cfg,
-		rom: make([]byte, cfg.ROMSize),
-		ram: make([]byte, cfg.RAMSize),
-		io:  make([]byte, cfg.IOSize),
+		rom: newBank(cfg.ROMSize),
+		ram: newBank(cfg.RAMSize),
+		io:  newBank(cfg.IOSize),
 	}
 	for i := range m.timers {
 		m.timers[i].unit = i
 	}
-	m.dirtyRAM = newDirtySet(cfg.RAMSize)
-	m.dirtyIO = newDirtySet(cfg.IOSize)
 	return m
 }
 
@@ -235,20 +295,27 @@ func (m *Machine) nextDue(limit Time) (int, Time) {
 	return best, bestAt
 }
 
-// backing resolves a physical address range to its backing store, or nil if
-// the range is not backed (a bus error on real hardware). Straight-line
-// bank checks: this sits under every memory access of the simulator.
-func (m *Machine) backing(addr Addr, size uint32) []byte {
-	if off, ok := bankOffset(addr, size, m.cfg.RAMBase, m.ram); ok {
-		return m.ram[off : off+uint64(size)]
+// backing resolves a physical address range to the bank holding all of
+// it and the offset of addr in that bank, or nil if no bank does (a bus
+// error on real hardware). Straight-line bank checks: this sits under
+// every memory access of the simulator.
+func (m *Machine) backing(addr Addr, size uint32) (*bank, uint64) {
+	if off, ok := bankOffset(addr, size, m.cfg.RAMBase, m.cfg.RAMSize); ok {
+		return &m.ram, off
 	}
-	if off, ok := bankOffset(addr, size, m.cfg.ROMBase, m.rom); ok {
-		return m.rom[off : off+uint64(size)]
+	if off, ok := bankOffset(addr, size, m.cfg.ROMBase, m.cfg.ROMSize); ok {
+		return &m.rom, off
 	}
-	if off, ok := bankOffset(addr, size, m.cfg.IOBase, m.io); ok {
-		return m.io[off : off+uint64(size)]
+	if off, ok := bankOffset(addr, size, m.cfg.IOBase, m.cfg.IOSize); ok {
+		return &m.io, off
 	}
-	return nil
+	return nil, 0
+}
+
+// bankOffset resolves addr against one bank, returning the in-bank offset.
+func bankOffset(addr Addr, size uint32, base Addr, bankSize uint32) (uint64, bool) {
+	off := uint64(addr) - uint64(base)
+	return off, uint64(addr) >= uint64(base) && off+uint64(size) <= uint64(bankSize)
 }
 
 // Read reads size bytes at addr into a fresh slice, returning a
@@ -258,13 +325,13 @@ func (m *Machine) backing(addr Addr, size uint32) []byte {
 // buffer use ReadInto and skip the allocation.
 func (m *Machine) Read(addr Addr, size uint32) ([]byte, *Trap) {
 	m.reads++
-	b := m.backing(addr, size)
+	b, off := m.backing(addr, size)
 	if b == nil {
 		m.trapsRaised++
 		return nil, DataAccessTrap(addr, PermRead, "bus error: unbacked address")
 	}
 	out := make([]byte, size)
-	copy(out, b)
+	b.read(off, out)
 	return out, nil
 }
 
@@ -273,65 +340,46 @@ func (m *Machine) Read(addr Addr, size uint32) ([]byte, *Trap) {
 // bus and trap accounting is identical to Read's.
 func (m *Machine) ReadInto(addr Addr, buf []byte) *Trap {
 	m.reads++
-	b := m.backing(addr, uint32(len(buf)))
+	b, off := m.backing(addr, uint32(len(buf)))
 	if b == nil {
 		m.trapsRaised++
 		return DataAccessTrap(addr, PermRead, "bus error: unbacked address")
 	}
-	copy(buf, b)
+	b.read(off, buf)
 	return nil
 }
 
-// bankOffset resolves addr against one bank, returning the in-bank offset.
-func bankOffset(addr Addr, size uint32, base Addr, mem []byte) (uint64, bool) {
-	off := uint64(addr) - uint64(base)
-	return off, uint64(addr) >= uint64(base) && off+uint64(size) <= uint64(len(mem))
-}
-
 // Write stores data at addr, trapping on unbacked addresses. Writes to ROM
-// trap with a data_access_exception, as the PROM controller would. This is
-// the simulator's hottest path, so the target bank is resolved exactly
-// once, marking the dirty set with the offset already in hand.
+// trap with a data_access_exception, as the PROM controller would. Each
+// page the store touches gets its storage on first touch and is marked
+// dirty, so Reset finds it.
 func (m *Machine) Write(addr Addr, data []byte) *Trap {
 	m.writes++
-	size := uint32(len(data))
-	if uint64(addr) >= uint64(m.cfg.ROMBase) &&
-		uint64(addr)+uint64(size) <= uint64(m.cfg.ROMBase)+uint64(m.cfg.ROMSize) {
+	switch b, off := m.backing(addr, uint32(len(data))); b {
+	case nil:
+		m.trapsRaised++
+		return DataAccessTrap(addr, PermWrite, "bus error: unbacked address")
+	case &m.rom:
 		m.trapsRaised++
 		return DataAccessTrap(addr, PermWrite, "write to PROM")
-	}
-	if off, ok := bankOffset(addr, size, m.cfg.RAMBase, m.ram); ok {
-		copy(m.ram[off:off+uint64(size)], data)
-		if size > 0 {
-			m.dirtyRAM.mark(off, size)
-		}
+	default:
+		b.write(off, data)
 		return nil
 	}
-	if off, ok := bankOffset(addr, size, m.cfg.IOBase, m.io); ok {
-		copy(m.io[off:off+uint64(size)], data)
-		if size > 0 {
-			m.dirtyIO.mark(off, size)
-		}
-		return nil
-	}
-	m.trapsRaised++
-	return DataAccessTrap(addr, PermWrite, "bus error: unbacked address")
 }
 
-// Read32 loads a big-endian word (SPARC is big-endian). It decodes
-// straight out of the backing store — no per-word allocation.
+// Read32 loads a big-endian word (SPARC is big-endian) without
+// allocating.
 func (m *Machine) Read32(addr Addr) (uint32, *Trap) {
 	if uint32(addr)%4 != 0 {
 		m.trapsRaised++
 		return 0, AlignmentTrap(addr, PermRead)
 	}
-	m.reads++
-	b := m.backing(addr, 4)
-	if b == nil {
-		m.trapsRaised++
-		return 0, DataAccessTrap(addr, PermRead, "bus error: unbacked address")
+	var w [4]byte
+	if tr := m.ReadInto(addr, w[:]); tr != nil {
+		return 0, tr
 	}
-	return binary.BigEndian.Uint32(b), nil
+	return binary.BigEndian.Uint32(w[:]), nil
 }
 
 // Write32 stores a big-endian word.
@@ -345,20 +393,17 @@ func (m *Machine) Write32(addr Addr, v uint32) *Trap {
 	return m.Write(addr, b[:])
 }
 
-// Read64 loads a big-endian doubleword, straight out of the backing
-// store like Read32.
+// Read64 loads a big-endian doubleword without allocating, like Read32.
 func (m *Machine) Read64(addr Addr) (uint64, *Trap) {
 	if uint32(addr)%8 != 0 {
 		m.trapsRaised++
 		return 0, AlignmentTrap(addr, PermRead)
 	}
-	m.reads++
-	b := m.backing(addr, 8)
-	if b == nil {
-		m.trapsRaised++
-		return 0, DataAccessTrap(addr, PermRead, "bus error: unbacked address")
+	var w [8]byte
+	if tr := m.ReadInto(addr, w[:]); tr != nil {
+		return 0, tr
 	}
-	return binary.BigEndian.Uint64(b), nil
+	return binary.BigEndian.Uint64(w[:]), nil
 }
 
 // Write64 stores a big-endian doubleword.
@@ -380,50 +425,40 @@ func (m *Machine) Write64(addr Addr, v uint64) *Trap {
 // scrubs from, so the list is exact, not heuristic.
 func (m *Machine) DirtyPages() []Addr {
 	var out []Addr
-	collect := func(d dirtySet, base Addr, size uint32) {
-		for wi, w := range d {
-			if w == 0 {
-				continue
-			}
-			for b := 0; b < 64; b++ {
-				if w&(1<<b) == 0 {
-					continue
-				}
-				off := (uint64(wi)*64 + uint64(b)) << dirtyPageShift
-				if off < uint64(size) {
-					out = append(out, base+Addr(off))
-				}
+	for _, bk := range [...]struct {
+		b    *bank
+		base Addr
+	}{{&m.ram, m.cfg.RAMBase}, {&m.io, m.cfg.IOBase}} {
+		for wi, w := range bk.b.dirty {
+			for ; w != 0; w &= w - 1 {
+				i := wi*64 + bits.TrailingZeros64(w)
+				out = append(out, bk.base+Addr(i)<<pageShift)
 			}
 		}
 	}
-	collect(m.dirtyRAM, m.cfg.RAMBase, m.cfg.RAMSize)
-	collect(m.dirtyIO, m.cfg.IOBase, m.cfg.IOSize)
 	return out
 }
 
 // FlipBit inverts one bit of backed writable memory — the single-event-
 // upset primitive. The touched page is marked dirty, so Reset scrubs an
 // injected machine exactly like any other and it recycles through the
-// pool without residue. Unlike Write, a flip models radiation, not a bus
-// transaction: it bypasses the access counters and cannot trap; flips
-// aimed at ROM or unbacked addresses report false and change nothing
-// (PROM cells are not writable by an upset in this model). The bit index
-// is taken modulo 8. Crashed machines refuse flips.
+// pool without residue; a flip into a page no run has stored to gives
+// that page its storage. Unlike Write, a flip models radiation, not a
+// bus transaction: it bypasses the access counters and cannot trap;
+// flips aimed at ROM or unbacked addresses report false and change
+// nothing (PROM cells are not writable by an upset in this model). The
+// bit index is taken modulo 8. Crashed machines refuse flips.
 func (m *Machine) FlipBit(addr Addr, bit uint8) bool {
 	if m.crashed {
 		return false
 	}
-	if off, ok := bankOffset(addr, 1, m.cfg.RAMBase, m.ram); ok {
-		m.ram[off] ^= 1 << (bit % 8)
-		m.dirtyRAM.mark(off, 1)
-		return true
+	b, off := m.backing(addr, 1)
+	if b == nil || b == &m.rom {
+		return false
 	}
-	if off, ok := bankOffset(addr, 1, m.cfg.IOBase, m.io); ok {
-		m.io[off] ^= 1 << (bit % 8)
-		m.dirtyIO.mark(off, 1)
-		return true
-	}
-	return false
+	p := b.store(off >> pageShift)
+	p[off&pageMask] ^= 1 << (bit % 8)
+	return true
 }
 
 // FlipClockBit inverts one low bit of the virtual clock — an upset in
@@ -457,17 +492,17 @@ func (m *Machine) SetHost(h any) { m.host = h }
 
 // Reset returns the machine to its power-on state in place: memory zeroed,
 // clock at 0, timers disarmed, devices cleared, crash flag dropped. Only
-// the pages written since the last reset are scrubbed, so the cost is
-// proportional to what the previous run touched, not to the bank sizes.
-// Crashed machines reset like any other: rewinding past the crash is
-// how the inject composite recycles its slot between legs. The console
-// keeps its buffer's storage, so a recycled machine does not regrow it.
-// The reset counter survives and increments, so the pool's page-audit
-// window keeps rotating across recycles. It is the scrub reference tests
-// check the dirty tracker against.
+// the pages stored to since the last reset are zeroed, and they keep
+// their storage, so the cost is proportional to what the previous run
+// touched, and a recycled machine's footprint is the pages its runs have
+// stored to. Crashed machines reset like any other: rewinding past the
+// crash is how the inject composite recycles its slot between legs. The
+// console keeps its buffer's storage, so a recycled machine does not
+// regrow it. The reset counter survives and increments. It is the scrub
+// reference tests check the dirty tracker against.
 func (m *Machine) Reset() {
-	m.dirtyRAM.scrub(m.ram)
-	m.dirtyIO.scrub(m.io)
+	m.ram.reset()
+	m.io.reset()
 	m.now = 0
 	for i := range m.timers {
 		m.timers[i] = TimerUnit{unit: i}
@@ -494,7 +529,7 @@ func (m *Machine) VerifyReset() error {
 		return fmt.Errorf("sparc: reset machine console holds %d bytes", m.uart.Written())
 	case m.irqc.Pending() != 0:
 		return fmt.Errorf("sparc: reset machine has pending IRQs %#x", m.irqc.Pending())
-	case !m.dirtyRAM.empty() || !m.dirtyIO.empty():
+	case !m.ram.clean() || !m.io.clean():
 		return fmt.Errorf("sparc: reset machine has undrained dirty pages")
 	}
 	for i := range m.timers {
@@ -505,78 +540,59 @@ func (m *Machine) VerifyReset() error {
 	return nil
 }
 
-// AuditPages scans n pages of the writable banks for residue, starting at
-// a window that rotates with the reset count so successive audits sweep
-// the whole bank over time. It is the cheap middle ground between
-// VerifyReset (invariants only — it cannot see a page the dirty tracker
-// missed) and VerifyClean (full scan): a dirty-tracking bug surfaces as an
-// audit failure within a bounded number of recycles instead of leaking
-// silently.
+// AuditPages scans the next n allocated pages of the writable banks for
+// residue. Its window rotates over the allocated pages, RAM then I/O in
+// allocation order, continuing where the previous audit stopped, so
+// ceil(allocated/n) successive audits scan every page that has storage;
+// a page without storage reads as zero by construction. It is the cheap
+// middle ground between VerifyReset (invariants only — it cannot see a
+// page the dirty tracker missed) and VerifyClean (full scan): a
+// dirty-tracking bug surfaces as an audit failure within a bounded
+// number of audits instead of leaking silently.
 func (m *Machine) AuditPages(n int) error {
-	banks := [...][]byte{m.ram, m.io}
-	var total uint64
-	pagesOf := func(mem []byte) uint64 {
-		return (uint64(len(mem)) + (1 << dirtyPageShift) - 1) >> dirtyPageShift
-	}
-	for _, b := range banks {
-		total += pagesOf(b)
-	}
-	if total == 0 {
-		return nil
-	}
-	start := (m.resets * uint64(n)) % total
-	for i := 0; i < n; i++ {
-		page := (start + uint64(i)) % total
-		mem, name := m.ram, "ram"
-		if ramPages := pagesOf(m.ram); page >= ramPages {
-			mem, name = m.io, "io"
-			page -= ramPages
+	ramPages := len(m.ram.alloc)
+	total := ramPages + len(m.io.alloc)
+	for range min(n, total) {
+		if m.auditNext >= total {
+			m.auditNext = 0
 		}
-		lo := page << dirtyPageShift
-		hi := lo + (1 << dirtyPageShift)
-		if hi > uint64(len(mem)) {
-			hi = uint64(len(mem))
+		b, name, i := &m.ram, "ram", m.auditNext
+		if i >= ramPages {
+			b, name, i = &m.io, "io", i-ramPages
 		}
-		// Word-wise scan; on a hit, pin down the exact byte for the
-		// error message. Pages are power-of-two sized so only the last
-		// page of a bank can leave a sub-word tail.
-		off := lo
-		for ; off+8 <= hi; off += 8 {
-			if binary.BigEndian.Uint64(mem[off:off+8]) != 0 {
-				break
-			}
-		}
-		for ; off < hi; off++ {
-			if mem[off] != 0 {
-				return fmt.Errorf("sparc: %s residue at page %d offset %#x (untracked write?)",
-					name, page, off)
-			}
+		m.auditNext++
+		pg := b.alloc[i]
+		if off := residue(b.pages[pg]); off >= 0 {
+			return fmt.Errorf("sparc: %s residue at page %d offset %#x (untracked write?)",
+				name, pg, uint64(pg)<<pageShift+uint64(off))
 		}
 	}
 	return nil
 }
 
 // VerifyClean is the exhaustive form of VerifyReset: it additionally scans
-// every byte of ROM, RAM and I/O space for residue of a previous run. It
-// is the ground truth the reset-isolation tests (and the pool's strict
-// mode) check the dirty-page bookkeeping against.
+// every byte of every page of ROM, RAM and I/O space that has storage
+// for residue of a previous run; a page without storage reads as zero by
+// construction. It is the ground truth the reset-isolation tests (and the
+// pool's strict mode) check the dirty-page bookkeeping against.
 func (m *Machine) VerifyClean() error {
 	if err := m.VerifyReset(); err != nil {
 		return err
 	}
-	for _, bank := range []struct {
+	for _, bk := range [...]struct {
 		name string
 		base Addr
-		mem  []byte
+		b    *bank
 	}{
-		{"rom", m.cfg.ROMBase, m.rom},
-		{"ram", m.cfg.RAMBase, m.ram},
-		{"io", m.cfg.IOBase, m.io},
+		{"rom", m.cfg.ROMBase, &m.rom},
+		{"ram", m.cfg.RAMBase, &m.ram},
+		{"io", m.cfg.IOBase, &m.io},
 	} {
-		for i, b := range bank.mem {
-			if b != 0 {
+		for _, pg := range bk.b.alloc {
+			p := bk.b.pages[pg]
+			if off := residue(p); off >= 0 {
 				return fmt.Errorf("sparc: %s residue: byte %#x at %#x",
-					bank.name, b, uint64(bank.base)+uint64(i))
+					bk.name, p[off], uint64(bk.base)+uint64(pg)<<pageShift+uint64(off))
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package sparc
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -18,6 +19,53 @@ func TestMachinePowerOnState(t *testing.T) {
 		if armed, _ := m.Timer(i).Armed(); armed {
 			t.Fatalf("timer %d armed at power-on", i)
 		}
+	}
+}
+
+// machineSink keeps built machines reachable, so the compiler cannot
+// drop or stack-allocate what TestNewMachineAllocatesPagesNotBanks
+// measures.
+var machineSink *Machine
+
+// TestNewMachineAllocatesPagesNotBanks: a machine costs its page tables,
+// not its 18 MiB of banks; a store costs the one page it lands in, and
+// storing to a page again after a Reset costs nothing.
+func TestNewMachineAllocatesPagesNotBanks(t *testing.T) {
+	const builds = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range builds {
+		machineSink = NewDefaultMachine()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / builds; per > 64<<10 {
+		t.Fatalf("NewDefaultMachine allocates %d bytes on average, want at most 64 KiB", per)
+	}
+
+	m := NewDefaultMachine()
+	addr := m.cfg.RAMBase + 0x5678
+	if tr := m.Write(addr, []byte{1}); tr != nil {
+		t.Fatal(tr)
+	}
+	pages := 0
+	for _, b := range []*bank{&m.rom, &m.ram, &m.io} {
+		for _, p := range b.pages {
+			if p != nil {
+				pages++
+			}
+		}
+	}
+	if pages != 1 || len(m.ram.alloc) != 1 {
+		t.Fatalf("storing one byte gave %d pages storage (%d listed), want 1", pages, len(m.ram.alloc))
+	}
+
+	one, two := []byte{1}, []byte{2}
+	if allocs := testing.AllocsPerRun(100, func() {
+		m.Write(addr, one)
+		m.Reset()
+		m.Write(addr, two)
+	}); allocs != 0 {
+		t.Fatalf("store, Reset, store to the same page: %v allocations, want 0", allocs)
 	}
 }
 

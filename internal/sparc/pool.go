@@ -17,6 +17,8 @@ type PoolStats struct {
 }
 
 // auditPagesPerGet is the window of one rotating page audit: 8 pages
-// (32 KiB) keeps the audit in the noise of a single test's cost while
-// sweeping a default RAM bank about every 512 audits.
+// (32 KiB) keeps the audit in the noise of a single test's cost. The
+// window rotates over the pages a machine has allocated, so a machine
+// running the paper's tests (4–6 pages stored to per test, 9 across the
+// whole campaign) is swept every audit or two.
 const auditPagesPerGet = 8

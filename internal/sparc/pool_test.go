@@ -15,7 +15,7 @@ func dirtyMachine(t *testing.T) *Machine {
 		t.Fatal(tr)
 	}
 	// A write spanning a page boundary must dirty both pages.
-	if tr := m.Write(m.cfg.RAMBase+Addr(1<<dirtyPageShift)-2, []byte{1, 2, 3, 4}); tr != nil {
+	if tr := m.Write(m.cfg.RAMBase+DirtyPageSize-2, []byte{1, 2, 3, 4}); tr != nil {
 		t.Fatal(tr)
 	}
 	m.Timer(0).Arm(500, func(m *Machine, unit int, at Time) {})
@@ -25,6 +25,14 @@ func dirtyMachine(t *testing.T) *Machine {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// poke stores v at addr behind the dirty tracker's back: the page gets
+// its storage but is not marked dirty, so Reset does not clear it. It
+// is the bookkeeping escape VerifyClean and AuditPages exist to catch.
+func poke(m *Machine, addr Addr, v byte) {
+	b, off := m.backing(addr, 1)
+	b.storage(off >> pageShift)[off&pageMask] = v
 }
 
 func TestResetScrubsEverything(t *testing.T) {
@@ -57,26 +65,53 @@ func TestVerifyCleanFindsRawResidue(t *testing.T) {
 	m := NewDefaultMachine()
 	// Simulate a bookkeeping escape: memory mutated behind the dirty
 	// tracker's back.
-	m.ram[42] = 1
+	poke(m, m.cfg.RAMBase+42, 1)
 	if err := m.VerifyClean(); err == nil {
 		t.Fatal("raw residue not detected")
 	}
 }
 
+// TestAuditPagesSweepsWholeBank: residue the dirty tracker knows
+// nothing about, in any allocated page of either writable bank, surfaces
+// within ceil(allocated/8) successive 8-page audits, wherever the
+// rotating window happens to stand.
 func TestAuditPagesSweepsWholeBank(t *testing.T) {
-	m := NewDefaultMachine()
-	// Residue the dirty tracker knows nothing about, far into RAM.
-	m.ram[len(m.ram)-100] = 0xaa
-	found := false
-	for i := 0; i < len(m.ram)/(8<<dirtyPageShift)+len(m.io)/(8<<dirtyPageShift)+2; i++ {
-		if err := m.AuditPages(8); err != nil {
-			found = true
-			break
-		}
-		m.resets++ // advance the rotating window as a pool recycle would
+	// Pages spread over RAM, its last page included, and two in I/O.
+	var stores []Addr
+	for i := Addr(0); i < 18; i++ {
+		stores = append(stores, DefaultRAMBase+i*Addr(DefaultRAMSize/18)&^pageMask)
 	}
-	if !found {
-		t.Fatal("a full sweep of rotating audits missed the residue")
+	stores = append(stores, DefaultRAMBase+Addr(DefaultRAMSize)-4, DefaultIOBase, DefaultIOBase+Addr(DefaultIOSize)-4)
+	for victim := range stores {
+		m := NewDefaultMachine()
+		for _, a := range stores {
+			if tr := m.Write32(a, 0xffffffff); tr != nil {
+				t.Fatal(tr)
+			}
+		}
+		m.Reset()
+		allocated := len(m.ram.alloc) + len(m.io.alloc)
+		if allocated != len(stores) {
+			t.Fatalf("%d stores to distinct pages allocated %d pages", len(stores), allocated)
+		}
+		// Park the window somewhere different for each victim.
+		for range victim % 5 {
+			if err := m.AuditPages(3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		poke(m, stores[victim]+1, 0xaa)
+		audits, found := (allocated+7)/8, false
+		for range audits {
+			if m.AuditPages(8) != nil {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Fatalf("%d audits over %d allocated pages missed residue at %#x",
+				audits, allocated, uint32(stores[victim]+1))
+		}
 	}
 }
 

@@ -8,22 +8,24 @@ import (
 // auditStride is how many recycles separate two rotating page audits.
 // The audit exists to surface dirty-tracking bugs, which Reset's scrub
 // shares with every other user of the bitmaps, so it can be spread over
-// several recycles.
+// several recycles: each audit continues where the machine's last one
+// stopped.
 const auditStride = 8
 
 // SnapshotPool recycles Machines across independent runs by rewinding
-// them to power-on with Reset. A campaign that boots one simulated
-// target per test would spend most of its allocation budget on the
-// memory banks; the pool keeps them alive, and the rewind costs
-// O(pages the previous run dirtied). The cheap power-on invariants
-// (VerifyReset) run on every Get, one rotating-window residue scan
-// (AuditPages) every auditStride recycles, and strict mode scans every
-// byte (VerifyClean) every time. A machine that fails verification — or
-// comes back crashed — is discarded, together with whatever its Host
-// holds, and replaced with a fresh allocation. The rotating audit bounds
-// how long a page the dirty tracker missed could leak before surfacing
-// as a discard; strict mode and the reset-isolation tests rule it out
-// deterministically.
+// them to power-on with Reset. A new machine is cheap (its page tables),
+// but a recycled one also keeps what a fresh one would have to rebuild:
+// the testbed kernel parked on it (Host) and the pages its runs stored
+// to, which the rewind zeroes in place in O(pages the previous run
+// dirtied) instead of allocating them again. The cheap power-on
+// invariants (VerifyReset) run on every Get, one rotating-window residue
+// scan (AuditPages) every auditStride recycles, and strict mode scans
+// every allocated byte (VerifyClean) every time. A machine that fails
+// verification — or comes back crashed — is discarded, together with
+// whatever its Host holds, and replaced with a fresh allocation. The
+// rotating audit bounds how long a page the dirty tracker missed could
+// leak before surfacing as a discard; strict mode and the
+// reset-isolation tests rule it out deterministically.
 //
 // The pool holds no snapshot. The name is held because the perfbench
 // module, which changes only together with its benchmark, builds one.

@@ -76,7 +76,7 @@ func TestSnapshotPoolStrictModeScans(t *testing.T) {
 	// Mutate behind the tracker's back: Reset rides the dirty bitmaps
 	// and cannot see this, so strict verification must refuse
 	// the recycle and fall back to a fresh machine.
-	m.ram[7] = 0xff
+	poke(m, m.Config().RAMBase+7, 0xff)
 	m2 := p.Get()
 	if m2 == m {
 		t.Fatal("strict snapshot pool recycled a machine with untracked residue")
@@ -97,7 +97,7 @@ func TestSnapshotPoolResidueSweep(t *testing.T) {
 		if err := m.VerifyClean(); err != nil {
 			t.Fatalf("recycle %d: %v", i, err)
 		}
-		addr := m.Config().RAMBase + Addr(i)<<dirtyPageShift
+		addr := m.Config().RAMBase + Addr(i)<<pageShift
 		if tr := m.Write(addr, []byte{byte(i + 1)}); tr != nil {
 			t.Fatal(tr)
 		}

@@ -60,8 +60,8 @@ func (k *Kernel) hcMulticall(caller *Partition, start, end sparc.Addr) RetCode {
 				"unhandled data access exception in XM_multicall batch walk: "+tr.String())
 			return OK // never observed: the partition was stopped
 		}
-		raw, tr := k.machine.Read(addr, MulticallEntrySize)
-		if tr != nil {
+		var raw [MulticallEntrySize]byte
+		if tr := k.machine.ReadInto(addr, raw[:]); tr != nil {
 			k.raiseHM(HMEvMemProtection, caller,
 				"unhandled data access exception in XM_multicall batch walk: "+tr.String())
 			return OK

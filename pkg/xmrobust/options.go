@@ -73,7 +73,7 @@ func build(options []Option) (config, error) {
 		cfg.opts.Header = &header
 	}
 	cfg.eng.Options = cfg.opts
-	return cfg, nil
+	return cfg, cfg.eng.Validate()
 }
 
 // WithPlan selects the test-generation strategy: "exhaustive" (default,

@@ -146,6 +146,25 @@ func TestLimitRequiresCheckpoint(t *testing.T) {
 	}
 }
 
+// TestNegativeCountsRefused: a negative count is an error naming the
+// field, not a campaign run at the default.
+func TestNegativeCountsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		opt   xmrobust.Option
+	}{
+		{"mafs", xmrobust.WithMAFs(-1)},
+		{"workers", xmrobust.WithWorkers(-1)},
+		{"batch", xmrobust.WithBatchSize(-1)},
+		{"limit", xmrobust.WithLimit(-1)},
+	} {
+		_, err := xmrobust.Run(xmrobust.WithPlan("rand:2"), tc.opt)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("negative %s: %v", tc.field, err)
+		}
+	}
+}
+
 // TestResumeRefusesTargetMismatch pins the checkpoint acceptance
 // criterion: a campaign checkpointed on one backend refuses to resume on
 // another, naming both.
