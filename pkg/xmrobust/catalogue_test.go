@@ -41,10 +41,11 @@ func TestPlanCatalogue(t *testing.T) {
 	}
 
 	for spec, want := range map[string]string{
-		"rand":       `testgen: plan "rand" needs a positive count, e.g. "rand:100" (got "")`,
-		"feedback":   `corpus: plan "feedback" needs a positive test count, e.g. "feedback:300" (got "")`,
-		"phantom:x":  `target: plan "phantom" takes no argument`,
-		"pairwise:3": `testgen: plan "pairwise" takes no argument`,
+		"rand":        `testgen: plan "rand" needs a positive count, e.g. "rand:100" (got "")`,
+		"feedback":    `corpus: plan "feedback" needs a positive test count, e.g. "feedback:300" (got "")`,
+		"feedback:-3": `corpus: plan "feedback" needs a positive test count, e.g. "feedback:300" (got "-3")`,
+		"phantom:x":   `target: plan "phantom" takes no argument`,
+		"pairwise:3":  `testgen: plan "pairwise" takes no argument`,
 	} {
 		_, _, err := campaign.BuildPlan(campaign.Options{Plan: spec, Seed: 1})
 		if err == nil || err.Error() != want {
