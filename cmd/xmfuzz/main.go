@@ -16,7 +16,7 @@
 // usage errors.
 //
 // The campaign's test plan (-plan) and execution target (-target) are
-// both pluggable; -list prints every registered plan strategy and
+// both selectable; -list prints every plan and every registered
 // backend. -plan phantom runs the §V phantom-parameter extension (every
 // parameter-less hypercall under every phantom system state) through the
 // same engine as any other plan. -target diff:sim,phantom executes each
@@ -73,7 +73,6 @@ func main() {
 		csv      = flag.Bool("csv", false, "emit Table III as CSV")
 		issues   = flag.Bool("issues", false, "emit only the issue list")
 		progress = flag.Bool("progress", false, "print progress while running")
-		phantom  = flag.Bool("phantom", false, "deprecated alias for -plan phantom (the §V extension suite)")
 		masking  = flag.Bool("masking", false, "append the fault-masking study (paper Fig. 7)")
 		output   = flag.String("o", "", "write the raw campaign log (JSON Lines) to this file")
 		stream   = flag.String("stream", "", "run the streaming engine, sharding the campaign log into this directory")
@@ -87,7 +86,7 @@ func main() {
 		injRate  = flag.Float64("inject-rate", 1, "inject:* targets: fraction of tests carrying an SEU, in (0,1]")
 		injSites = flag.String("inject-sites", "", "inject:* targets: comma-separated flip sites (default all: clock,iu,mmu,ram,timer)")
 		opsAddr  = flag.String("ops", "", "serve /metrics, /healthz, /progress and /debug/pprof on this address while the campaign runs")
-		list     = flag.Bool("list", false, "list the registered test plans and execution targets, then exit")
+		list     = flag.Bool("list", false, "list the test plans and execution targets, then exit")
 	)
 	flag.Parse()
 
@@ -103,13 +102,6 @@ func main() {
 		return
 	}
 
-	if *phantom {
-		if *plan != "" && *plan != "phantom" {
-			fmt.Fprintln(os.Stderr, "xmfuzz: -phantom conflicts with -plan", *plan)
-			os.Exit(2)
-		}
-		*plan = "phantom"
-	}
 	if *resume && *stream == "" {
 		fmt.Fprintln(os.Stderr, "xmfuzz: -resume requires -stream")
 		os.Exit(2)

@@ -8,8 +8,8 @@
 //	obsnil       observability handles nil-guard their own methods and
 //	             callers never pre-check them, keeping "obs off" at one
 //	             nil check on the hot path
-//	registry     target/plan registration happens at program start
-//	             only, so inventories are complete
+//	registry     target registration happens at program start only,
+//	             so the target inventory is complete
 //	seqfield     the raw record codec covers every JSONRecord field
 //	             encoding/json serialises, so the wire format cannot drift
 //

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strconv"
+	"strings"
 
 	"xmrobust/internal/apispec"
 	"xmrobust/internal/corpus"
@@ -55,7 +57,7 @@ type Options struct {
 	Stress bool
 	// Plan selects the test-generation strategy ("" or "exhaustive" for
 	// the paper's full Eq. 1 product; "pairwise", "rand:N", "boundary",
-	// "feedback:N", "phantom" for other plans — see testgen.NewPlan).
+	// "feedback:N", "phantom" for other plans — see Plans).
 	Plan string
 	// Target selects the execution backend ("" or "sim" for the
 	// simulated testbed; "phantom" for the analytical model;
@@ -153,7 +155,7 @@ func BuildPlan(opts Options) (testgen.Plan, Options, error) {
 	if _, err := target.New(opts.Target, target.Config{Inject: opts.injectParams()}); err != nil {
 		return nil, opts, err
 	}
-	plan, err := testgen.NewPlan(opts.Plan, opts.Header, opts.Dict, opts.Seed)
+	plan, err := newPlan(opts)
 	if err != nil {
 		return nil, opts, err
 	}
@@ -167,6 +169,89 @@ func BuildPlan(opts Options) (testgen.Plan, Options, error) {
 		}
 	}
 	return plan, opts, nil
+}
+
+// PlanInfo names one test plan of the catalogue and describes it in one
+// line.
+type PlanInfo struct {
+	Name string
+	Desc string
+}
+
+// plans is the closed catalogue of test plans, sorted by name: every
+// plan spec BuildPlan resolves. A nil build hands the spec to
+// testgen.NewPlan; feedback:N and phantom are built here, because the
+// packages that own them sit above testgen. Their refusals keep naming
+// the owning package.
+var plans = []struct {
+	PlanInfo
+	build func(arg string, o Options) (testgen.Plan, error)
+}{
+	{PlanInfo{testgen.StrategyBoundary, "nominal base + all-invalid + one-factor invalid/boundary sweep"}, nil},
+	{PlanInfo{testgen.StrategyExhaustive, "the complete Eq. 1 cartesian product (the paper's campaign)"}, nil},
+	{PlanInfo{corpus.StrategyFeedback, "feedback:N — coverage-guided loop: boundary seeds, then corpus-bred mutants"}, feedbackPlan},
+	{PlanInfo{testgen.StrategyPairwise, "greedy 2-way covering array: every value pair at a fraction of Eq. 1"}, nil},
+	{PlanInfo{target.StrategyPhantom, "§V extension: every parameter-less hypercall under every phantom system state"}, phantomPlan},
+	{PlanInfo{testgen.StrategyRand, "rand:N — N datasets sampled without replacement, seed-reproducible"}, nil},
+}
+
+// Plans returns the plan catalogue, sorted by name — the discovery
+// surface behind xmrobust.Plans and xmfuzz -list.
+func Plans() []PlanInfo {
+	out := make([]PlanInfo, len(plans))
+	for i, p := range plans {
+		out[i] = p.PlanInfo
+	}
+	return out
+}
+
+// newPlan resolves opts.Plan ("name" or "name:arg"; "" is exhaustive)
+// through the catalogue.
+func newPlan(o Options) (testgen.Plan, error) {
+	name, arg, _ := strings.Cut(o.Plan, ":")
+	if name == "" {
+		name = testgen.StrategyExhaustive
+	}
+	for _, p := range plans {
+		if p.Name != name {
+			continue
+		}
+		if p.build == nil {
+			return testgen.NewPlan(o.Plan, o.Header, o.Dict, o.Seed)
+		}
+		return p.build(arg, o)
+	}
+	names := make([]string, len(plans))
+	for i, p := range plans {
+		names[i] = p.Name
+	}
+	return nil, fmt.Errorf("campaign: unknown plan strategy %q (have %s)", name, strings.Join(names, ", "))
+}
+
+// feedbackPlan builds the coverage-guided loop of feedback:N.
+func feedbackPlan(arg string, o Options) (testgen.Plan, error) {
+	n, err := strconv.Atoi(arg)
+	if err != nil || n <= 0 {
+		return nil, fmt.Errorf("corpus: plan %q needs a positive test count, e.g. %q (got %q)",
+			corpus.StrategyFeedback, corpus.StrategyFeedback+":300", arg)
+	}
+	space, err := testgen.NewSpace(o.Header, o.Dict)
+	if err != nil {
+		return nil, err
+	}
+	p, err := corpus.NewFeedbackPlan(space, n, o.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// phantomPlan builds the §V phantom-parameter extension suite.
+func phantomPlan(arg string, o Options) (testgen.Plan, error) {
+	if arg != "" {
+		return nil, fmt.Errorf("target: plan %q takes no argument", target.StrategyPhantom)
+	}
+	return target.NewPhantomPlan(o.Header)
 }
 
 // RunDatasets executes a pre-generated dataset list and returns the

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -113,19 +114,34 @@ type EngineOptions struct {
 	Obs *obs.Obs
 }
 
-// Validate refuses a negative count: MAFs, Workers, BatchSize or Limit
-// below zero is an error naming the field, where the engine would
-// otherwise run the default as if the field were unset. Zero keeps
+// MaxMAFs and MaxWorkers bound the two counts whose cost grows with
+// them and nothing else. A test runs, and logs a return code for, every
+// major frame: at MaxMAFs a simulated test takes about 2 ms and logs
+// about 21 KB. Each running worker holds a shard file open, and on a
+// remote: target a connection: MaxWorkers keeps both well inside the
+// common limit of 1024 open files.
+const (
+	MaxMAFs    = 1000
+	MaxWorkers = 256
+)
+
+// Validate refuses a count out of range: MAFs, Workers, BatchSize or
+// Limit below zero, where the engine would otherwise run the default as
+// if the field were unset, and MAFs or Workers above MaxMAFs or
+// MaxWorkers. The error names the field and the bound. Zero keeps
 // selecting each one's default. Entry points call it before they build
 // anything: the pkg/xmrobust facade (and so xmfuzz) and the daemon's
 // Submit.
 func (eo EngineOptions) Validate() error {
 	for _, f := range [...]struct {
-		name string
-		n    int
-	}{{"mafs", eo.MAFs}, {"workers", eo.Workers}, {"batch", eo.BatchSize}, {"limit", eo.Limit}} {
-		if f.n < 0 {
+		name   string
+		n, max int
+	}{{"mafs", eo.MAFs, MaxMAFs}, {"workers", eo.Workers, MaxWorkers}, {"batch", eo.BatchSize, math.MaxInt}, {"limit", eo.Limit, math.MaxInt}} {
+		switch {
+		case f.n < 0:
 			return fmt.Errorf("campaign: %s %d is negative (0 selects the default)", f.name, f.n)
+		case f.n > f.max:
+			return fmt.Errorf("campaign: %s %d exceeds the maximum of %d", f.name, f.n, f.max)
 		}
 	}
 	return nil

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -76,10 +75,6 @@ type JSONHMEvent struct {
 	Part   int    `json:"part"`
 	Detail string `json:"detail,omitempty"`
 }
-
-// JSONSummary is the legacy name of the decoded record view; external
-// tooling reads campaign logs through it.
-type JSONSummary = JSONRecord
 
 // ToRecord serialises one execution log as the campaign-log record at
 // position seq.
@@ -241,49 +236,23 @@ func (rec JSONRecord) Result(h *apispec.Header) (Result, error) {
 
 // WriteJSON streams the campaign log as JSON Lines: one self-contained
 // record per test, greppable and loadable without holding the whole
-// campaign in memory.
+// campaign in memory. The records are encoded by the Codec, one Write
+// each, so the log is byte-identical to the merged shards of the same
+// campaign run with a checkpoint.
 func WriteJSON(w io.Writer, results []Result) error {
-	enc := json.NewEncoder(w)
+	var (
+		scr recordScratch
+		buf []byte
+		err error
+	)
 	for i := range results {
-		if err := enc.Encode(ToRecord(i, results[i])); err != nil {
+		rec := scr.toRecord(i, results[i])
+		if buf, err = (Codec{}).AppendEncode(buf[:0], &rec); err == nil {
+			buf = append(buf, '\n')
+			_, err = w.Write(buf)
+		}
+		if err != nil {
 			return fmt.Errorf("campaign: writing test %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// ReadJSON decodes a JSON Lines campaign log into summaries.
-func ReadJSON(r io.Reader) ([]JSONSummary, error) {
-	dec := json.NewDecoder(r)
-	var out []JSONSummary
-	for dec.More() {
-		var s JSONSummary
-		if err := dec.Decode(&s); err != nil {
-			return nil, fmt.Errorf("campaign: reading record %d: %w", len(out), err)
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// VerifyRoundTrip sanity-checks the export path against the in-memory
-// results (used by tests and by xmfuzz's self-check).
-func VerifyRoundTrip(results []Result, summaries []JSONSummary) error {
-	if len(results) != len(summaries) {
-		return fmt.Errorf("campaign: %d results vs %d records", len(results), len(summaries))
-	}
-	for i, r := range results {
-		s := summaries[i]
-		if s.Func != r.Dataset.Func.Name {
-			return fmt.Errorf("campaign: record %d func %q vs %q", i, s.Func, r.Dataset.Func.Name)
-		}
-		if len(s.Returns) != len(r.Returns) {
-			return fmt.Errorf("campaign: record %d returns %d vs %d", i, len(s.Returns), len(r.Returns))
-		}
-		for j := range r.Returns {
-			if xm.RetCode(s.Returns[j]) != r.Returns[j] {
-				return fmt.Errorf("campaign: record %d return %d mismatch", i, j)
-			}
 		}
 	}
 	return nil

@@ -8,8 +8,8 @@
 // campaign loads it and starts mutating from the previously productive
 // datasets instead of from scratch.
 //
-// The feedback plan registers itself in the testgen strategy registry as
-// "feedback:N"; the campaign engine recognises it through the
+// The campaign layer's plan catalogue builds the feedback plan for the
+// spec "feedback:N"; the campaign engine recognises it through the
 // FeedbackSource interface and forwards every result's coverage map back
 // into the loop.
 package corpus
@@ -20,10 +20,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 
 	"xmrobust/internal/cover"
-	"xmrobust/internal/store"
 	"xmrobust/internal/testgen"
 )
 
@@ -61,7 +62,7 @@ type Store struct {
 	persisted map[entryKey]bool
 	loaded    int
 
-	file io.WriteCloser
+	file *os.File
 	bw   *bufio.Writer
 }
 
@@ -137,21 +138,18 @@ type fileEntry struct {
 // whose function or tuple no longer fits the current suite are skipped
 // (the file may predate a dictionary change). The global frontier is
 // NOT rebuilt from the file — coverage is a property of execution, and
-// the loop re-earns it by running mutations of the loaded parents.
+// the loop re-earns it by running mutations of the loaded parents. The
+// file always lives on the local filesystem, whatever store the
+// campaign's checkpoint and shards use; missing parent directories are
+// created.
 func (s *Store) AttachFile(path, runID string) error {
-	return s.AttachStore(store.Local(), path, runID)
-}
-
-// AttachStore is AttachFile over an explicit corpus store — the seam a
-// campaign whose corpus lives off the local disk attaches through.
-func (s *Store) AttachStore(cs store.CorpusStore, path, runID string) error {
 	fnOf := map[string]int{}
 	for i, m := range s.suite {
 		fnOf[m.Func.Name] = i
 	}
-	data, err := cs.ReadCorpus(path)
+	data, err := os.ReadFile(path)
 	switch {
-	case errors.Is(err, store.ErrNotExist):
+	case errors.Is(err, fs.ErrNotExist):
 		// A fresh corpus.
 	case err != nil:
 		return fmt.Errorf("corpus: %w", err)
@@ -189,7 +187,12 @@ func (s *Store) AttachStore(cs store.CorpusStore, path, runID string) error {
 			s.loaded++
 		}
 	}
-	f, err := cs.AppendCorpus(path)
+	if dir := filepath.Dir(path); dir != "." {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("corpus: %w", err)
+		}
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("corpus: %w", err)
 	}

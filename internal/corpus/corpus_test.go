@@ -12,19 +12,18 @@ import (
 	"xmrobust/internal/testgen"
 )
 
-// testSuite builds the default spec's value matrices.
-func testSuite(t *testing.T) []testgen.Matrix {
+// testSpace builds the default spec's Eq. 1 rank space.
+func testSpace(t *testing.T) *testgen.Space {
 	t.Helper()
-	var suite []testgen.Matrix
-	for _, f := range apispec.Default().Tested() {
-		m, err := testgen.BuildMatrix(f, dict.Builtin())
-		if err != nil {
-			t.Fatal(err)
-		}
-		suite = append(suite, m)
+	s, err := testgen.NewSpace(apispec.Default(), dict.Builtin())
+	if err != nil {
+		t.Fatal(err)
 	}
-	return suite
+	return s
 }
+
+// testSuite builds the default spec's value matrices.
+func testSuite(t *testing.T) []testgen.Matrix { return testSpace(t).Matrices() }
 
 // mapOf builds a coverage map over the given sites.
 func mapOf(sites ...uint32) *cover.Map {
@@ -102,6 +101,29 @@ func TestStorePersistence(t *testing.T) {
 	s2.Admit(0, tupleA, mapOf(1, 2))
 	if s2.Len() != 2 {
 		t.Fatalf("re-admission duplicated a loaded entry")
+	}
+}
+
+// TestAttachFileCreatesParentDirs: the corpus file may name a directory
+// that does not exist yet; attaching creates it, and a later attach
+// appends after the earlier campaign's lines.
+func TestAttachFileCreatesParentDirs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corpus", "corpus.jsonl")
+	for _, run := range []string{"campaign-A", "campaign-B"} {
+		s := NewStore(testSuite(t))
+		if err := s.AttachFile(path, run); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(data), "{\"run\":\"campaign-A\"}\n{\"run\":\"campaign-B\"}\n"; got != want {
+		t.Fatalf("corpus file %q, want %q", got, want)
 	}
 }
 

@@ -2,8 +2,6 @@ package corpus
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"sync"
 
 	"xmrobust/internal/cover"
@@ -19,20 +17,6 @@ const Stagnation = 32
 
 // StrategyFeedback is the plan-spec name ("feedback:N").
 const StrategyFeedback = "feedback"
-
-func init() {
-	testgen.RegisterPlanFactory(StrategyFeedback,
-		func(suite []testgen.Matrix, arg string, seed int64, suiteHash string) (testgen.Plan, error) {
-			n, err := strconv.Atoi(arg)
-			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("corpus: plan %q needs a positive test count, e.g. %q (got %q)",
-					StrategyFeedback, StrategyFeedback+":300", arg)
-			}
-			return NewFeedbackPlan(suite, n, seed, suiteHash)
-		})
-	testgen.DescribePlan(StrategyFeedback,
-		"feedback:N — coverage-guided loop: boundary seeds, then corpus-bred mutants")
-}
 
 // FeedbackPlan is the coverage-guided dynamic plan: dataset i beyond the
 // seed schedule is bred from the corpus state after the coverage of all
@@ -51,9 +35,8 @@ type FeedbackPlan struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	suite  []testgen.Matrix
-	starts []int64 // starts[i] = global exhaustive rank of suite[i]'s first dataset
-	total  int64
+	space *testgen.Space
+	suite []testgen.Matrix
 
 	n        int
 	strategy string
@@ -79,13 +62,25 @@ type FeedbackPlan struct {
 	history  []int // frontier size after each applied test
 }
 
-// NewFeedbackPlan builds a feedback plan of n tests over the suite.
-func NewFeedbackPlan(suite []testgen.Matrix, n int, seed int64, suiteHash string) (*FeedbackPlan, error) {
+// NewFeedbackPlan builds a feedback plan of n tests over the space. Its
+// exploration draws address the whole Eq. 1 space, so a space whose size
+// overflows int64 is refused.
+func NewFeedbackPlan(space *testgen.Space, n int, seed int64) (*FeedbackPlan, error) {
+	total, ok := space.Total()
+	if !ok {
+		return nil, fmt.Errorf("corpus: plan %q: campaign size overflows int64", StrategyFeedback)
+	}
+	if total <= 0 {
+		return nil, fmt.Errorf("corpus: plan %q needs a non-empty suite", StrategyFeedback)
+	}
+	suite := space.Matrices()
+	strategy := fmt.Sprintf("%s:%d", StrategyFeedback, n)
 	p := &FeedbackPlan{
+		space:    space,
 		suite:    suite,
 		n:        n,
-		strategy: fmt.Sprintf("%s:%d", StrategyFeedback, n),
-		fp:       fmt.Sprintf("%s:%d@%d/%s", StrategyFeedback, n, seed, suiteHash),
+		strategy: strategy,
+		fp:       space.Fingerprint(strategy, true, seed),
 		store:    NewStore(suite),
 		rng:      testgen.NewSplitMix64(seed),
 		gen:      map[int]testgen.Dataset{},
@@ -95,13 +90,6 @@ func NewFeedbackPlan(suite []testgen.Matrix, n int, seed int64, suiteHash string
 		pending:  map[int]*cover.Map{},
 	}
 	p.cond = sync.NewCond(&p.mu)
-	for _, m := range suite {
-		p.starts = append(p.starts, p.total)
-		p.total += m.Combinations64()
-	}
-	if p.total <= 0 {
-		return nil, fmt.Errorf("corpus: plan %q needs a non-empty suite", StrategyFeedback)
-	}
 	// Interleave the boundary picks round-robin across functions before
 	// capping: a truncated in-order schedule would spend the whole seed
 	// budget on the first few hypercalls and leave the rest of the ABI
@@ -204,9 +192,9 @@ func interleaveByFn(picks []testgen.Pick, numFn int) []testgen.Pick {
 // explore draws one dataset uniformly from the exhaustive space (caller
 // holds the lock).
 func (p *FeedbackPlan) explore() (int, []int) {
-	rank := p.rng.Int63n(p.total)
-	fn := sort.Search(len(p.starts), func(i int) bool { return p.starts[i] > rank }) - 1
-	return fn, p.suite[fn].TupleAt(rank - p.starts[fn])
+	total, _ := p.space.Total() // fits int64: NewFeedbackPlan refused an overflowing space
+	fn, rank := p.space.Locate(p.rng.Int63n(total))
+	return fn, p.suite[fn].TupleAt(rank)
 }
 
 // breed derives the next dataset from the corpus state (caller holds the

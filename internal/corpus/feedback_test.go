@@ -2,6 +2,8 @@ package corpus
 
 import (
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,13 +39,13 @@ func runLoop(t *testing.T, p *FeedbackPlan) []string {
 }
 
 func TestFeedbackPlanReproducible(t *testing.T) {
-	suite := testSuite(t)
+	space := testSpace(t)
 	const n = 120
-	a, err := NewFeedbackPlan(suite, n, 7, "hash")
+	a, err := NewFeedbackPlan(space, n, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewFeedbackPlan(suite, n, 7, "hash")
+	b, err := NewFeedbackPlan(space, n, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestFeedbackPlanReproducible(t *testing.T) {
 			t.Fatalf("position %d: %q vs %q — seeded runs must be byte-identical", i, da[i], db[i])
 		}
 	}
-	c, err := NewFeedbackPlan(suite, n, 8, "hash")
+	c, err := NewFeedbackPlan(space, n, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +88,11 @@ func TestFeedbackPlanReproducible(t *testing.T) {
 	}
 }
 
-func TestFeedbackPlanViaRegistry(t *testing.T) {
-	h, d := apispec.Default(), dict.Builtin()
-	p, err := testgen.NewPlan("feedback:50", h, d, 3)
+// TestFeedbackPlanIsDynamic: the plan is flagged dynamic, so Measure
+// reports it analytically instead of walking an At that blocks on
+// execution feedback.
+func TestFeedbackPlanIsDynamic(t *testing.T) {
+	p, err := NewFeedbackPlan(testSpace(t), 50, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,17 +106,44 @@ func TestFeedbackPlanViaRegistry(t *testing.T) {
 	if !st.Dynamic || st.Tests != 50 || st.Exhaustive == 0 {
 		t.Fatalf("Measure = %+v", st)
 	}
-	if _, err := testgen.NewPlan("feedback", h, d, 0); err == nil {
-		t.Fatal("feedback without a count must be rejected")
+}
+
+// TestFeedbackPlanRefusesOverflow: exploration draws a global rank of the
+// whole Eq. 1 space, so a space whose size overflows int64 is refused,
+// as rand:N refuses it. Summed without saturation, two saturated
+// hypercalls plus one of three datasets wrap to a total of 1: a plan
+// that could only ever draw rank 0.
+func TestFeedbackPlanRefusesOverflow(t *testing.T) {
+	d := dict.NewDictionary()
+	vals := make([]dict.Value, 256)
+	for i := range vals {
+		vals[i] = dict.Value{Raw: strconv.Itoa(i)}
 	}
-	if _, err := testgen.NewPlan("feedback:-3", h, d, 0); err == nil {
-		t.Fatal("negative count must be rejected")
+	d.AddType(dict.TypeSet{Name: "xm_u32_t", Values: vals})
+	d.AddType(dict.TypeSet{Name: "xm_s32_t", Values: vals[:3]})
+	h := &apispec.Header{}
+	for _, name := range []string{"A", "B"} {
+		f := apispec.Function{Name: name, Tested: "YES"}
+		for i := 0; i < 9; i++ { // 256^9 saturates Eq. 1 at MaxInt64
+			f.Params = append(f.Params, apispec.Parameter{Name: "p" + strconv.Itoa(i), Type: "xm_u32_t"})
+		}
+		h.Functions = append(h.Functions, f)
+	}
+	h.Functions = append(h.Functions, apispec.Function{Name: "C", Tested: "YES",
+		Params: []apispec.Parameter{{Name: "p", Type: "xm_s32_t"}}})
+	space, err := testgen.NewSpace(h, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewFeedbackPlan(space, 10, 1)
+	if err == nil || !strings.Contains(err.Error(), "overflows int64") {
+		t.Fatalf("overflowing space: %v, want an overflow refusal", err)
 	}
 }
 
 func TestFeedbackPlanBlocksUntilFed(t *testing.T) {
-	suite := testSuite(t)
-	p, err := NewFeedbackPlan(suite, 40, 1, "hash")
+	space := testSpace(t)
+	p, err := NewFeedbackPlan(space, 40, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +180,10 @@ func TestFeedbackPlanBlocksUntilFed(t *testing.T) {
 }
 
 func TestFeedbackPlanCorpusFileRoundTrip(t *testing.T) {
-	suite := testSuite(t)
+	space := testSpace(t)
 	path := filepath.Join(t.TempDir(), "corpus.jsonl")
 
-	a, err := NewFeedbackPlan(suite, 80, 5, "hash")
+	a, err := NewFeedbackPlan(space, 80, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +202,7 @@ func TestFeedbackPlanCorpusFileRoundTrip(t *testing.T) {
 	// The same campaign re-attaching (a resume) re-derives its own
 	// admissions instead of loading them as parents — loading them
 	// would change the breeding schedule and break exact replay.
-	sameFP, err := NewFeedbackPlan(suite, 80, 5, "hash")
+	sameFP, err := NewFeedbackPlan(space, 80, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +216,7 @@ func TestFeedbackPlanCorpusFileRoundTrip(t *testing.T) {
 
 	// A different campaign (different seed → different fingerprint)
 	// loads every admission as a mutation parent.
-	b, err := NewFeedbackPlan(suite, 80, 6, "hash")
+	b, err := NewFeedbackPlan(space, 80, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

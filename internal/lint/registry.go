@@ -5,30 +5,25 @@ import (
 	"go/types"
 )
 
-// RegistryAnalyzer enforces inventory completeness: the plug-in
-// registries (execution targets, plan strategies) must be fully
-// populated by the time main starts, because discovery surfaces
-// (xmfuzz -list, target.New error messages) and checkpoint
-// validation all treat the registry as the complete universe. That
-// holds exactly when every Register* call runs from an init function or
-// a package-level variable initialiser — never from arbitrary runtime
-// code, where a registration could race a lookup or depend on call
-// order.
+// RegistryAnalyzer enforces inventory completeness: the execution-target
+// registry must be fully populated by the time main starts, because
+// discovery surfaces (xmfuzz -list, target.New error messages) and
+// checkpoint validation all treat the registry as the complete universe.
+// That holds exactly when every target.Register call runs from an init
+// function or a package-level variable initialiser — never from
+// arbitrary runtime code, where a registration could race a lookup or
+// depend on call order. (Test plans need no rule: their catalogue is a
+// closed list beside campaign.BuildPlan.)
 var RegistryAnalyzer = &Analyzer{
 	Name: "registry",
-	Doc:  "target/plan registration must happen in init or package-level declarations",
+	Doc:  "target registration must happen in init or package-level declarations",
 	Run:  runRegistry,
 }
 
-// registrars maps the internal/<name> package to its registration
-// functions.
-var registrars = map[string]map[string]bool{
-	"target": {"Register": true},
-	"testgen": {
-		"RegisterStrategy":    true,
-		"RegisterPlanFactory": true,
-		"RegisterHeaderPlan":  true,
-	},
+// isRegistrar reports whether fn is Register of an internal/target
+// package.
+func isRegistrar(fn *types.Func) bool {
+	return fn.Name() == "Register" && internalPackageName(fn.Pkg().Path()) == "target"
 }
 
 func runRegistry(pass *Pass) error {
@@ -90,7 +85,7 @@ func (p *Pass) checkRegistration(call *ast.CallExpr, atStart bool) {
 		if !ok || fn.Pkg() == nil || fn.Pkg() != p.Pkg {
 			return
 		}
-		if registrars[internalPackageName(fn.Pkg().Path())][fn.Name()] {
+		if isRegistrar(fn) {
 			p.reportRegistration(call, fn)
 		}
 		return
@@ -99,7 +94,7 @@ func (p *Pass) checkRegistration(call *ast.CallExpr, atStart bool) {
 	if !ok || fn.Pkg() == nil {
 		return
 	}
-	if registrars[internalPackageName(fn.Pkg().Path())][fn.Name()] {
+	if isRegistrar(fn) {
 		p.reportRegistration(call, fn)
 	}
 }

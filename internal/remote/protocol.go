@@ -35,6 +35,7 @@ import (
 	"unsafe"
 
 	"xmrobust/internal/apispec"
+	"xmrobust/internal/campaign"
 	"xmrobust/internal/dict"
 	"xmrobust/internal/target"
 	"xmrobust/internal/testgen"
@@ -209,8 +210,8 @@ func requestFlags(spec target.RunSpec) byte {
 // against h by name (a bare Function when the spec does not know it,
 // the campaign-log reader's lenient behaviour). The returned ID is valid
 // whenever it could be read, so a refusal still answers the right
-// request. Unknown flag bits, out-of-range numbers and trailing bytes
-// are refused.
+// request. Unknown flag bits, out-of-range numbers (mafs above
+// campaign.MaxMAFs among them) and trailing bytes are refused.
 func decodeRequest(p []byte, h *apispec.Header) (execRequest, error) {
 	r := wireReader{b: p, budget: maxDecode}
 	var req execRequest
@@ -226,6 +227,9 @@ func decodeRequest(p []byte, h *apispec.Header) (execRequest, error) {
 	req.Spec.Faults.TimerNegativeCheck = flags&flagTimerNegativeCheck != 0
 	req.Spec.Faults.MulticallRemoved = flags&flagMulticallRemoved != 0
 	req.Spec.MAFs = r.int()
+	if req.Spec.MAFs > campaign.MaxMAFs {
+		r.fail(fmt.Errorf("mafs %d exceeds the maximum of %d", req.Spec.MAFs, campaign.MaxMAFs))
+	}
 	if n := r.sliceLen(minTestBytes, unsafe.Sizeof(testgen.Dataset{})); n > 0 {
 		req.Tests = make([]testgen.Dataset, n)
 	}

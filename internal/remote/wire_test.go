@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"xmrobust/internal/apispec"
+	"xmrobust/internal/campaign"
 	"xmrobust/internal/dict"
 	"xmrobust/internal/target"
 	"xmrobust/internal/testgen"
@@ -122,6 +123,8 @@ func TestRequestFrameRefusesMalformed(t *testing.T) {
 		{"huge test count", header(1 << 40), "exceeds"},
 		{"huge string", append(header(1), 0, 0xff, 0xff, 0xff, 0x7f), "truncated"},
 		{"overflowing uvarint", bytes.Repeat([]byte{0xff}, 11), "overflow"},
+		{"mafs above the bound", appendRequest(nil, &execRequest{ID: 5, Spec: target.RunSpec{MAFs: campaign.MaxMAFs + 1}}),
+			fmt.Sprintf("mafs %d exceeds the maximum of %d", campaign.MaxMAFs+1, campaign.MaxMAFs)},
 	}
 	for _, c := range cases {
 		req, err := decodeRequest(c.frame, h)

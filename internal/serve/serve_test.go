@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -395,9 +396,27 @@ func TestServiceValidation(t *testing.T) {
 		{Plan: "rand:2", Workers: -3},
 		{Plan: "rand:2", Batch: -7},
 		{Plan: "rand:2", Limit: -1},
+		{Plan: "rand:2", MAFs: campaign.MaxMAFs + 1},
+		{Plan: "rand:2", Workers: campaign.MaxWorkers + 1},
 	} {
 		if _, code := trySubmit(t, ts.URL, sub); code != http.StatusBadRequest {
 			t.Errorf("submission %+v: status %d, want 400", sub, code)
+		}
+	}
+	// A count above its bound is refused naming the bound, before any
+	// worker starts.
+	for body, want := range map[string]string{
+		fmt.Sprintf(`{"plan":"rand:2","mafs":%d}`, campaign.MaxMAFs+1):       fmt.Sprintf("mafs %d exceeds the maximum of %d", campaign.MaxMAFs+1, campaign.MaxMAFs),
+		fmt.Sprintf(`{"plan":"rand:2","workers":%d}`, campaign.MaxWorkers+1): fmt.Sprintf("workers %d exceeds the maximum of %d", campaign.MaxWorkers+1, campaign.MaxWorkers),
+	} {
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
+			t.Errorf("submission %s: status %d, body %q; want 400 naming %q", body, resp.StatusCode, msg, want)
 		}
 	}
 	// Fields the service does not know, such as a codec selector or a

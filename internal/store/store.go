@@ -9,12 +9,10 @@
 // plan's coverage replay included) and merge keep working because none
 // of them ever knew about *os.File.
 //
-// The feedback corpus is the exception. CorpusStore is its interface,
-// but a campaign attaches its corpus file through the FS store whatever
-// store the campaign uses, so the corpus file always lands on the local
-// disk.
+// The feedback corpus is not part of the seam: its file always opens on
+// the local disk, whatever store the campaign uses.
 //
-// All three interfaces speak names, not paths: a name is an opaque
+// Both interfaces speak names, not paths: a name is an opaque
 // string the store resolves (the FS store treats it as a filesystem
 // path). Append-oriented writes return an io.WriteCloser; durability
 // per write is the implementation's contract (FS hands out unbuffered
@@ -70,22 +68,10 @@ type LogStore interface {
 	RemoveLog(name string) error
 }
 
-// CorpusStore persists the feedback corpus: a JSON Lines file of
-// admitted datasets, read whole on attach and appended per admission.
-type CorpusStore interface {
-	// ReadCorpus returns the full corpus contents, or an error wrapping
-	// ErrNotExist when none was ever written.
-	ReadCorpus(name string) ([]byte, error)
-	// AppendCorpus opens (creating if necessary) the corpus for
-	// appending admissions.
-	AppendCorpus(name string) (io.WriteCloser, error)
-}
-
 // Store is the full persistence surface a campaign needs.
 type Store interface {
 	CheckpointStore
 	LogStore
-	CorpusStore
 }
 
 // --- local filesystem ---------------------------------------------------
@@ -154,20 +140,6 @@ func (FS) RemoveLog(name string) error {
 		return nil
 	}
 	return err
-}
-
-// ReadCorpus reads the corpus file whole.
-func (FS) ReadCorpus(name string) ([]byte, error) { return os.ReadFile(name) }
-
-// AppendCorpus opens the corpus file for appending admissions, creating
-// parent directories as needed.
-func (FS) AppendCorpus(name string) (io.WriteCloser, error) {
-	if dir := filepath.Dir(name); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	return os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 }
 
 // trimTornTail truncates a file back to its last complete
@@ -343,15 +315,6 @@ func (m *Mem) RemoveLog(name string) error {
 	delete(m.objects, name)
 	m.mu.Unlock()
 	return nil
-}
-
-// ReadCorpus returns a copy of the corpus buffer.
-func (m *Mem) ReadCorpus(name string) ([]byte, error) { return m.read(name) }
-
-// AppendCorpus opens (creating if necessary) the corpus buffer for
-// appending.
-func (m *Mem) AppendCorpus(name string) (io.WriteCloser, error) {
-	return memWriter{m.ensure(name)}, nil
 }
 
 // Names returns every stored object name, sorted — a test and debugging

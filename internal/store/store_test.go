@@ -129,28 +129,3 @@ func TestLogTrimTornTail(t *testing.T) {
 		})
 	}
 }
-
-func TestCorpusRoundTrip(t *testing.T) {
-	for impl, st := range stores(t) {
-		t.Run(impl, func(t *testing.T) {
-			name := st.name("corpus/corpus.jsonl")
-			if _, err := st.s.ReadCorpus(name); !errors.Is(err, ErrNotExist) {
-				t.Fatalf("missing corpus: got %v, want ErrNotExist", err)
-			}
-			w, err := st.s.AppendCorpus(name)
-			if err != nil {
-				t.Fatalf("append: %v", err)
-			}
-			writeAll(t, w, "{\"run\":\"a\"}\n")
-			w, _ = st.s.AppendCorpus(name)
-			writeAll(t, w, "{\"func\":\"f\"}\n")
-			data, err := st.s.ReadCorpus(name)
-			if err != nil {
-				t.Fatalf("read: %v", err)
-			}
-			if got, want := string(data), "{\"run\":\"a\"}\n{\"func\":\"f\"}\n"; got != want {
-				t.Fatalf("contents %q, want %q", got, want)
-			}
-		})
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"xmrobust/internal/apispec"
-	"xmrobust/internal/dict"
 	"xmrobust/internal/eagleeye"
 	"xmrobust/internal/sparc"
 	"xmrobust/internal/testgen"
@@ -124,18 +123,6 @@ func (switchPlanProgram) Step(env xm.Env) bool {
 // StrategyPhantom is the plan-spec name of the §V extension suite.
 const StrategyPhantom = "phantom"
 
-func init() {
-	testgen.RegisterHeaderPlan(StrategyPhantom,
-		func(h *apispec.Header, d *dict.Dictionary, arg string, seed int64) (testgen.Plan, error) {
-			if arg != "" {
-				return nil, fmt.Errorf("target: plan %q takes no argument", StrategyPhantom)
-			}
-			return NewPhantomPlan(h, d)
-		})
-	testgen.DescribePlan(StrategyPhantom,
-		"§V extension: every parameter-less hypercall under every phantom system state")
-}
-
 // phantomPlan is the §V extension suite as an ordinary test plan: every
 // parameter-less hypercall of the header crossed with every phantom
 // state, addressed lazily like any other plan so the streaming engine,
@@ -148,8 +135,9 @@ type phantomPlan struct {
 }
 
 // NewPhantomPlan builds the extension plan over the header's
-// parameter-less hypercalls.
-func NewPhantomPlan(h *apispec.Header, d *dict.Dictionary) (testgen.Plan, error) {
+// parameter-less hypercalls. They take no values, so no dictionary is
+// involved.
+func NewPhantomPlan(h *apispec.Header) (testgen.Plan, error) {
 	p := &phantomPlan{states: PhantomStates()}
 	hsh := sha256.New()
 	for _, f := range h.Functions {

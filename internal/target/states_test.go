@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"xmrobust/internal/apispec"
-	"xmrobust/internal/dict"
 	"xmrobust/internal/testgen"
 	"xmrobust/internal/xm"
 )
@@ -30,7 +29,7 @@ func TestPhantomStatesInventory(t *testing.T) {
 }
 
 func TestPhantomPlanCoversParameterlessCalls(t *testing.T) {
-	plan, err := testgen.NewPlan("phantom", apispec.Default(), dict.Builtin(), 0)
+	plan, err := NewPhantomPlan(apispec.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +72,7 @@ func TestPhantomPlanCoversParameterlessCalls(t *testing.T) {
 // phantomFor finds the plan dataset for (fn, state).
 func phantomFor(t *testing.T, fn, state string) testgen.Dataset {
 	t.Helper()
-	plan, err := testgen.NewPlan("phantom", apispec.Default(), dict.Builtin(), 0)
+	plan, err := NewPhantomPlan(apispec.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

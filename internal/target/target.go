@@ -26,9 +26,9 @@
 //     the clean leg (masked / wrong-result / hm-detected / crash /
 //     hang) in Result.Injection.
 //
-// The registry mirrors testgen's strategy registry: Register adds a
-// backend, New resolves a "name" or "name:arg" spec, and Inventory is the
-// discovery surface behind xmfuzz -list.
+// Backends live in a registry: Register adds a backend, New resolves a
+// "name" or "name:arg" spec, and Inventory is the discovery surface
+// behind xmfuzz -list.
 package target
 
 import (

@@ -2,8 +2,8 @@ package testgen
 
 // This file is the lazy test-plan layer over the Fig. 4/Fig. 5 generator:
 // instead of materialising the full Eq. 1 cartesian product, a Plan is a
-// deterministic, index-addressable dataset stream behind a pluggable
-// strategy. Four strategies ship built in:
+// deterministic, index-addressable dataset stream. NewPlan builds four
+// strategies:
 //
 //   - exhaustive:  the complete Eq. 1 product, byte-identical to the
 //     eager generator's order (last parameter varies fastest, functions
@@ -35,7 +35,7 @@ import (
 	"xmrobust/internal/dict"
 )
 
-// Built-in strategy names.
+// Strategy names of the plans NewPlan builds.
 const (
 	StrategyExhaustive = "exhaustive"
 	StrategyPairwise   = "pairwise"
@@ -95,110 +95,6 @@ type Pick struct {
 	Rank int64
 }
 
-// Strategy selects the datasets of a plan from the suite matrices,
-// returning picks in emission order. arg is the text after ":" in the
-// plan spec ("" when absent); seed feeds randomised strategies and is
-// ignored by deterministic ones.
-type Strategy func(suite []Matrix, arg string, seed int64) ([]Pick, error)
-
-// strategyInfo is one registry entry.
-type strategyInfo struct {
-	sel Strategy
-	// seeded marks strategies whose output depends on the seed, so the
-	// seed joins the plan fingerprint only when it matters.
-	seeded bool
-}
-
-// strategies is the plan-strategy registry. The exhaustive strategy is
-// special-cased by NewPlan to stay lazy (its picks are the identity).
-var strategies = map[string]strategyInfo{
-	StrategyPairwise: {sel: pairwiseStrategy},
-	StrategyRand:     {sel: randStrategy, seeded: true},
-	StrategyBoundary: {sel: boundaryStrategy},
-}
-
-// RegisterStrategy adds (or replaces) a plan strategy under the given
-// name. seeded marks strategies whose selection depends on the seed; it
-// folds the seed into the plan fingerprint so checkpoints distinguish
-// runs with different seeds.
-func RegisterStrategy(name string, sel Strategy, seeded bool) {
-	strategies[name] = strategyInfo{sel: sel, seeded: seeded}
-}
-
-// PlanFactory builds a plan that schedules its own datasets rather than
-// emitting a pick list up front — the registration point for dynamic
-// strategies such as the coverage-guided feedback plan, whose selection
-// depends on execution results that do not exist at construction time.
-// suiteHash is the spec/dictionary content hash every static plan folds
-// into its fingerprint; factories must do the same.
-type PlanFactory func(suite []Matrix, arg string, seed int64, suiteHash string) (Plan, error)
-
-// planFactories is the dynamic-strategy registry.
-var planFactories = map[string]PlanFactory{}
-
-// RegisterPlanFactory adds (or replaces) a dynamic plan strategy. It
-// takes precedence over a Strategy registered under the same name.
-func RegisterPlanFactory(name string, f PlanFactory) {
-	planFactories[name] = f
-}
-
-// HeaderPlanFactory builds a plan from the full API header rather than
-// the tested-function matrices — the registration point for strategies
-// whose selection is not a subset of the Eq. 1 product, such as the §V
-// phantom-parameter extension, which covers exactly the parameter-less
-// hypercalls the data-type fault model leaves untested.
-type HeaderPlanFactory func(h *apispec.Header, d *dict.Dictionary, arg string, seed int64) (Plan, error)
-
-// headerPlans is the header-level strategy registry. It takes precedence
-// over both Strategy and PlanFactory registrations of the same name.
-var headerPlans = map[string]HeaderPlanFactory{}
-
-// RegisterHeaderPlan adds (or replaces) a header-level plan strategy.
-func RegisterHeaderPlan(name string, f HeaderPlanFactory) {
-	headerPlans[name] = f
-}
-
-// PlanInfo describes one registered plan strategy for discovery surfaces
-// (xmfuzz -list, the pkg/xmrobust facade).
-type PlanInfo struct {
-	Name string
-	Desc string
-}
-
-// planDescs holds the one-line descriptions PlanInventory reports.
-// Built-ins are seeded here; packages registering strategies add theirs
-// through DescribePlan.
-var planDescs = map[string]string{
-	StrategyExhaustive: "the complete Eq. 1 cartesian product (the paper's campaign)",
-	StrategyPairwise:   "greedy 2-way covering array: every value pair at a fraction of Eq. 1",
-	StrategyRand:       "rand:N — N datasets sampled without replacement, seed-reproducible",
-	StrategyBoundary:   "nominal base + all-invalid + one-factor invalid/boundary sweep",
-}
-
-// DescribePlan records the one-line description of a registered strategy.
-func DescribePlan(name, desc string) { planDescs[name] = desc }
-
-// PlanInventory returns every registered plan strategy, sorted by name —
-// the discovery surface behind xmfuzz -list.
-func PlanInventory() []PlanInfo {
-	names := map[string]bool{StrategyExhaustive: true}
-	for n := range strategies {
-		names[n] = true
-	}
-	for n := range planFactories {
-		names[n] = true
-	}
-	for n := range headerPlans {
-		names[n] = true
-	}
-	out := make([]PlanInfo, 0, len(names))
-	for n := range names {
-		out = append(out, PlanInfo{Name: n, Desc: planDescs[n]})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	return out
-}
-
 // IsDynamic reports whether a plan schedules its datasets on line (its
 // At may block awaiting execution feedback). Dynamic plans cannot be
 // walked outside an executing campaign: Measure skips them and
@@ -210,23 +106,20 @@ func IsDynamic(p Plan) bool {
 
 // NewPlan builds the plan named by spec over the tested functions of the
 // header. spec is "strategy" or "strategy:arg" ("" defaults to
-// exhaustive); seed feeds randomised strategies.
+// exhaustive); seed feeds rand:N. The campaign layer's plan catalogue
+// resolves the plans built over this package (feedback:N, phantom) and
+// hands the four strategies here.
 func NewPlan(spec string, h *apispec.Header, d *dict.Dictionary, seed int64) (Plan, error) {
-	name, arg := spec, ""
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		name, arg = spec[:i], spec[i+1:]
-	}
+	name, arg, _ := strings.Cut(spec, ":")
 	if name == "" {
 		name = StrategyExhaustive
 	}
-	if f, ok := headerPlans[name]; ok {
-		return f(h, d, arg, seed)
-	}
-	s, err := buildSuite(h, d)
+	s, err := NewSpace(h, d)
 	if err != nil {
 		return nil, err
 	}
-	if name == StrategyExhaustive {
+	switch name {
+	case StrategyExhaustive:
 		if arg != "" {
 			return nil, fmt.Errorf("testgen: plan %q takes no argument", name)
 		}
@@ -234,67 +127,56 @@ func NewPlan(spec string, h *apispec.Header, d *dict.Dictionary, seed int64) (Pl
 			return nil, fmt.Errorf("testgen: exhaustive plan has %d+ datasets, beyond addressable range — use pairwise, boundary or rand:N", math.MaxInt)
 		}
 		return exhaustivePlan{s: s}, nil
-	}
-	if f, ok := planFactories[name]; ok {
-		return f(s.matrices, arg, seed, s.hash)
-	}
-	info, ok := strategies[name]
-	if !ok {
-		known := make([]string, 0, 8)
-		for _, pi := range PlanInventory() {
-			known = append(known, pi.Name)
+	case StrategyPairwise, StrategyBoundary:
+		if arg != "" {
+			return nil, fmt.Errorf("testgen: plan %q takes no argument", name)
 		}
-		return nil, fmt.Errorf("testgen: unknown plan strategy %q (have %s)", name, strings.Join(known, ", "))
-	}
-	picks, err := info.sel(s.matrices, arg, seed)
-	if err != nil {
-		return nil, err
-	}
-	for _, pk := range picks {
-		if pk.Fn < 0 || pk.Fn >= len(s.matrices) {
-			return nil, fmt.Errorf("testgen: plan %q picked function %d of %d", name, pk.Fn, len(s.matrices))
+		picks := pairwisePicks
+		if name == StrategyBoundary {
+			picks = BoundaryPicks
 		}
-		if pk.Rank < 0 || pk.Rank >= s.matrices[pk.Fn].Combinations64() {
-			return nil, fmt.Errorf("testgen: plan %q picked rank %d of %s (Eq. 1: %d)",
-				name, pk.Rank, s.matrices[pk.Fn].Func.Name, s.matrices[pk.Fn].Combinations64())
+		return pickPlan{s: s, strategy: name, picks: picks(s.matrices)}, nil
+	case StrategyRand:
+		picks, err := randPicks(s, arg, seed)
+		if err != nil {
+			return nil, err
 		}
+		return pickPlan{s: s, strategy: spec, seeded: true, seed: seed, picks: picks}, nil
 	}
-	strat := name
-	if arg != "" {
-		strat += ":" + arg
-	}
-	fpSeed := int64(0)
-	if info.seeded {
-		fpSeed = seed
-	}
-	return pickPlan{s: s, strategy: strat, seeded: info.seeded, seed: fpSeed, picks: picks}, nil
+	return nil, fmt.Errorf("testgen: unknown plan strategy %q (have %s, %s, %s, %s)",
+		name, StrategyBoundary, StrategyExhaustive, StrategyPairwise, StrategyRand)
 }
 
-// --- suite -------------------------------------------------------------
+// --- space -------------------------------------------------------------
 
-// planSuite is the shared substance of every plan: the per-function value
-// matrices, prefix sums of their Eq. 1 sizes for rank addressing, and the
-// content hash that anchors plan fingerprints.
-type planSuite struct {
+// Space is the shared substance of every plan over the Eq. 1 product:
+// the tested functions' value matrices, prefix sums of their Eq. 1 sizes
+// for rank addressing, and the content hash that anchors plan
+// fingerprints. NewPlan builds one per plan; the coverage-guided
+// feedback plan draws its exploration ranks through one too.
+type Space struct {
 	matrices []Matrix
 	starts   []int64 // starts[i] = global exhaustive rank of matrices[i]'s first dataset
 	total    int64   // Eq. 1 over the whole suite, saturating at MaxInt64
+	overflow bool    // the sum saturated: ranks beyond MaxInt64 are unaddressable
 	hash     string
 }
 
-func buildSuite(h *apispec.Header, d *dict.Dictionary) (planSuite, error) {
-	var s planSuite
+// NewSpace builds the rank space over the tested functions of the
+// header, in document order.
+func NewSpace(h *apispec.Header, d *dict.Dictionary) (*Space, error) {
+	s := &Space{}
 	hsh := sha256.New()
 	for _, f := range h.Tested() {
 		m, err := BuildMatrix(f, d)
 		if err != nil {
-			return planSuite{}, err
+			return nil, err
 		}
 		s.starts = append(s.starts, s.total)
 		s.matrices = append(s.matrices, m)
 		n := m.Combinations64()
 		if s.total > math.MaxInt64-n {
-			s.total = math.MaxInt64
+			s.total, s.overflow = math.MaxInt64, true
 		} else {
 			s.total += n
 		}
@@ -311,14 +193,24 @@ func buildSuite(h *apispec.Header, d *dict.Dictionary) (planSuite, error) {
 	return s, nil
 }
 
-// locate maps a global exhaustive rank to (function, local rank).
-func (s planSuite) locate(rank int64) (int, int64) {
+// Matrices returns the per-function value matrices, in document order.
+func (s *Space) Matrices() []Matrix { return s.matrices }
+
+// Total returns Eq. 1 over the whole space, and false when the sum
+// overflows int64: a plan that draws global ranks cannot address such a
+// space.
+func (s *Space) Total() (int64, bool) { return s.total, !s.overflow }
+
+// Locate maps a global exhaustive rank to (function, local rank).
+func (s *Space) Locate(rank int64) (int, int64) {
 	i := sort.Search(len(s.starts), func(i int) bool { return s.starts[i] > rank }) - 1
 	return i, rank - s.starts[i]
 }
 
-// fingerprint composes the plan identity string.
-func (s planSuite) fingerprint(strategy string, seeded bool, seed int64) string {
+// Fingerprint composes the identity of a plan over the space: its
+// strategy, its seed when the selection depends on one, and the content
+// hash.
+func (s *Space) Fingerprint(strategy string, seeded bool, seed int64) string {
 	if seeded {
 		return fmt.Sprintf("%s@%d/%s", strategy, seed, s.hash)
 	}
@@ -330,27 +222,27 @@ func (s planSuite) fingerprint(strategy string, seeded bool, seed int64) string 
 // exhaustivePlan is the identity plan: dataset i of the plan is dataset i
 // of the Eq. 1 enumeration. Nothing is materialised; At decodes the rank
 // in mixed radix.
-type exhaustivePlan struct{ s planSuite }
+type exhaustivePlan struct{ s *Space }
 
 func (p exhaustivePlan) Strategy() string { return StrategyExhaustive }
 func (p exhaustivePlan) Len() int         { return int(p.s.total) }
 func (p exhaustivePlan) Suite() []Matrix  { return p.s.matrices }
 func (p exhaustivePlan) Fingerprint() string {
-	return p.s.fingerprint(StrategyExhaustive, false, 0)
+	return p.s.Fingerprint(StrategyExhaustive, false, 0)
 }
 
 func (p exhaustivePlan) At(i int) Dataset {
-	fn, rank := p.s.locate(int64(i))
+	fn, rank := p.s.Locate(int64(i))
 	return p.s.matrices[fn].datasetAt(rank)
 }
 
-// --- pick-backed plans (pairwise, rand, boundary, registered) ----------
+// --- pick-backed plans (pairwise, rand, boundary) ----------------------
 
 // pickPlan resolves an explicit pick list lazily against the suite. The
 // picks themselves are two words per dataset; the datasets are decoded on
 // demand.
 type pickPlan struct {
-	s        planSuite
+	s        *Space
 	strategy string
 	seeded   bool
 	seed     int64
@@ -361,7 +253,7 @@ func (p pickPlan) Strategy() string { return p.strategy }
 func (p pickPlan) Len() int         { return len(p.picks) }
 func (p pickPlan) Suite() []Matrix  { return p.s.matrices }
 func (p pickPlan) Fingerprint() string {
-	return p.s.fingerprint(p.strategy, p.seeded, p.seed)
+	return p.s.Fingerprint(p.strategy, p.seeded, p.seed)
 }
 
 func (p pickPlan) At(i int) Dataset {
@@ -371,24 +263,21 @@ func (p pickPlan) At(i int) Dataset {
 
 // --- pairwise ----------------------------------------------------------
 
-// pairwiseStrategy builds a greedy 2-way covering array per hypercall:
+// pairwisePicks builds a greedy 2-way covering array per hypercall:
 // every pair of values across every pair of parameters appears in at
 // least one dataset. Hypercalls with one (or no) parameter degrade to
 // each-value-once coverage. The greedy construction is deterministic:
 // seeds are the first uncovered pair in (parameter pair, value pair)
 // order, free parameters take the value covering the most still-uncovered
 // pairs, ties to the lowest value index.
-func pairwiseStrategy(suite []Matrix, arg string, _ int64) ([]Pick, error) {
-	if arg != "" {
-		return nil, fmt.Errorf("testgen: plan %q takes no argument", StrategyPairwise)
-	}
+func pairwisePicks(suite []Matrix) []Pick {
 	var picks []Pick
 	for fn, m := range suite {
 		for _, tuple := range pairwiseTuples(m) {
 			picks = append(picks, Pick{Fn: fn, Rank: m.rankOf(tuple)})
 		}
 	}
-	return picks, nil
+	return picks
 }
 
 // pairwiseTuples returns the covering array of one matrix as value-index
@@ -498,26 +387,20 @@ func pairwiseTuples(m Matrix) [][]int {
 
 // --- rand:N ------------------------------------------------------------
 
-// randStrategy samples N datasets uniformly without replacement from the
+// randPicks samples N datasets uniformly without replacement from the
 // exhaustive stream, using Floyd's algorithm over a splitmix64 generator
 // so a fixed seed reproduces the identical plan on any platform. The
 // sample is emitted in exhaustive order. N greater than the campaign
 // clamps to the whole campaign.
-func randStrategy(suite []Matrix, arg string, seed int64) ([]Pick, error) {
+func randPicks(s *Space, arg string, seed int64) ([]Pick, error) {
 	n, err := strconv.Atoi(arg)
 	if err != nil || n <= 0 {
 		return nil, fmt.Errorf("testgen: plan %q needs a positive count, e.g. %q (got %q)",
 			StrategyRand, StrategyRand+":100", arg)
 	}
-	starts := make([]int64, len(suite))
-	total := int64(0)
-	for i, m := range suite {
-		starts[i] = total
-		c := m.Combinations64()
-		if total > math.MaxInt64-c {
-			return nil, fmt.Errorf("testgen: plan %q: campaign size overflows int64", StrategyRand)
-		}
-		total += c
+	total, ok := s.Total()
+	if !ok {
+		return nil, fmt.Errorf("testgen: plan %q: campaign size overflows int64", StrategyRand)
 	}
 	if int64(n) >= total {
 		n = int(total)
@@ -540,8 +423,8 @@ func randStrategy(suite []Matrix, arg string, seed int64) ([]Pick, error) {
 	sort.Slice(ranks, func(a, b int) bool { return ranks[a] < ranks[b] })
 	picks := make([]Pick, len(ranks))
 	for i, r := range ranks {
-		fn := sort.Search(len(starts), func(i int) bool { return starts[i] > r }) - 1
-		picks[i] = Pick{Fn: fn, Rank: r - starts[fn]}
+		fn, rank := s.Locate(r)
+		picks[i] = Pick{Fn: fn, Rank: rank}
 	}
 	return picks, nil
 }
@@ -581,24 +464,16 @@ func (r *SplitMix64) Intn(n int) int { return int(r.Int63n(int64(n))) }
 
 // --- boundary ----------------------------------------------------------
 
-// boundaryStrategy emits the invalid/boundary-value-dense subset of each
+// BoundaryPicks emits the invalid/boundary-value-dense subset of each
 // hypercall: a nominal base dataset (every parameter at its first
 // definitely-valid value, falling back to the first value), the
 // all-invalid dataset (every parameter at its first definitely-invalid
 // value, where one exists), then every non-valid dictionary value
 // injected one parameter at a time over the base — the classic
 // one-factor boundary sweep, sized linearly in the dictionary instead of
-// multiplicatively.
-func boundaryStrategy(suite []Matrix, arg string, _ int64) ([]Pick, error) {
-	if arg != "" {
-		return nil, fmt.Errorf("testgen: plan %q takes no argument", StrategyBoundary)
-	}
-	return BoundaryPicks(suite), nil
-}
-
-// BoundaryPicks returns the boundary strategy's selection over the suite
-// — also the seed schedule of the coverage-guided feedback plan, whose
-// corpus starts from the invalid-dense subset before mutating.
+// multiplicatively. It is the boundary plan's selection and also the
+// seed schedule of the coverage-guided feedback plan, whose corpus
+// starts from the invalid-dense subset before mutating.
 func BoundaryPicks(suite []Matrix) []Pick {
 	var picks []Pick
 	for fn, m := range suite {

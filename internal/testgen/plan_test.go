@@ -351,26 +351,6 @@ func TestPlanFingerprints(t *testing.T) {
 	}
 }
 
-// TestRegisterStrategy exercises the pluggable registry with a toy
-// first-dataset-only strategy.
-func TestRegisterStrategy(t *testing.T) {
-	RegisterStrategy("first", func(suite []Matrix, arg string, seed int64) ([]Pick, error) {
-		picks := make([]Pick, len(suite))
-		for i := range suite {
-			picks[i] = Pick{Fn: i}
-		}
-		return picks, nil
-	}, false)
-	defer delete(strategies, "first")
-	p := mustPlan(t, "first", 0)
-	if p.Len() != 39 {
-		t.Fatalf("first-only plan has %d datasets, want one per tested hypercall (39)", p.Len())
-	}
-	if got := p.At(0).String(); got != "XM_reset_system(0(ZERO))" {
-		t.Fatalf("At(0) = %s", got)
-	}
-}
-
 // TestPlanStatsString keeps the human rendering stable enough for reports.
 func TestPlanStatsString(t *testing.T) {
 	st := PlanStats{Strategy: "pairwise", Tests: 10, Exhaustive: 100, PairsCovered: 5, PairsTotal: 5}

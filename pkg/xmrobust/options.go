@@ -78,8 +78,8 @@ func build(options []Option) (config, error) {
 
 // WithPlan selects the test-generation strategy: "exhaustive" (default,
 // the paper's full Eq. 1 product), "pairwise", "rand:N", "boundary",
-// "feedback:N" (coverage-guided), "phantom" (the §V extension suite), or
-// any strategy registered with the testgen registries. See Plans.
+// "feedback:N" (coverage-guided) or "phantom" (the §V extension suite).
+// Plans lists them; any other spec is refused.
 func WithPlan(spec string) Option { return func(c *config) { c.opts.Plan = spec } }
 
 // WithTarget selects the execution backend: "sim" (default, the
@@ -117,10 +117,11 @@ func WithInjection(rate float64, sites ...string) Option {
 func WithCorpus(path string) Option { return func(c *config) { c.opts.Corpus = path } }
 
 // WithMAFs sets the number of major frames each test runs for (default
-// 2).
+// 2). Run refuses more than 1000.
 func WithMAFs(n int) Option { return func(c *config) { c.opts.MAFs = n } }
 
-// WithWorkers sets the engine parallelism (default GOMAXPROCS).
+// WithWorkers sets the engine parallelism (default GOMAXPROCS). Run
+// refuses more than 256.
 func WithWorkers(n int) Option { return func(c *config) { c.opts.Workers = n } }
 
 // WithStress pre-loads the system before injection (paper §V): one

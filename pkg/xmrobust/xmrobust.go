@@ -1,8 +1,8 @@
 // Package xmrobust is the public API of the robustness-testing toolset:
-// a functional-options facade over the campaign engine, the pluggable
-// test-plan and execution-target registries, and the log-analysis
-// pipeline of the paper's methodology (Preparation, Test Generation and
-// Execution, Log Analysis).
+// a functional-options facade over the campaign engine, its catalogue of
+// test plans, the pluggable execution-target registry, and the
+// log-analysis pipeline of the paper's methodology (Preparation, Test
+// Generation and Execution, Log Analysis).
 //
 // The one-call workflow:
 //
@@ -31,7 +31,6 @@ import (
 	"xmrobust/internal/core"
 	"xmrobust/internal/store"
 	"xmrobust/internal/target"
-	"xmrobust/internal/testgen"
 
 	// The remote backend registers itself ("remote:<addr>[,<addr>...]")
 	// so WithTarget("remote:...") fans a campaign out across xmworker
@@ -109,15 +108,15 @@ func MergeLog(dir string, w io.Writer) (int, error) {
 	return campaign.MergeShards(dir, w)
 }
 
-// PlanInfo describes one registered test-plan strategy.
-type PlanInfo = testgen.PlanInfo
+// PlanInfo names and describes one test plan.
+type PlanInfo = campaign.PlanInfo
 
 // TargetInfo describes one registered execution backend.
 type TargetInfo = target.Info
 
-// Plans returns every registered test-plan strategy — the discovery
-// surface behind xmfuzz -list.
-func Plans() []PlanInfo { return testgen.PlanInventory() }
+// Plans returns every test plan WithPlan accepts, sorted by name — the
+// discovery surface behind xmfuzz -list.
+func Plans() []PlanInfo { return campaign.Plans() }
 
 // Targets returns every registered execution backend.
 func Targets() []TargetInfo { return target.Inventory() }

@@ -2,6 +2,8 @@ package xmrobust_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -15,8 +17,8 @@ import (
 // seeded sim campaign through the public facade (streamed, sharded,
 // checkpointed) must produce a merged JSON Lines log byte-identical to
 // the log of the materialised plan executed by campaign.RunDatasets and
-// written by WriteJSON (in memory, encoding/json) — a reference built
-// without internal/core.
+// written by encoding/json (in memory) — a reference built without
+// internal/core or the record codec.
 func TestGoldenFacadeMatchesCampaignRun(t *testing.T) {
 	const plan, seed = "rand:60", int64(42)
 
@@ -26,8 +28,11 @@ func TestGoldenFacadeMatchesCampaignRun(t *testing.T) {
 	}
 	results := campaign.RunDatasets(testgen.Materialize(p), opts)
 	var want bytes.Buffer
-	if err := campaign.WriteJSON(&want, results); err != nil {
-		t.Fatal(err)
+	enc := json.NewEncoder(&want)
+	for i, r := range results {
+		if err := enc.Encode(campaign.ToRecord(i, r)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	rep, err := xmrobust.Run(
@@ -147,7 +152,9 @@ func TestLimitRequiresCheckpoint(t *testing.T) {
 }
 
 // TestNegativeCountsRefused: a negative count is an error naming the
-// field, not a campaign run at the default.
+// field, not a campaign run at the default; mafs and workers above their
+// bounds are errors naming the field and the bound. Validation runs
+// before anything is built, so no refused worker ever starts.
 func TestNegativeCountsRefused(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -157,10 +164,14 @@ func TestNegativeCountsRefused(t *testing.T) {
 		{"workers", xmrobust.WithWorkers(-1)},
 		{"batch", xmrobust.WithBatchSize(-1)},
 		{"limit", xmrobust.WithLimit(-1)},
+		{fmt.Sprintf("mafs %d exceeds the maximum of %d", campaign.MaxMAFs+1, campaign.MaxMAFs),
+			xmrobust.WithMAFs(campaign.MaxMAFs + 1)},
+		{fmt.Sprintf("workers %d exceeds the maximum of %d", campaign.MaxWorkers+1, campaign.MaxWorkers),
+			xmrobust.WithWorkers(campaign.MaxWorkers + 1)},
 	} {
 		_, err := xmrobust.Run(xmrobust.WithPlan("rand:2"), tc.opt)
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("negative %s: %v", tc.field, err)
+			t.Errorf("want an error naming %q, got %v", tc.field, err)
 		}
 	}
 }
