@@ -16,15 +16,13 @@ package corpus
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
+	"io"
 
 	"xmrobust/internal/cover"
+	"xmrobust/internal/store"
 	"xmrobust/internal/testgen"
 )
 
@@ -62,7 +60,7 @@ type Store struct {
 	persisted map[entryKey]bool
 	loaded    int
 
-	file *os.File
+	file io.WriteCloser
 	bw   *bufio.Writer
 }
 
@@ -139,23 +137,25 @@ type fileEntry struct {
 // (the file may predate a dictionary change). The global frontier is
 // NOT rebuilt from the file — coverage is a property of execution, and
 // the loop re-earns it by running mutations of the loaded parents. The
-// file always lives on the local filesystem, whatever store the
-// campaign's checkpoint and shards use; missing parent directories are
-// created.
+// file always opens through the local filesystem store's log operations,
+// whatever store the campaign's checkpoint and shards use; missing
+// parent directories are created.
 func (s *Store) AttachFile(path, runID string) error {
 	fnOf := map[string]int{}
 	for i, m := range s.suite {
 		fnOf[m.Func.Name] = i
 	}
-	data, err := os.ReadFile(path)
+	local := store.Local()
+	r, err := local.OpenLog(path)
 	switch {
-	case errors.Is(err, fs.ErrNotExist):
+	case errors.Is(err, store.ErrNotExist):
 		// A fresh corpus.
 	case err != nil:
 		return fmt.Errorf("corpus: %w", err)
 	default:
+		defer r.Close()
 		ownRun := false
-		dec := json.NewDecoder(bytes.NewReader(data))
+		dec := json.NewDecoder(r)
 		for dec.More() {
 			var fe fileEntry
 			if err := dec.Decode(&fe); err != nil {
@@ -187,12 +187,7 @@ func (s *Store) AttachFile(path, runID string) error {
 			s.loaded++
 		}
 	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("corpus: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := local.AppendLog(path, false)
 	if err != nil {
 		return fmt.Errorf("corpus: %w", err)
 	}

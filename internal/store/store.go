@@ -10,7 +10,8 @@
 // of them ever knew about *os.File.
 //
 // The feedback corpus is not part of the seam: its file always opens on
-// the local disk, whatever store the campaign uses.
+// the local disk, through FS's OpenLog and AppendLog, whatever store the
+// campaign uses.
 //
 // Both interfaces speak names, not paths: a name is an opaque
 // string the store resolves (the FS store treats it as a filesystem

@@ -129,3 +129,37 @@ func TestLogTrimTornTail(t *testing.T) {
 		})
 	}
 }
+
+// TestCorpusRoundTrip: the feedback corpus file goes through the FS
+// store's log operations (corpus.Store.AttachFile), so only the fs case
+// exists: the corpus always opens on the local disk. A missing corpus
+// reads as ErrNotExist, the first append creates its directory, and a
+// later campaign's append keeps the earlier lines.
+func TestCorpusRoundTrip(t *testing.T) {
+	t.Run("fs", func(t *testing.T) {
+		s := Local()
+		name := filepath.Join(t.TempDir(), "corpus", "corpus.jsonl")
+		if _, err := s.OpenLog(name); !errors.Is(err, ErrNotExist) {
+			t.Fatalf("missing corpus: got %v, want ErrNotExist", err)
+		}
+		w, err := s.AppendLog(name, false)
+		if err != nil {
+			t.Fatalf("append: %v", err)
+		}
+		writeAll(t, w, "{\"run\":\"a\"}\n")
+		w, err = s.AppendLog(name, false)
+		if err != nil {
+			t.Fatalf("re-append: %v", err)
+		}
+		writeAll(t, w, "{\"func\":\"f\"}\n")
+		r, err := s.OpenLog(name)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		data, _ := io.ReadAll(r)
+		r.Close()
+		if got, want := string(data), "{\"run\":\"a\"}\n{\"func\":\"f\"}\n"; got != want {
+			t.Fatalf("contents %q, want %q", got, want)
+		}
+	})
+}
