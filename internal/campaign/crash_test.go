@@ -172,9 +172,16 @@ func mergeMem(t *testing.T, st store.LogStore, dir string) []byte {
 // for every n until a run finishes, under each tear, and resumes on what
 // the store kept. The merged log must be the uninterrupted run's bytes.
 // A resume may refuse the checkpoint by name instead, but only when the
-// crash came at or before the checkpoint header's write.
+// crash came at or before the checkpoint header's write. In the
+// used-directory mode the directory first holds another campaign's
+// checkpoint and three shards, as after a re-run of xmfuzz -stream DIR
+// with another plan: none of its records may reach the merged log.
 func TestCrashAtEveryWrite(t *testing.T) {
 	plan, opts, err := BuildPlan(Options{Plan: "rand:20", Seed: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, otherOpts, err := BuildPlan(Options{Plan: "rand:25", Seed: 2, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,46 +191,75 @@ func TestCrashAtEveryWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := mergeMem(t, ref, dir)
+	if hdr, err := ref.ReadCheckpoint(ckpt); err != nil || bytes.IndexByte(hdr, '\n') != len(hdr)-1 {
+		t.Fatalf("a finished campaign's checkpoint is %q (%v), want its header line alone", hdr, err)
+	}
 
-	for _, tr := range []tear{tearNothing, tearFirstByte, tearNewline} {
-		t.Run(tr.String(), func(t *testing.T) {
-			points := 0
-			for n := int64(1); ; n++ {
-				mem := store.NewMem()
-				cs := &crashStore{mem: mem, n: n, tear: tr}
-				eo := EngineOptions{Options: opts, ShardDir: dir, CheckpointPath: ckpt, Store: cs}
-				_, err := StreamPlan(plan, eo, nil)
-				if !cs.crashed() {
-					// n is past the campaign's last store operation.
-					if err != nil {
-						t.Fatalf("run without a crash: %v", err)
+	for _, used := range []bool{false, true} {
+		for _, tr := range []tear{tearNothing, tearFirstByte, tearNewline} {
+			name := "fresh/" + tr.String()
+			if used {
+				name = "used/" + tr.String()
+			}
+			t.Run(name, func(t *testing.T) {
+				points := 0
+				for n := int64(1); ; n++ {
+					mem := store.NewMem()
+					if used {
+						if _, err := StreamPlan(other, EngineOptions{Options: otherOpts, ShardDir: dir, CheckpointPath: ckpt, Store: mem}, nil); err != nil {
+							t.Fatal(err)
+						}
+					}
+					cs := &crashStore{mem: mem, n: n, tear: tr}
+					eo := EngineOptions{Options: opts, ShardDir: dir, CheckpointPath: ckpt, Store: cs}
+					_, err := StreamPlan(plan, eo, nil)
+					if !cs.crashed() {
+						// n is past the campaign's last store operation.
+						if err != nil {
+							t.Fatalf("run without a crash: %v", err)
+						}
+						if got := mergeMem(t, mem, dir); !bytes.Equal(got, want) {
+							t.Fatalf("run without a crash merged a different log:\n%s", diffLines(want, got))
+						}
+						break
+					}
+					points++
+					if err == nil {
+						t.Fatalf("crash at operation %d: the campaign reported no error", n)
+					}
+					eo.Store, eo.Resume = mem, true
+					if _, err := StreamPlan(plan, eo, nil); err != nil {
+						if cs.header.Load() || !strings.Contains(err.Error(), "checkpoint") {
+							t.Fatalf("crash at operation %d: resume failed: %v", n, err)
+						}
+						continue
 					}
 					if got := mergeMem(t, mem, dir); !bytes.Equal(got, want) {
-						t.Fatalf("run without a crash merged %d bytes, want %d", len(got), len(want))
+						t.Fatalf("crash at operation %d: resume merged a different log:\n%s", n, diffLines(want, got))
 					}
-					break
 				}
-				points++
-				if err == nil {
-					t.Fatalf("crash at operation %d: the campaign reported no error", n)
+				if points < plan.Len() {
+					t.Fatalf("only %d crash points for %d tests: the sweep missed the shard writes", points, plan.Len())
 				}
-				eo.Store, eo.Resume = mem, true
-				if _, err := StreamPlan(plan, eo, nil); err != nil {
-					if cs.header.Load() || !strings.Contains(err.Error(), "checkpoint") {
-						t.Fatalf("crash at operation %d: resume failed: %v", n, err)
-					}
-					continue
-				}
-				if got := mergeMem(t, mem, dir); !bytes.Equal(got, want) {
-					t.Fatalf("crash at operation %d: resume merged a different log:\n%s", n, diffLines(want, got))
-				}
-			}
-			if points < plan.Len() {
-				t.Fatalf("only %d crash points for %d tests: the sweep missed the shard writes", points, plan.Len())
-			}
-			t.Logf("%d crash points", points)
-		})
+				t.Logf("%d crash points", points)
+			})
+		}
 	}
+}
+
+// readLog returns the contents of one log in st.
+func readLog(t *testing.T, st store.LogStore, name string) []byte {
+	t.Helper()
+	f, err := st.OpenLog(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	data, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // diffLines names the first line where two logs part.
@@ -242,4 +278,50 @@ func diffLines(want, got []byte) string {
 		}
 	}
 	return "(equal)"
+}
+
+// TestFailedShardWriteLeavesPositionPending: a test whose shard record
+// did not reach the store whole, because the write failed or stopped
+// short of the newline, has no complete record, so a resume runs it
+// again. The campaign reports the write error; the resume skips exactly
+// the complete records and merges to the bytes of an uninterrupted run.
+func TestFailedShardWriteLeavesPositionPending(t *testing.T) {
+	datasets := mixedSuite(t)
+	opts := Options{Workers: 1}
+	ref := store.NewMem()
+	if _, err := Stream(datasets, EngineOptions{Options: opts, ShardDir: "ref", Store: ref}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := mergeMem(t, ref, "ref")
+
+	for _, tr := range []tear{tearNothing, tearNewline} {
+		t.Run(tr.String(), func(t *testing.T) {
+			mem := store.NewMem()
+			// The sixth operation is a shard record's write: the first
+			// three create the checkpoint, write its header and open the
+			// shard.
+			eo := EngineOptions{Options: opts, ShardDir: "run", CheckpointPath: "run/ckpt.jsonl",
+				Store: &crashStore{mem: mem, n: 6, tear: tr}}
+			if _, err := Stream(datasets, eo, nil); err == nil || !strings.Contains(err.Error(), "campaign: shard record") {
+				t.Fatalf("campaign with a failed shard write returned %v, want the shard record error", err)
+			}
+			complete := bytes.Count(readLog(t, mem, shardPath("run", 0)), []byte("\n"))
+			if complete == 0 {
+				t.Fatal("no record reached the shard before the failed write")
+			}
+
+			eo.Store, eo.Resume = mem, true
+			stats, err := Stream(datasets, eo, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Skipped != complete || stats.Executed != len(datasets)-complete {
+				t.Fatalf("resume skipped %d and executed %d; the shard held %d complete records of %d",
+					stats.Skipped, stats.Executed, complete, len(datasets))
+			}
+			if got := mergeMem(t, mem, "run"); !bytes.Equal(got, want) {
+				t.Fatalf("resumed log differs from an uninterrupted run:\n%s", diffLines(want, got))
+			}
+		})
+	}
 }

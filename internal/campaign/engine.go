@@ -5,10 +5,11 @@ package campaign
 // it on any registered target backend (the sim target recycles simulated
 // machines, and the kernels parked on them, through a reset-and-verify
 // pool), and encodes and writes every execution log to its own JSON
-// Lines shard. It then hands the result to the single collector, which
-// checkpoints completed tests, so an interrupted campaign resumes from
-// where it stopped. RunDatasets is the collect-to-slice step that points
-// the stream at an in-memory slice.
+// Lines shard. It then hands the result to the single collector. The
+// shards are the campaign's progress record: a resume skips every test
+// whose record is complete there, so an interrupted campaign resumes
+// from where it stopped. RunDatasets is the collect-to-slice step that
+// points the stream at an in-memory slice.
 
 import (
 	"bufio"
@@ -23,7 +24,6 @@ import (
 	"math"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -42,10 +42,10 @@ type EngineOptions struct {
 
 	// Ctx, when non-nil, arms cooperative cancellation: once it is done
 	// the coordinator stops issuing leases, a lease already taken is
-	// skipped, in-flight tests finish (or, on a remote target the engine
-	// built, are abandoned), shards flush, and every completed test's
-	// checkpoint mark is on disk, so the cancelled campaign resumes
-	// exactly like an interrupted one. StreamPlan then returns Ctx's error
+	// skipped, in-flight tests finish (or, on a target the engine built,
+	// the rest of a lease is abandoned), and shards flush with every
+	// completed test's record, so the cancelled campaign resumes exactly
+	// like an interrupted one. StreamPlan then returns Ctx's error
 	// (errors.Is(err, context.Canceled) distinguishes a cancel from a
 	// failure). A result the target returns Aborted was not executed,
 	// whatever the cause, and is never logged; when nobody cancelled,
@@ -84,12 +84,17 @@ type EngineOptions struct {
 	// shared instance.
 	TargetInstance target.Target
 
-	// CheckpointPath, when set, appends one line per completed test to a
-	// checkpoint file. With Resume, tests already recorded there are
-	// skipped — the engine continues from the last completed dataset.
+	// CheckpointPath, when set, makes the campaign resumable. A fresh run
+	// writes the campaign's identity there as one header line (execution
+	// signature, target, plan fingerprint, injection schedule), once, and
+	// flushes every shard record as it is written. The shards are the
+	// progress record: a newline-terminated record is a completed test.
 	CheckpointPath string
 
-	// Resume loads CheckpointPath instead of truncating it.
+	// Resume continues the campaign at CheckpointPath when its header
+	// matches this run, skipping every test with a complete shard record;
+	// a different campaign is refused by name. A run that reads no
+	// matching header, a missing checkpoint included, starts fresh.
 	Resume bool
 
 	// Store is the persistence seam checkpoint, shard and merge I/O flow
@@ -150,7 +155,7 @@ func (eo EngineOptions) Validate() error {
 // EngineStats reports what one Stream call did.
 type EngineStats struct {
 	// Total is the campaign size; Executed ran this call; Skipped were
-	// already completed per the checkpoint.
+	// resumed: their shard records were already complete.
 	Total    int
 	Executed int
 	Skipped  int
@@ -159,14 +164,10 @@ type EngineStats struct {
 	Pool sparc.PoolStats
 }
 
-// posResult pairs an execution log with its campaign position. logged
-// reports whether the shard record reached disk — only then may the
-// checkpoint mark the test completed, or a resume would skip a test whose
-// record was lost.
+// posResult pairs an execution log with its campaign position.
 type posResult struct {
-	pos    int
-	res    Result
-	logged bool
+	pos int
+	res Result
 }
 
 // Source is the dataset stream the engine executes: a deterministic,
@@ -233,11 +234,14 @@ func Stream(datasets []testgen.Dataset, eo EngineOptions, sink func(pos int, r R
 // runs min(Workers, pending tests) worker goroutines, one closer and the
 // collector. A worker runs each of its tests start to finish: it takes a
 // lease from the coordinator, executes it, writes every record to its
-// own shard, and hands the result to the collector. The collector marks
-// the checkpoint, feeds coverage back, and hands each completed test to
-// sink (when non-nil), tagged with its position in the source, so the
-// sink always runs on one goroutine, after the test's shard write and
-// checkpoint mark. Neither the suite nor the results are retained in
+// own shard, and hands the result to the collector. The collector feeds
+// coverage back and hands each completed test to sink (when non-nil),
+// tagged with its position in the source, so the sink always runs on one
+// goroutine, after the test's shard write (flushed, with a checkpoint).
+// A fresh campaign first clears the shard directory's stale shards, then
+// writes the checkpoint header; a resume reads the header, and one pass
+// over the shards yields the completed tests (and replays a feedback
+// plan's coverage). Neither the suite nor the results are retained in
 // memory, so a campaign's footprint no longer grows with its test count.
 // Results arrive in completion order, not campaign order. Note that on a
 // resumed run the sink only sees the tests executed by this call — the
@@ -289,9 +293,9 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 		}
 	}
 	if eo.Resume && eo.ShardDir == "" {
-		// A checkpoint mark promises a durable record; without shards the
-		// skipped tests' results would exist nowhere and the resumed run
-		// would silently lose them.
+		// The shards are what a resume skips by; without them the skipped
+		// tests' results would exist nowhere and the resumed run would
+		// silently lose them.
 		return stats, errors.New("campaign: resuming requires a shard directory")
 	}
 	st := eo.Store
@@ -299,12 +303,12 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 		st = store.Local()
 	}
 
-	var (
-		ckpt *checkpoint
-		done map[int]bool
-	)
+	// A run resumes only when it read a checkpoint header that matched;
+	// every other run is fresh.
+	var hdr ckptHeader
+	resumed := false
 	if eo.CheckpointPath != "" {
-		hdr := ckptHeader{
+		hdr = ckptHeader{
 			Campaign:    optionsSignature(total, opts),
 			Target:      tgt.Name(),
 			Plan:        sourcePlan(src),
@@ -313,24 +317,40 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 		if is, ok := tgt.(interface{ InjectSignature() string }); ok {
 			hdr.Inject = is.InjectSignature()
 		}
-		ckpt, done, err = openCheckpoint(st, eo.CheckpointPath, hdr, eo.Resume)
-		if err != nil {
+		if eo.Resume {
+			if resumed, err = readCheckpoint(st, eo.CheckpointPath, hdr); err != nil {
+				return stats, err
+			}
+		}
+	}
+	if !resumed && eo.ShardDir != "" {
+		// A fresh campaign must not inherit records: stale shards from an
+		// earlier run in the same directory would survive the seq-dedup
+		// of CollectShardsIn and contaminate the merged log. They go
+		// before the new header is written, so a crash between the two
+		// cannot leave a valid header beside a foreign campaign's records.
+		if err := clearShards(st, eo.ShardDir); err != nil {
 			return stats, err
 		}
-		defer ckpt.close()
 	}
-	for pos := range done {
-		if pos >= 0 && pos < total {
-			stats.Skipped++
+	if !resumed && eo.CheckpointPath != "" {
+		if err := writeCheckpoint(st, eo.CheckpointPath, hdr); err != nil {
+			return stats, err
 		}
 	}
-	if fb != nil && eo.Resume && len(done) > 0 {
-		// Replay the completed tests' coverage out of the shard records
-		// so the feedback loop's frontier (and corpus admission state)
-		// is restored before any pending test is bred. Without this the
-		// plan's At would wait forever on feedback that already ran.
+	done := map[int]bool{}
+	if resumed {
+		// The done set is every test with a complete shard record. The
+		// same pass replays a feedback plan's coverage, so its frontier
+		// (and corpus admission state) is restored before any pending
+		// test is bred; without it the plan's At would wait forever on
+		// feedback that already ran.
 		if err := ScanShardsIn(st, eo.ShardDir, func(rec JSONRecord) error {
-			if done[rec.Seq] {
+			if rec.Seq < 0 || rec.Seq >= total || done[rec.Seq] {
+				return nil
+			}
+			done[rec.Seq] = true
+			if fb != nil {
 				fb.Feedback(rec.Seq, cover.FromSites(rec.Cover))
 			}
 			return nil
@@ -338,6 +358,7 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 			return stats, err
 		}
 	}
+	stats.Skipped = len(done)
 	pendingCount := total - stats.Skipped
 	if eo.Limit > 0 && pendingCount > eo.Limit {
 		pendingCount = eo.Limit
@@ -368,18 +389,19 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 	}
 
 	// One worker per pending test at most, and one shard per worker:
-	// worker w owns shard w. A fresh campaign with nothing pending still
-	// opens its (zero) shards, which clears a previous run's stale ones.
+	// worker w owns shard w.
 	workers := min(opts.Workers, pendingCount)
 	var writers []*shardWriter
 	if eo.ShardDir != "" {
-		if writers, err = openShards(st, eo.ShardDir, workers, eo.Resume); err != nil {
+		if writers, err = openShards(st, eo.ShardDir, workers, resumed); err != nil {
 			return stats, err
 		}
-		// Checkpoint marks promise their record is on disk, so shards
-		// flush per record only while a checkpoint is being written.
+		// A checkpointed campaign's shards are its progress record: each
+		// record is flushed as it is written, so an interruption loses at
+		// most the records in hand, and the daemon's SSE replay shows a
+		// late subscriber every record a live one saw.
 		for _, w := range writers {
-			w.flushEach = ckpt != nil
+			w.flushEach = eo.CheckpointPath != ""
 			w.encNs = em.EncodeNs
 		}
 	}
@@ -416,9 +438,9 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 	// list is materialised, so a billion-test plan costs the same as a
 	// small one until its tests actually run. A stop closes it: every
 	// worker's next Next returns false, the workers return, and the
-	// collector drains — shards flush and completed tests keep their
-	// checkpoint marks, so the stopped campaign is exactly as resumable as
-	// an interrupted one.
+	// collector drains — shards flush with every completed test's record,
+	// so the stopped campaign is exactly as resumable as an interrupted
+	// one.
 	coord := NewCoordinator(total, done, batch, pendingCount, 0)
 	coord.Instrument(obs.NewLeaseMetrics(eo.Obs.Registry()), trace)
 	defer context.AfterFunc(ctx, coord.Close)()
@@ -441,7 +463,7 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 	}
 
 	// Four buffered results per worker: the collector's per-test work
-	// (checkpoint mark, feedback, sink) is serial, and the slack lets the
+	// (feedback, progress, sink) is serial, and the slack lets the
 	// workers keep executing while it catches up instead of parking on a
 	// full channel. One slot per worker made a cold `xmfuzz -stream` run
 	// about 5% slower on a 2-vCPU host.
@@ -456,26 +478,22 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 		// hands it to the collector.
 		record := func(pos int, r Result) {
 			if r.Aborted {
-				// Not executed (the remote client was cancelled, closed or
-				// out of attempts). The result describes nothing, so it is
-				// dropped unlogged and unmarked and the position runs on
-				// resume. Unless a cancel came first, the abort stops the
-				// campaign with the target's error; a feedback plan hears
-				// of the gap like a skipped lease's.
+				// Not executed (a cancel reached the target mid-lease, or
+				// the remote client was closed or out of attempts). The
+				// result describes nothing, so it is dropped unlogged and
+				// the position runs on resume. Unless a cancel came first,
+				// the abort stops the campaign with the target's error; a
+				// feedback plan hears of the gap like a skipped lease's.
 				stop(fmt.Errorf("campaign: test %d not executed: %s", pos, r.RunErr))
 				if fb != nil {
 					fb.Feedback(pos, nil)
 				}
 				return
 			}
-			pr := posResult{pos: pos, res: r, logged: true}
 			if shard != nil {
-				if err := shard.write(pos, r); err != nil {
-					latch(err)
-					pr.logged = false
-				}
+				latch(shard.write(pos, r))
 			}
-			results <- pr
+			results <- posResult{pos: pos, res: r}
 		}
 		wg.Add(1)
 		go func() {
@@ -527,9 +545,6 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 	}()
 
 	for pr := range results {
-		if ckpt != nil && pr.logged {
-			latch(ckpt.mark(pr.pos))
-		}
 		if fb != nil {
 			// Close the loop: the plan buffers out-of-order arrivals
 			// and applies them in position order.
@@ -550,8 +565,8 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 		stats.Pool = ps.PoolStats()
 	}
 	if firstErr == nil {
-		// Surface a stop: shards are flushed and every completed test is
-		// checkpointed, but the campaign did not finish. A caller's cancel
+		// Surface a stop: shards are flushed with every completed test's
+		// record, but the campaign did not finish. A caller's cancel
 		// returns its context's error (errors.Is(err, context.Canceled));
 		// an abort returns the error the target gave.
 		if firstErr = parent.Err(); firstErr == nil {
@@ -598,9 +613,11 @@ func optionsSignature(total int, opts Options) string {
 
 // --- checkpoint --------------------------------------------------------
 
-// ckptHeader is the first line of a checkpoint file: the execution
-// signature plus the identity of the plan whose cursor the marks encode
-// and the backend the recorded logs were executed on.
+// ckptHeader is a checkpoint's one line: the execution signature plus
+// the identity of the plan whose positions the shard records index and
+// the backend the recorded logs were executed on. (Checkpoints written
+// before the shards became the progress record follow it with one
+// {"seq":N} mark per completed test; a resume ignores them.)
 type ckptHeader struct {
 	Campaign string `json:"campaign"`
 	// Target names the execution backend ("sim", "phantom",
@@ -621,117 +638,84 @@ type ckptHeader struct {
 	Inject string `json:"inject,omitempty"`
 }
 
-// ckptMark is one completed-test line.
-type ckptMark struct {
-	Seq int `json:"seq"`
-}
-
-// checkpoint appends completion marks durably enough for resume: each mark
-// is one write, issued only after the test's shard record (if any) has
-// been flushed. The writer comes from the campaign's store — unbuffered,
-// so the FS store's marks are one syscall each, as before the seam.
-type checkpoint struct {
-	w io.WriteCloser
-}
-
-// openCheckpoint creates (or, with resume, loads) the checkpoint at path
-// in st and returns the set of completed campaign positions.
-func openCheckpoint(st store.CheckpointStore, path string, want ckptHeader, resume bool) (*checkpoint, map[int]bool, error) {
-	done := map[int]bool{}
-	if resume {
-		data, err := st.ReadCheckpoint(path)
-		switch {
-		case errors.Is(err, store.ErrNotExist):
-			// Resuming a campaign that never started is a fresh start.
-		case err != nil:
-			return nil, nil, fmt.Errorf("campaign: checkpoint: %w", err)
-		default:
-			lines := strings.Split(string(data), "\n")
-			if len(lines) == 0 || lines[0] == "" {
-				return nil, nil, fmt.Errorf("campaign: checkpoint %s is empty", path)
-			}
-			var hdr ckptHeader
-			if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil || hdr.Campaign == "" {
-				return nil, nil, fmt.Errorf("campaign: checkpoint %s has no header", path)
-			}
-			if hdr.Plan == "" && hdr.Fingerprint == "" {
-				return nil, nil, fmt.Errorf(
-					"campaign: checkpoint %s predates plan recording and cannot be safely resumed — start fresh without resume", path)
-			}
-			if hdr.Target == "" {
-				// Checkpoints written before target recording all ran on
-				// the only backend that existed; their shard records
-				// (which also omit the default target) resume cleanly.
-				hdr.Target = target.SimName
-			}
-			if hdr.Target != want.Target {
-				return nil, nil, fmt.Errorf(
-					"campaign: checkpoint %s records target %q, but this run executes on %q — rerun with the checkpointed target, or start fresh without resume",
-					path, hdr.Target, want.Target)
-			}
-			if hdr.Inject != want.Inject {
-				return nil, nil, fmt.Errorf(
-					"campaign: checkpoint %s records injection schedule %q, but this run injects %q — rerun with the checkpointed schedule, or start fresh without resume",
-					path, hdr.Inject, want.Inject)
-			}
-			if hdr.Plan != want.Plan || hdr.Fingerprint != want.Fingerprint {
-				return nil, nil, fmt.Errorf(
-					"campaign: checkpoint %s records plan %s (fingerprint %s), but this run generates plan %s (fingerprint %s) — rerun with the checkpointed plan, or start fresh without resume",
-					path, hdr.Plan, hdr.Fingerprint, want.Plan, want.Fingerprint)
-			}
-			if hdr.Campaign != want.Campaign {
-				return nil, nil, fmt.Errorf("campaign: checkpoint %s belongs to a different campaign (%s, this run: %s)",
-					path, hdr.Campaign, want.Campaign)
-			}
-			for _, line := range lines[1:] {
-				if line == "" {
-					continue
-				}
-				var m ckptMark
-				if err := json.Unmarshal([]byte(line), &m); err != nil {
-					// A torn trailing line from an interrupted run: that
-					// test will simply re-execute.
-					continue
-				}
-				done[m.Seq] = true
-			}
-			w, err := st.AppendCheckpoint(path)
-			if err != nil {
-				return nil, nil, fmt.Errorf("campaign: checkpoint: %w", err)
-			}
-			return &checkpoint{w: w}, done, nil
-		}
-	}
+// writeCheckpoint starts a fresh campaign's checkpoint at path in st: its
+// header line, written once.
+func writeCheckpoint(st store.CheckpointStore, path string, hdr ckptHeader) error {
 	w, err := st.CreateCheckpoint(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("campaign: checkpoint: %w", err)
+		return fmt.Errorf("campaign: checkpoint: %w", err)
 	}
-	hdr, _ := json.Marshal(want)
-	if _, err := w.Write(append(hdr, '\n')); err != nil {
+	line, _ := json.Marshal(hdr)
+	if _, err := w.Write(append(line, '\n')); err != nil {
 		w.Close()
-		return nil, nil, fmt.Errorf("campaign: checkpoint: %w", err)
+		return fmt.Errorf("campaign: checkpoint: %w", err)
 	}
-	return &checkpoint{w: w}, done, nil
-}
-
-func (c *checkpoint) mark(pos int) error {
-	line, _ := json.Marshal(ckptMark{Seq: pos})
-	if _, err := c.w.Write(append(line, '\n')); err != nil {
+	if err := w.Close(); err != nil {
 		return fmt.Errorf("campaign: checkpoint: %w", err)
 	}
 	return nil
 }
 
-func (c *checkpoint) close() error { return c.w.Close() }
+// readCheckpoint checks the header of the checkpoint at path in st
+// against want. It reports false when there is no checkpoint (resuming a
+// campaign that never started is a fresh start) and refuses, by name, a
+// checkpoint of any other campaign.
+func readCheckpoint(st store.CheckpointStore, path string, want ckptHeader) (bool, error) {
+	data, err := st.ReadCheckpoint(path)
+	switch {
+	case errors.Is(err, store.ErrNotExist):
+		return false, nil
+	case err != nil:
+		return false, fmt.Errorf("campaign: checkpoint: %w", err)
+	}
+	line, _, _ := bytes.Cut(data, []byte("\n"))
+	if len(line) == 0 {
+		return false, fmt.Errorf("campaign: checkpoint %s is empty", path)
+	}
+	var hdr ckptHeader
+	if err := json.Unmarshal(line, &hdr); err != nil || hdr.Campaign == "" {
+		return false, fmt.Errorf("campaign: checkpoint %s has no header", path)
+	}
+	if hdr.Plan == "" && hdr.Fingerprint == "" {
+		return false, fmt.Errorf(
+			"campaign: checkpoint %s predates plan recording and cannot be safely resumed — start fresh without resume", path)
+	}
+	if hdr.Target == "" {
+		// Checkpoints written before target recording all ran on the only
+		// backend that existed; their shard records (which also omit the
+		// default target) resume cleanly.
+		hdr.Target = target.SimName
+	}
+	if hdr.Target != want.Target {
+		return false, fmt.Errorf(
+			"campaign: checkpoint %s records target %q, but this run executes on %q — rerun with the checkpointed target, or start fresh without resume",
+			path, hdr.Target, want.Target)
+	}
+	if hdr.Inject != want.Inject {
+		return false, fmt.Errorf(
+			"campaign: checkpoint %s records injection schedule %q, but this run injects %q — rerun with the checkpointed schedule, or start fresh without resume",
+			path, hdr.Inject, want.Inject)
+	}
+	if hdr.Plan != want.Plan || hdr.Fingerprint != want.Fingerprint {
+		return false, fmt.Errorf(
+			"campaign: checkpoint %s records plan %s (fingerprint %s), but this run generates plan %s (fingerprint %s) — rerun with the checkpointed plan, or start fresh without resume",
+			path, hdr.Plan, hdr.Fingerprint, want.Plan, want.Fingerprint)
+	}
+	if hdr.Campaign != want.Campaign {
+		return false, fmt.Errorf("campaign: checkpoint %s belongs to a different campaign (%s, this run: %s)",
+			path, hdr.Campaign, want.Campaign)
+	}
+	return true, nil
+}
 
 // --- shards ------------------------------------------------------------
 
 // shardWriter owns one JSON Lines shard file. Records encode through the
 // record codec into a reused buffer. When a checkpoint is in play the
-// writer flushes per record so a completion mark always refers to a
-// record already on disk; without one the only reader is the post-run
-// merge, so records ride the bufio buffer until close and the per-record
-// write(2) disappears from the hot path. After a failed write the writer
+// writer flushes per record, since the shards are the progress record a
+// resume (and the daemon's SSE replay) reads; without one the only reader
+// is the post-run merge, so records ride the bufio buffer until close and
+// the per-record write(2) disappears from the hot path. After a failed write the writer
 // latches broken: a short write leaves a partial record at the tail, and
 // appending anything after it would corrupt the shard mid-file, beyond
 // what readers can skip.
@@ -755,21 +739,23 @@ func shardPath(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d.jsonl", i))
 }
 
-func openShards(st store.LogStore, dir string, n int, resume bool) ([]*shardWriter, error) {
-	if !resume {
-		// A fresh campaign must not inherit records: stale shards from an
-		// earlier run in the same directory would survive the seq-dedup
-		// of CollectShardsIn and contaminate the merged log.
-		stale, err := st.ListLogs(filepath.Join(dir, ShardPattern))
-		if err != nil {
-			return nil, fmt.Errorf("campaign: shards: %w", err)
-		}
-		for _, p := range stale {
-			if err := st.RemoveLog(p); err != nil {
-				return nil, fmt.Errorf("campaign: shards: %w", err)
-			}
+// clearShards removes every shard of dir.
+func clearShards(st store.LogStore, dir string) error {
+	stale, err := st.ListLogs(filepath.Join(dir, ShardPattern))
+	if err != nil {
+		return fmt.Errorf("campaign: shards: %w", err)
+	}
+	for _, p := range stale {
+		if err := st.RemoveLog(p); err != nil {
+			return fmt.Errorf("campaign: shards: %w", err)
 		}
 	}
+	return nil
+}
+
+// openShards opens n shards of dir for appending; on resume the store
+// trims each one's torn tail first.
+func openShards(st store.LogStore, dir string, n int, resume bool) ([]*shardWriter, error) {
 	writers := make([]*shardWriter, 0, n)
 	for i := 0; i < n; i++ {
 		// On resume the store trims a torn trailing record first: records
@@ -838,8 +824,9 @@ func closeShards(writers []*shardWriter) error {
 // streaming engine for incremental consumers. Records arrive in file
 // order, not campaign order, and a record may repeat across an
 // interruption; callers needing uniqueness dedupe by Seq (duplicates are
-// byte-identical, execution being deterministic). Torn trailing records
-// from an interrupted run are skipped.
+// byte-identical, execution being deterministic). A torn trailing record
+// from an interrupted run is skipped: a shard's final line without its
+// newline, even one that decodes, since a resume trims it off.
 func ScanShards(dir string, fn func(JSONRecord) error) error {
 	return ScanShardsIn(store.Local(), dir, fn)
 }
@@ -852,38 +839,44 @@ func ScanShardsIn(st store.LogStore, dir string, fn func(JSONRecord) error) erro
 		return err
 	}
 	for _, p := range paths {
-		f, err := st.OpenLog(p)
-		if err != nil {
-			return fmt.Errorf("campaign: shards: %w", err)
+		if err := scanShard(st, p, fn); err != nil {
+			return err
 		}
-		br := bufio.NewReaderSize(f, 1<<16)
-		for {
-			line, rerr := br.ReadBytes('\n')
-			if len(bytes.TrimSpace(line)) > 0 {
-				var rec JSONRecord
-				if derr := (Codec{}).Decode(line, &rec); derr != nil {
-					// A torn trailing record from an interrupted run —
-					// "complete" means newline-terminated, see the store's
-					// torn-tail trim — is expected; mid-file corruption is
-					// worth reporting.
-					if rerr != nil {
-						break
-					}
-					f.Close()
-					return fmt.Errorf("campaign: shard %s: %w", p, derr)
-				}
-				if err := fn(rec); err != nil {
-					f.Close()
-					return err
-				}
-			}
-			if rerr != nil {
-				break
-			}
-		}
-		f.Close()
 	}
 	return nil
+}
+
+// scanShard streams the complete records of one shard through fn.
+func scanShard(st store.LogStore, p string, fn func(JSONRecord) error) error {
+	f, err := st.OpenLog(p)
+	if err != nil {
+		return fmt.Errorf("campaign: shards: %w", err)
+	}
+	defer f.Close()
+	br := bufio.NewReaderSize(f, 1<<16)
+	for {
+		line, err := br.ReadBytes('\n')
+		if err == io.EOF {
+			// What follows the last newline is a torn record from an
+			// interrupted run, or nothing: "complete" means
+			// newline-terminated, see the store's torn-tail trim.
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("campaign: shard %s: %w", p, err)
+		}
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		var rec JSONRecord
+		if err := (Codec{}).Decode(line, &rec); err != nil {
+			// Mid-file corruption is worth reporting.
+			return fmt.Errorf("campaign: shard %s: %w", p, err)
+		}
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
 }
 
 // CollectShardsIn loads every shard record of a campaign directory in st,

@@ -2,13 +2,11 @@ package campaign
 
 import (
 	"bytes"
-	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
-	"sync/atomic"
 	"testing"
 
 	"xmrobust/internal/apispec"
@@ -190,6 +188,82 @@ func TestFreshRunClearsStaleShards(t *testing.T) {
 	}
 }
 
+// TestMissingCheckpointStartsFresh: a resume that finds no checkpoint
+// starts the campaign fresh, so, like any fresh run, it clears the shards
+// another campaign left in the directory.
+func TestMissingCheckpointStartsFresh(t *testing.T) {
+	datasets := mixedSuite(t)
+	opts := Options{Workers: 2}
+	ref := store.NewMem()
+	if _, err := Stream(datasets[:6], EngineOptions{Options: opts, ShardDir: "ref", Store: ref}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := mergeMem(t, ref, "ref")
+
+	mem := store.NewMem()
+	// Another campaign's shard-only run: no checkpoint.
+	if _, err := Stream(datasets[6:], EngineOptions{Options: Options{Workers: 3}, ShardDir: "run", Store: mem}, nil); err != nil {
+		t.Fatal(err)
+	}
+	eo := EngineOptions{Options: opts, ShardDir: "run", CheckpointPath: "run/ckpt.jsonl", Store: mem, Resume: true}
+	stats, err := Stream(datasets[:6], eo, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Skipped != 0 || stats.Executed != 6 {
+		t.Fatalf("resume without a checkpoint skipped %d and executed %d, want a fresh run of 6", stats.Skipped, stats.Executed)
+	}
+	if got := mergeMem(t, mem, "run"); !bytes.Equal(got, want) {
+		t.Fatalf("merged log differs from a clean run's:\n%s", diffLines(want, got))
+	}
+}
+
+// TestMarkedCheckpointResumes: a checkpoint written while the engine
+// still recorded progress in it holds one {"seq":N} mark per completed
+// test after its header, and possibly a torn last mark. It resumes to
+// the uninterrupted bytes: the header is checked, the marks are ignored,
+// and the shard records decide what ran.
+func TestMarkedCheckpointResumes(t *testing.T) {
+	datasets := mixedSuite(t)
+	opts := Options{Workers: 2}
+	ref := store.NewMem()
+	if _, err := Stream(datasets, EngineOptions{Options: opts, ShardDir: "ref", Store: ref}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := mergeMem(t, ref, "ref")
+
+	mem := store.NewMem()
+	eo := EngineOptions{Options: opts, ShardDir: "run", CheckpointPath: "run/ckpt.jsonl", Store: mem, Limit: 7}
+	if _, err := Stream(datasets, eo, nil); err != nil {
+		t.Fatal(err)
+	}
+	w, err := mem.AppendCheckpoint("run/ckpt.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := CollectShardsIn(mem, "run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range records {
+		fmt.Fprintf(w, "{\"seq\":%d}\n", rec.Seq)
+	}
+	io.WriteString(w, `{"se`)
+	w.Close()
+
+	eo.Limit, eo.Resume = 0, true
+	stats, err := Stream(datasets, eo, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Skipped != 7 || stats.Executed != len(datasets)-7 {
+		t.Fatalf("resume skipped %d and executed %d after a 7-test first leg", stats.Skipped, stats.Executed)
+	}
+	if got := mergeMem(t, mem, "run"); !bytes.Equal(got, want) {
+		t.Fatalf("resumed log differs from an uninterrupted run:\n%s", diffLines(want, got))
+	}
+}
+
 // TestShardPerRunningWorker: a campaign opens one shard per worker that
 // runs, and no more workers run than there are tests, so a small plan
 // under a huge worker count opens as many shards as it has tests.
@@ -249,80 +323,6 @@ func TestResumeTrimsTornShardTail(t *testing.T) {
 		if rec.Func == "XM_torn" {
 			t.Fatal("torn fragment survived the resume")
 		}
-	}
-}
-
-// failingShardStore is an in-memory store whose n-th shard Write,
-// counted over every shard it opened, fails without writing a byte.
-type failingShardStore struct {
-	*store.Mem
-	n      int64
-	writes atomic.Int64
-}
-
-func (s *failingShardStore) AppendLog(name string, trimTorn bool) (io.WriteCloser, error) {
-	w, err := s.Mem.AppendLog(name, trimTorn)
-	if err != nil {
-		return nil, err
-	}
-	return failingShardWriter{WriteCloser: w, s: s}, nil
-}
-
-type failingShardWriter struct {
-	io.WriteCloser
-	s *failingShardStore
-}
-
-func (w failingShardWriter) Write(p []byte) (int, error) {
-	if w.s.writes.Add(1) == w.s.n {
-		return 0, errors.New("injected shard write failure")
-	}
-	return w.WriteCloser.Write(p)
-}
-
-// TestFailedShardWriteIsNeverCheckpointed: a checkpoint mark promises
-// that its test's record is in a shard, so a record whose write fails
-// stays unmarked. The campaign reports the write error, and a resume
-// re-runs the unmarked tests to the bytes of an uninterrupted run.
-func TestFailedShardWriteIsNeverCheckpointed(t *testing.T) {
-	datasets := mixedSuite(t)
-	opts := Options{Workers: 1}
-
-	ref := store.NewMem()
-	if _, err := Stream(datasets, EngineOptions{Options: opts, ShardDir: "ref", Store: ref}, nil); err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if _, err := MergeShardsIn(ref, "ref", &want); err != nil {
-		t.Fatal(err)
-	}
-
-	mem := store.NewMem()
-	eo := EngineOptions{Options: opts, ShardDir: "run", CheckpointPath: "run/ckpt.jsonl",
-		Store: &failingShardStore{Mem: mem, n: 3}}
-	if _, err := Stream(datasets, eo, nil); err == nil || !strings.Contains(err.Error(), "campaign: shard record") {
-		t.Fatalf("campaign with a failed shard write returned %v, want the shard record error", err)
-	}
-	data, err := mem.ReadCheckpoint("run/ckpt.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The header line, then one mark per record that reached the shard.
-	if marks := strings.Count(string(data), "\n") - 1; marks != 2 {
-		t.Fatalf("checkpoint holds %d marks, want the 2 records written before the failure:\n%s", marks, data)
-	}
-
-	eo.Store = mem
-	eo.Resume = true
-	if _, err := Stream(datasets, eo, nil); err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if _, err := MergeShardsIn(mem, "run", &got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatalf("resumed log differs from an uninterrupted run (%d vs %d bytes)", got.Len(), want.Len())
 	}
 }
 
