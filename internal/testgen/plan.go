@@ -137,11 +137,19 @@ func NewPlan(spec string, h *apispec.Header, d *dict.Dictionary, seed int64) (Pl
 		}
 		return pickPlan{s: s, strategy: name, picks: picks(s.matrices)}, nil
 	case StrategyRand:
-		picks, err := randPicks(s, arg, seed)
+		n, err := strconv.Atoi(arg)
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("testgen: plan %q needs a positive count, e.g. %q (got %q)",
+				StrategyRand, StrategyRand+":100", arg)
+		}
+		picks, err := randPicks(s, n, seed)
 		if err != nil {
 			return nil, err
 		}
-		return pickPlan{s: s, strategy: spec, seeded: true, seed: seed, picks: picks}, nil
+		// The strategy renders the count as parsed, before clamping, so
+		// rand:0300 and rand:+300 are rand:300, and rand:99999 keeps its
+		// own name and fingerprint.
+		return pickPlan{s: s, strategy: StrategyRand + ":" + strconv.Itoa(n), seeded: true, seed: seed, picks: picks}, nil
 	}
 	return nil, fmt.Errorf("testgen: unknown plan strategy %q (have %s, %s, %s, %s)",
 		name, StrategyBoundary, StrategyExhaustive, StrategyPairwise, StrategyRand)
@@ -392,12 +400,7 @@ func pairwiseTuples(m Matrix) [][]int {
 // so a fixed seed reproduces the identical plan on any platform. The
 // sample is emitted in exhaustive order. N greater than the campaign
 // clamps to the whole campaign.
-func randPicks(s *Space, arg string, seed int64) ([]Pick, error) {
-	n, err := strconv.Atoi(arg)
-	if err != nil || n <= 0 {
-		return nil, fmt.Errorf("testgen: plan %q needs a positive count, e.g. %q (got %q)",
-			StrategyRand, StrategyRand+":100", arg)
-	}
+func randPicks(s *Space, n int, seed int64) ([]Pick, error) {
 	total, ok := s.Total()
 	if !ok {
 		return nil, fmt.Errorf("testgen: plan %q: campaign size overflows int64", StrategyRand)

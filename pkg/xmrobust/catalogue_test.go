@@ -25,6 +25,8 @@ func TestPlanCatalogue(t *testing.T) {
 		{"exhaustive", "exhaustive", 2661, "exhaustive/" + suite},
 		{"pairwise", "pairwise", 1009, "pairwise/" + suite},
 		{"rand:300", "rand:300", 300, "rand:300@1/" + suite},
+		{"rand:0300", "rand:300", 300, "rand:300@1/" + suite},
+		{"rand:+300", "rand:300", 300, "rand:300@1/" + suite},
 		{"boundary", "boundary", 381, "boundary/" + suite},
 		{"feedback:100", "feedback:100", 100, "feedback:100@1/" + suite},
 		{"phantom", "phantom", 50, "phantom/" + phantom},
