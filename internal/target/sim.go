@@ -148,7 +148,10 @@ func (s *Sim) Execute(slot Slot, ds testgen.Dataset, spec RunSpec) Result {
 // in-slot rewind cannot certify is replaced through the pool, exactly as
 // a round-trip would have replaced it, and the kernel is re-pointed at
 // the replacement. Results are byte-identical to a loop of Execute calls
-// with pool round-trips in between.
+// with pool round-trips in between. Before each test after the first the
+// lease checks Config.Ctx: once it is done, the tests not yet run come
+// back Aborted with the context's error, so a cancel waits for at most
+// the test in hand. A lease of one (Execute) never aborts.
 func (s *Sim) ExecuteBatch(slot Slot, batch []testgen.Dataset, spec RunSpec) []Result {
 	out := make([]Result, len(batch))
 	sl, _ := slot.(*simSlot)
@@ -164,6 +167,12 @@ func (s *Sim) ExecuteBatch(slot Slot, batch []testgen.Dataset, spec RunSpec) []R
 	sl.m.SetHost(nil)
 	var opts []xm.Option // rebuilt only when the machine or sink changes
 	for i, ds := range batch {
+		if i > 0 && s.cfg.Ctx != nil && s.cfg.Ctx.Err() != nil {
+			for j := i; j < len(batch); j++ {
+				out[j] = Result{Dataset: batch[j], RunErr: s.cfg.Ctx.Err().Error(), Aborted: true}
+			}
+			break
+		}
 		if i > 0 && sl.Restore() != nil {
 			// Rewind refused (an invariant failure): replace the machine
 			// through the pool's discard path.

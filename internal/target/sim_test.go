@@ -1,6 +1,7 @@
 package target
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -71,5 +72,36 @@ func TestUnprovisionedSimRefuses(t *testing.T) {
 	defer sim.Release(slot)
 	if res := sim.Execute(slot, dataset(t, "XM_get_time", 0), spec1()); !strings.Contains(res.RunErr, "Acquire before Provision") {
 		t.Fatalf("RunErr = %q", res.RunErr)
+	}
+}
+
+// TestCancelledLeaseAborts: a batched sim lease checks its context before
+// each test after the first, so a cancel stops it after the test in
+// hand, and the rest of the lease comes back Aborted with the context's
+// error. A lease of one runs its test whatever the context says.
+func TestCancelledLeaseAborts(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sim := NewSim(Config{Ctx: ctx})
+	if err := sim.Provision(1); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]testgen.Dataset, 16)
+	for i := range batch {
+		batch[i] = dataset(t, "XM_get_time", 0)
+	}
+	slot := sim.Acquire()
+	defer sim.Release(slot)
+	rs := sim.ExecuteBatch(slot, batch, spec1())
+	if rs[0].Aborted || rs[0].RunErr != "" {
+		t.Fatalf("the lease's first test: Aborted %v, RunErr %q; want it executed", rs[0].Aborted, rs[0].RunErr)
+	}
+	for i, r := range rs[1:] {
+		if !r.Aborted || r.RunErr != context.Canceled.Error() || r.Dataset.String() != batch[i+1].String() {
+			t.Fatalf("test %d of the lease: Aborted %v, RunErr %q; want Aborted with %q", i+1, r.Aborted, r.RunErr, context.Canceled)
+		}
+	}
+	if r := sim.Execute(slot, batch[0], spec1()); r.Aborted || r.RunErr != "" {
+		t.Fatalf("a lease of one: Aborted %v, RunErr %q; want it executed", r.Aborted, r.RunErr)
 	}
 }
