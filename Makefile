@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build examples test bench bench-1x bench-smoke bench-sweep plan-smoke feedback-smoke diff-smoke inject-smoke remote-smoke obs-smoke daemon-smoke fuzz-smoke xmlint lint vulncheck fmt ci
+.PHONY: build examples test bench bench-1x bench-smoke bench-sweep plan-smoke feedback-smoke diff-smoke inject-smoke remote-smoke crash-smoke obs-smoke daemon-smoke fuzz-smoke xmlint lint vulncheck fmt ci
 
 build:
 	$(GO) build ./...
@@ -161,6 +161,31 @@ remote-smoke:
 	echo "remote-smoke: rand:400 stopped by a whole-fleet outage, resumed on restarted workers, merged byte-identical"
 	rm -rf /tmp/xmremote-smoke
 
+# Crash smoke: the paper campaign (-mafs 100, 2 workers, ~0.5 s) is
+# killed with SIGKILL after several delays, and each killed run resumed
+# with -resume must merge to the uninterrupted run's bytes. A kill may
+# land before the checkpoint exists or after the last record; at least
+# one must leave between 1 and 2660 records in the shards, or no resume
+# was exercised mid-campaign. CI runs this.
+crash-smoke:
+	rm -rf /tmp/xmcrash-smoke && mkdir -p /tmp/xmcrash-smoke
+	$(GO) build -o /tmp/xmcrash-smoke/ ./cmd/xmfuzz
+	@set -e; d=/tmp/xmcrash-smoke; mid=0; \
+	$$d/xmfuzz -mafs 100 -workers 2 -stream $$d/ref -o $$d/ref.jsonl > /dev/null; \
+	for delay in 0.05 0.1 0.2 0.3 0.45; do \
+		k=$$d/kill-$$delay; \
+		$$d/xmfuzz -mafs 100 -workers 2 -stream $$k > /dev/null 2>&1 & pid=$$!; \
+		sleep $$delay; kill -9 $$pid 2> /dev/null || true; wait $$pid 2> /dev/null || true; \
+		n=$$(cat $$k/shard-*.jsonl 2> /dev/null | wc -l); \
+		echo "crash-smoke: SIGKILL after $${delay}s left $$n records"; \
+		if [ $$n -ge 1 ] && [ $$n -le 2660 ]; then mid=1; fi; \
+		$$d/xmfuzz -mafs 100 -workers 2 -stream $$k -resume -o $$k.jsonl > /dev/null; \
+		cmp $$d/ref.jsonl $$k.jsonl; \
+	done; \
+	if [ $$mid = 0 ]; then echo "crash-smoke: no kill landed mid-campaign"; exit 1; fi; \
+	echo "crash-smoke: every killed campaign resumed to the uninterrupted bytes"
+	rm -rf /tmp/xmcrash-smoke
+
 # Observability smoke: a fixed-seed SEU campaign over two loopback
 # workers with the full metrics/trace/progress spine attached, its ops
 # endpoints scraped over HTTP while it runs. Asserts every layer
@@ -224,4 +249,4 @@ vulncheck:
 fmt:
 	gofmt -w .
 
-ci: build examples lint test fuzz-smoke bench-smoke bench-sweep plan-smoke feedback-smoke diff-smoke inject-smoke remote-smoke obs-smoke daemon-smoke
+ci: build examples lint test fuzz-smoke bench-smoke bench-sweep plan-smoke feedback-smoke diff-smoke inject-smoke remote-smoke crash-smoke obs-smoke daemon-smoke
