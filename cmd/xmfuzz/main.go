@@ -7,9 +7,10 @@
 // Every campaign streams through the pooled engine, its analysis folded
 // in as results land. By default the execution logs stay in memory. With
 // -stream DIR they are sharded into JSON Lines files under DIR, one per
-// running worker, a checkpoint tracks completed tests, and -resume
-// continues an interrupted campaign from the last completed dataset. The
-// report is the same either way, and identical to an uninterrupted run's.
+// running worker, and DIR/checkpoint.jsonl records the campaign's
+// identity; -resume continues an interrupted campaign, skipping every
+// test whose record is complete in the shards. The report is the same
+// either way, and identical to an uninterrupted run's.
 //
 // xmfuzz exits 0 when the campaign executed cleanly (robustness findings
 // are its product, not an error), 1 on campaign/harness errors, 2 on
@@ -145,9 +146,8 @@ func main() {
 		opts = append(opts, xmrobust.WithCoverage())
 	}
 	// First SIGINT/SIGTERM cancels the campaign cooperatively: workers
-	// finish the tests in hand, shards flush, and with -stream the
-	// checkpoint is durable, so -resume replays the rest to a
-	// byte-identical merged log. A second signal kills the process (stop
+	// finish the tests in hand and shards flush, so with -stream,
+	// -resume replays the rest to a byte-identical merged log. A second signal kills the process (stop
 	// restores default handling).
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()

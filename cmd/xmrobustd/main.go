@@ -19,7 +19,7 @@
 // replays the remainder to a byte-identical merged log.
 //
 // On SIGINT or SIGTERM the daemon drains: submissions get 503, queued
-// and running campaigns are cancelled (flushing shards and checkpoint),
+// and running campaigns are cancelled (flushing their shards),
 // SSE subscribers receive the final status and end events, and the
 // HTTP server finishes in-flight requests before the process exits 0.
 //
@@ -104,7 +104,7 @@ func main() {
 		}
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "xmrobustd: %v — draining\n", sig)
-		// Campaigns first (they cancel, flush and checkpoint, and their
+		// Campaigns first (they cancel and flush their shards, and their
 		// SSE streams end), then the HTTP server's in-flight requests.
 		dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		if err := svc.Shutdown(dctx); err != nil {

@@ -8,8 +8,8 @@ package campaign
 // synchronously, so the one failure a lease meets in flight, a remote
 // worker dying, is healed inside the remote client while the engine
 // worker still holds the lease. A position that never executes (a
-// cancelled or stopped campaign) stays unmarked in the checkpoint and
-// runs on resume. Because every plan is deterministic and
+// cancelled or stopped campaign) has no shard record and runs on
+// resume. Because every plan is deterministic and
 // index-addressable, a re-executed position produces a byte-identical
 // record, and the seq-dedup of CollectShardsIn keeps the merged log
 // byte-identical to a single-process run.

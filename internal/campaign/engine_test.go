@@ -293,8 +293,7 @@ func TestResumeTrimsTornShardTail(t *testing.T) {
 	if _, err := Stream(datasets, eo, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a SIGKILL mid-record: append a torn fragment with no
-	// matching checkpoint mark.
+	// Simulate a SIGKILL mid-record: append a torn fragment.
 	f, err := os.OpenFile(shardPath(dir, 0), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -340,8 +339,9 @@ func TestCheckpointRejectsForeignCampaign(t *testing.T) {
 	}
 }
 
-// TestResumeRequiresShards: a checkpoint mark promises a durable record;
-// the engine refuses a resume that would silently drop the skipped tests.
+// TestResumeRequiresShards: a resume skips the tests whose shard records
+// are complete, so the engine refuses a resume without shards, which
+// would silently drop the skipped tests.
 func TestResumeRequiresShards(t *testing.T) {
 	datasets := mixedSuite(t)
 	eo := EngineOptions{Options: Options{Workers: 2},

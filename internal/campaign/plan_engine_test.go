@@ -103,7 +103,7 @@ func TestPlanCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestResumeRefusesDifferentPlan: a checkpoint's completion marks are
+// TestResumeRefusesDifferentPlan: a campaign's shard records are
 // positions in ONE plan's stream; resuming any other plan must fail with
 // an error naming the checkpointed plan and fingerprint, not produce a
 // silently mixed log.

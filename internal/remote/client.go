@@ -496,8 +496,7 @@ func (c *client) decodeResults(resp response, batch []testgen.Dataset) ([]target
 
 // abortedResults marks every test of a lease that was not executed
 // Aborted, carrying why — the engine discards them instead of logging,
-// so the positions stay unmarked in the checkpoint and re-execute on
-// resume.
+// so the positions have no shard record and re-execute on resume.
 func abortedResults(batch []testgen.Dataset, err error) []target.Result {
 	out := make([]target.Result, 0, len(batch))
 	for _, ds := range batch {

@@ -164,7 +164,7 @@ func TestRemoteWorkerDeathHandsBack(t *testing.T) {
 
 // TestRemoteFleetOutageStopsResumably: when the whole fleet dies, the
 // leases in flight come back not executed — no record carries a harness
-// error, so no checkpoint marks a test that never ran — and the campaign
+// error, so no shard record claims a test that never ran — and the campaign
 // stops with the dial failure. A worker back on the same address then
 // resumes the campaign to the bytes of the single-process run.
 func TestRemoteFleetOutageStopsResumably(t *testing.T) {

@@ -356,7 +356,7 @@ func (s *Server) run(j *job) {
 		Obs:            s.obs,
 	}
 	// The sink runs on the engine's collector goroutine after the
-	// record is shard-written and checkpoint-marked, so every record a
+	// record is written to its shard and flushed, so every record a
 	// subscriber sees live is already durable — exactly what shard
 	// replay will show a later subscriber.
 	var scratch []byte
@@ -381,7 +381,7 @@ func (s *Server) run(j *job) {
 	j.mu.Unlock()
 	switch {
 	case err != nil && j.ctx.Err() != nil:
-		// Shards are flushed and the checkpoint is durable: the
+		// Shards are flushed and the checkpoint header is on disk: the
 		// campaign directory resumes like any interrupted run.
 		j.finish(StateCanceled, err.Error())
 	case err != nil:
@@ -461,8 +461,8 @@ func (s *Server) MergedLog(id string, w io.Writer) (int, error) {
 }
 
 // Shutdown drains the service: submissions start returning 503, every
-// queued and running campaign is cancelled (running ones flush shards
-// and checkpoint, staying resumable), and Shutdown returns when all
+// queued and running campaign is cancelled (running ones flush their
+// shards, staying resumable), and Shutdown returns when all
 // runners have settled or ctx expires. SSE subscribers see the final
 // status and end events before their streams close.
 func (s *Server) Shutdown(ctx context.Context) error {

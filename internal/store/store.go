@@ -1,5 +1,5 @@
 // Package store is the persistence seam of the campaign stack: the
-// checkpoint marks and log shards a campaign writes flow through the
+// checkpoint header and log shards a campaign writes flow through the
 // campaign's store instead of direct file I/O. The local filesystem
 // implementation (FS) reproduces exactly what the engine did before the
 // seam existed; the in-memory implementation (Mem) backs tests and
@@ -17,8 +17,10 @@
 // string the store resolves (the FS store treats it as a filesystem
 // path). Append-oriented writes return an io.WriteCloser; durability
 // per write is the implementation's contract (FS hands out unbuffered
-// *os.File appends, so each Write is one syscall, exactly what the
-// checkpoint's mark-after-record protocol needs).
+// *os.File appends, so each Write is one syscall). A campaign's shards
+// are its progress record: a resume skips every test whose shard record
+// is complete, meaning newline-terminated, and AppendLog's torn-tail
+// trim drops any fragment after the last newline.
 package store
 
 import (
@@ -38,8 +40,10 @@ import (
 // Mem uniformly.
 var ErrNotExist = fs.ErrNotExist
 
-// CheckpointStore persists campaign checkpoints: a header line followed
-// by completion marks, append-only within one run.
+// CheckpointStore persists campaign checkpoints: the header line that
+// identifies a campaign, written once when it starts. (Checkpoints
+// written before the shards became the progress record also hold
+// per-test completion marks, which a resume ignores.)
 type CheckpointStore interface {
 	// ReadCheckpoint returns the full checkpoint contents, or an error
 	// wrapping ErrNotExist when none was ever written.
@@ -47,7 +51,7 @@ type CheckpointStore interface {
 	// CreateCheckpoint truncates (or creates) the checkpoint and returns
 	// a writer positioned at its start.
 	CreateCheckpoint(name string) (io.WriteCloser, error)
-	// AppendCheckpoint opens an existing checkpoint for appending marks.
+	// AppendCheckpoint opens an existing checkpoint for appending.
 	AppendCheckpoint(name string) (io.WriteCloser, error)
 }
 
@@ -99,7 +103,7 @@ func (FS) CreateCheckpoint(name string) (io.WriteCloser, error) {
 	return os.Create(name)
 }
 
-// AppendCheckpoint opens the checkpoint file for appending marks.
+// AppendCheckpoint opens the checkpoint file for appending.
 func (FS) AppendCheckpoint(name string) (io.WriteCloser, error) {
 	return os.OpenFile(name, os.O_WRONLY|os.O_APPEND, 0o644)
 }

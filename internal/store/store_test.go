@@ -58,7 +58,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			if got, want := string(data), "header\nmark1\nmark2\n"; got != want {
 				t.Fatalf("contents %q, want %q", got, want)
 			}
-			// Create truncates: a fresh campaign must not inherit marks.
+			// Create truncates: a fresh campaign's header replaces the old checkpoint.
 			w, err = st.s.CreateCheckpoint(name)
 			if err != nil {
 				t.Fatalf("re-create: %v", err)

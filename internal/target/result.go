@@ -55,7 +55,7 @@ type Result struct {
 	// context, a closed backend, or a remote fleet that stayed down
 	// through every attempt. RunErr then says why. Aborted results never
 	// describe kernel behaviour: the engine discards them instead of
-	// logging or checkpointing, so the position re-executes on resume,
+	// logging them, so the position re-executes on resume,
 	// and one that nobody cancelled stops the campaign with that error.
 	// The field is never serialised.
 	Aborted bool
