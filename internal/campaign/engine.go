@@ -84,17 +84,14 @@ type EngineOptions struct {
 	// shared instance.
 	TargetInstance target.Target
 
-	// CheckpointPath, when set, makes the campaign resumable. A fresh run
-	// writes the campaign's identity there as one header line (execution
-	// signature, target, plan fingerprint, injection schedule), once, and
-	// flushes every shard record as it is written. The shards are the
-	// progress record: a newline-terminated record is a completed test.
+	// CheckpointPath, when set, makes the campaign resumable: a fresh run
+	// writes the campaign's identity there as one header line and flushes
+	// every shard record as it is written.
 	CheckpointPath string
 
 	// Resume continues the campaign at CheckpointPath when its header
-	// matches this run, skipping every test with a complete shard record;
-	// a different campaign is refused by name. A run that reads no
-	// matching header, a missing checkpoint included, starts fresh.
+	// matches, skipping every test with a complete (newline-terminated)
+	// shard record. Without a checkpoint the run starts fresh.
 	Resume bool
 
 	// Store is the persistence seam checkpoint, shard and merge I/O flow
@@ -237,16 +234,12 @@ func Stream(datasets []testgen.Dataset, eo EngineOptions, sink func(pos int, r R
 // own shard, and hands the result to the collector. The collector feeds
 // coverage back and hands each completed test to sink (when non-nil),
 // tagged with its position in the source, so the sink always runs on one
-// goroutine, after the test's shard write (flushed, with a checkpoint).
-// A fresh campaign first clears the shard directory's stale shards, then
-// writes the checkpoint header; a resume reads the header, and one pass
-// over the shards yields the completed tests (and replays a feedback
-// plan's coverage). Neither the suite nor the results are retained in
-// memory, so a campaign's footprint no longer grows with its test count.
-// Results arrive in completion order, not campaign order. Note that on a
-// resumed run the sink only sees the tests executed by this call — the
-// skipped tests' logs live in the shard files (ScanShards reads them
-// back).
+// goroutine, after the test's shard write. Neither the suite nor the
+// results are retained in memory, so a campaign's footprint no longer
+// grows with its test count. Results arrive in completion order, not
+// campaign order. Note that on a resumed run the sink only sees the
+// tests executed by this call — the skipped tests' logs live in the
+// shard files (ScanShards reads them back).
 func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (EngineStats, error) {
 	opts := eo.Options.withDefaults()
 	fb, _ := src.(FeedbackSource)
@@ -396,10 +389,9 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 		if writers, err = openShards(st, eo.ShardDir, workers, resumed); err != nil {
 			return stats, err
 		}
-		// A checkpointed campaign's shards are its progress record: each
-		// record is flushed as it is written, so an interruption loses at
-		// most the records in hand, and the daemon's SSE replay shows a
-		// late subscriber every record a live one saw.
+		// A checkpointed campaign's shards are its progress record, and
+		// the daemon's SSE replay shows a late subscriber every record a
+		// live one saw, so each record is flushed as it is written.
 		for _, w := range writers {
 			w.flushEach = eo.CheckpointPath != ""
 			w.encNs = em.EncodeNs
@@ -614,10 +606,8 @@ func optionsSignature(total int, opts Options) string {
 // --- checkpoint --------------------------------------------------------
 
 // ckptHeader is a checkpoint's one line: the execution signature plus
-// the identity of the plan whose positions the shard records index and
-// the backend the recorded logs were executed on. (Checkpoints written
-// before the shards became the progress record follow it with one
-// {"seq":N} mark per completed test; a resume ignores them.)
+// the plan and backend the shard records belong to. (Older checkpoints
+// follow it with {"seq":N} completion marks, which a resume ignores.)
 type ckptHeader struct {
 	Campaign string `json:"campaign"`
 	// Target names the execution backend ("sim", "phantom",
@@ -712,11 +702,10 @@ func readCheckpoint(st store.CheckpointStore, path string, want ckptHeader) (boo
 
 // shardWriter owns one JSON Lines shard file. Records encode through the
 // record codec into a reused buffer. When a checkpoint is in play the
-// writer flushes per record, since the shards are the progress record a
-// resume (and the daemon's SSE replay) reads; without one the only reader
-// is the post-run merge, so records ride the bufio buffer until close and
-// the per-record write(2) disappears from the hot path. After a failed write the writer
-// latches broken: a short write leaves a partial record at the tail, and
+// writer flushes per record, for resume and the SSE replay to read;
+// without one the only reader is the post-run merge, so records ride the
+// bufio buffer until close and the per-record write(2) disappears from
+// the hot path. After a failed write the writer latches broken: a short write leaves a partial record at the tail, and
 // appending anything after it would corrupt the shard mid-file, beyond
 // what readers can skip.
 type shardWriter struct {
@@ -753,8 +742,6 @@ func clearShards(st store.LogStore, dir string) error {
 	return nil
 }
 
-// openShards opens n shards of dir for appending; on resume the store
-// trims each one's torn tail first.
 func openShards(st store.LogStore, dir string, n int, resume bool) ([]*shardWriter, error) {
 	writers := make([]*shardWriter, 0, n)
 	for i := 0; i < n; i++ {
@@ -824,9 +811,8 @@ func closeShards(writers []*shardWriter) error {
 // streaming engine for incremental consumers. Records arrive in file
 // order, not campaign order, and a record may repeat across an
 // interruption; callers needing uniqueness dedupe by Seq (duplicates are
-// byte-identical, execution being deterministic). A torn trailing record
-// from an interrupted run is skipped: a shard's final line without its
-// newline, even one that decodes, since a resume trims it off.
+// byte-identical, execution being deterministic). A final line without
+// its newline is a torn record from an interrupted run and is skipped.
 func ScanShards(dir string, fn func(JSONRecord) error) error {
 	return ScanShardsIn(store.Local(), dir, fn)
 }

@@ -18,9 +18,8 @@
 // path). Append-oriented writes return an io.WriteCloser; durability
 // per write is the implementation's contract (FS hands out unbuffered
 // *os.File appends, so each Write is one syscall). A campaign's shards
-// are its progress record: a resume skips every test whose shard record
-// is complete, meaning newline-terminated, and AppendLog's torn-tail
-// trim drops any fragment after the last newline.
+// are its progress record: a newline-terminated record is a completed
+// test.
 package store
 
 import (
@@ -41,9 +40,7 @@ import (
 var ErrNotExist = fs.ErrNotExist
 
 // CheckpointStore persists campaign checkpoints: the header line that
-// identifies a campaign, written once when it starts. (Checkpoints
-// written before the shards became the progress record also hold
-// per-test completion marks, which a resume ignores.)
+// identifies a campaign, written once when it starts.
 type CheckpointStore interface {
 	// ReadCheckpoint returns the full checkpoint contents, or an error
 	// wrapping ErrNotExist when none was ever written.

@@ -148,10 +148,9 @@ func (s *Sim) Execute(slot Slot, ds testgen.Dataset, spec RunSpec) Result {
 // in-slot rewind cannot certify is replaced through the pool, exactly as
 // a round-trip would have replaced it, and the kernel is re-pointed at
 // the replacement. Results are byte-identical to a loop of Execute calls
-// with pool round-trips in between. Before each test after the first the
-// lease checks Config.Ctx: once it is done, the tests not yet run come
-// back Aborted with the context's error, so a cancel waits for at most
-// the test in hand. A lease of one (Execute) never aborts.
+// with pool round-trips in between. Once Config.Ctx is done, the tests
+// after the one in hand come back Aborted with the context's error; a
+// lease of one (Execute) never aborts.
 func (s *Sim) ExecuteBatch(slot Slot, batch []testgen.Dataset, spec RunSpec) []Result {
 	out := make([]Result, len(batch))
 	sl, _ := slot.(*simSlot)

@@ -144,12 +144,11 @@ type Config struct {
 	Obs *obs.Obs
 	// Ctx, when non-nil, is the campaign's cancellation context. A
 	// backend finishes the test in hand regardless (a single test is
-	// short) but not the rest of its lease: the sim backend checks Ctx
-	// before each test after a lease's first, and the remote client uses
-	// it to abandon in-flight leases and retry waits instead of waiting
-	// out a slow or dead worker. The tests not run come back Aborted: not
-	// executed, which the engine discards. Nil: no cancel aborts an
-	// execution (a remote fleet that stays down still does).
+	// short), but the sim backend skips the rest of its lease and the
+	// remote client abandons in-flight leases and retry waits, returning
+	// Aborted results: not executed, which the engine discards. Nil: no
+	// cancel aborts an execution (a remote fleet that stays down still
+	// does).
 	Ctx context.Context
 }
 

@@ -146,9 +146,8 @@ func NewPlan(spec string, h *apispec.Header, d *dict.Dictionary, seed int64) (Pl
 		if err != nil {
 			return nil, err
 		}
-		// The strategy renders the count as parsed, before clamping, so
-		// rand:0300 and rand:+300 are rand:300, and rand:99999 keeps its
-		// own name and fingerprint.
+		// Named by the count as parsed, before clamping: rand:0300 is
+		// rand:300, and rand:99999 keeps its fingerprint.
 		return pickPlan{s: s, strategy: StrategyRand + ":" + strconv.Itoa(n), seeded: true, seed: seed, picks: picks}, nil
 	}
 	return nil, fmt.Errorf("testgen: unknown plan strategy %q (have %s, %s, %s, %s)",

@@ -148,18 +148,15 @@ func WithDict(d *Dictionary) Option { return func(c *config) { c.opts.Dict = d }
 func WithFunction(name string) Option { return func(c *config) { c.fn = name } }
 
 // WithCheckpoint keeps the campaign's execution logs on disk instead
-// of in memory: they land in JSON Lines shards under dir, each record
-// flushed as it is written, and dir/checkpoint.jsonl records the
-// campaign's identity (plan, seed, target, execution settings), so
-// WithResume continues an interrupted campaign from the tests whose
-// records are complete in the shards. A fresh campaign clears the
-// shards an earlier one left in dir. MergeLog (or Report.WriteLog)
-// restores the single merged log.
+// of in memory: they land in JSON Lines shards under dir, and a
+// checkpoint file records the campaign's identity, so WithResume
+// continues an interrupted campaign after the records already complete
+// in the shards. MergeLog (or Report.WriteLog) restores the single
+// merged log.
 func WithCheckpoint(dir string) Option { return func(c *config) { c.eng.ShardDir = dir } }
 
 // WithResume resumes an interrupted campaign from its WithCheckpoint
-// state. The checkpoint refuses a plan, seed or target mismatch by name;
-// without a checkpoint in dir the campaign starts fresh.
+// state. The checkpoint refuses a plan, seed or target mismatch by name.
 func WithResume() Option { return func(c *config) { c.eng.Resume = true } }
 
 // WithBatchSize leases contiguous runs of n tests to each engine worker
