@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"xmrobust/internal/corpus"
+	"xmrobust/internal/store"
 	"xmrobust/internal/target"
 	"xmrobust/internal/testgen"
 )
@@ -68,7 +69,7 @@ func TestCancelledCampaignResumesByteIdentical(t *testing.T) {
 		t.Fatalf("resume skipped %d / executed %d after a %d-test cancelled leg",
 			s2.Skipped, s2.Executed, s1.Executed)
 	}
-	a, b := mergeDir(t, full), mergeDir(t, split)
+	a, b := mergeDir(t, store.Local(), full), mergeDir(t, store.Local(), split)
 	if !bytes.Equal(a, b) {
 		t.Fatal("merged campaign logs differ between uninterrupted and cancelled-then-resumed runs")
 	}
@@ -134,7 +135,7 @@ func TestAbortedResultStopsCampaignResumably(t *testing.T) {
 			if _, err := StreamPlan(src, EngineOptions{Options: opts, ShardDir: full}, nil); err != nil {
 				t.Fatal(err)
 			}
-			want := mergeDir(t, full)
+			want := mergeDir(t, store.Local(), full)
 			// Abort the 21st execution. On the feedback plan, abort a bred
 			// test that grew the frontier: bred tests run one at a time
 			// in position order after the seeds, so execution p+1 is
@@ -175,7 +176,7 @@ func TestAbortedResultStopsCampaignResumably(t *testing.T) {
 			if _, err := StreamPlan(planSource(t, plan, opts), eo, nil); err != nil {
 				t.Fatal(err)
 			}
-			if got := mergeDir(t, dir); !bytes.Equal(want, got) {
+			if got := mergeDir(t, store.Local(), dir); !bytes.Equal(want, got) {
 				t.Fatalf("resumed log differs from an uninterrupted run (%d vs %d bytes)", len(got), len(want))
 			}
 		})

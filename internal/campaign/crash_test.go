@@ -156,17 +156,6 @@ func (w crashWriter) Close() error {
 	return w.w.Close()
 }
 
-// mergeMem renders the campaign directory dir of st as one
-// campaign-ordered log.
-func mergeMem(t *testing.T, st store.LogStore, dir string) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := MergeShardsIn(st, dir, &buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestCrashAtEveryWrite explores the crash states of a checkpointed
 // 2-worker campaign: it kills the campaign at its n-th store operation,
 // for every n until a run finishes, under each tear, and resumes on what
@@ -190,7 +179,7 @@ func TestCrashAtEveryWrite(t *testing.T) {
 	if _, err := StreamPlan(plan, EngineOptions{Options: opts, ShardDir: dir, CheckpointPath: ckpt, Store: ref}, nil); err != nil {
 		t.Fatal(err)
 	}
-	want := mergeMem(t, ref, dir)
+	want := mergeDir(t, ref, dir)
 	if hdr, err := ref.ReadCheckpoint(ckpt); err != nil || bytes.IndexByte(hdr, '\n') != len(hdr)-1 {
 		t.Fatalf("a finished campaign's checkpoint is %q (%v), want its header line alone", hdr, err)
 	}
@@ -218,7 +207,7 @@ func TestCrashAtEveryWrite(t *testing.T) {
 						if err != nil {
 							t.Fatalf("run without a crash: %v", err)
 						}
-						if got := mergeMem(t, mem, dir); !bytes.Equal(got, want) {
+						if got := mergeDir(t, mem, dir); !bytes.Equal(got, want) {
 							t.Fatalf("run without a crash merged a different log:\n%s", diffLines(want, got))
 						}
 						break
@@ -234,7 +223,7 @@ func TestCrashAtEveryWrite(t *testing.T) {
 						}
 						continue
 					}
-					if got := mergeMem(t, mem, dir); !bytes.Equal(got, want) {
+					if got := mergeDir(t, mem, dir); !bytes.Equal(got, want) {
 						t.Fatalf("crash at operation %d: resume merged a different log:\n%s", n, diffLines(want, got))
 					}
 				}
@@ -292,7 +281,7 @@ func TestFailedShardWriteLeavesPositionPending(t *testing.T) {
 	if _, err := Stream(datasets, EngineOptions{Options: opts, ShardDir: "ref", Store: ref}, nil); err != nil {
 		t.Fatal(err)
 	}
-	want := mergeMem(t, ref, "ref")
+	want := mergeDir(t, ref, "ref")
 
 	for _, tr := range []tear{tearNothing, tearNewline} {
 		t.Run(tr.String(), func(t *testing.T) {
@@ -319,7 +308,7 @@ func TestFailedShardWriteLeavesPositionPending(t *testing.T) {
 				t.Fatalf("resume skipped %d and executed %d; the shard held %d complete records of %d",
 					stats.Skipped, stats.Executed, complete, len(datasets))
 			}
-			if got := mergeMem(t, mem, "run"); !bytes.Equal(got, want) {
+			if got := mergeDir(t, mem, "run"); !bytes.Equal(got, want) {
 				t.Fatalf("resumed log differs from an uninterrupted run:\n%s", diffLines(want, got))
 			}
 		})

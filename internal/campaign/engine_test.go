@@ -113,11 +113,12 @@ func TestPoolOnlyDiscardsCrashes(t *testing.T) {
 	}
 }
 
-// mergeDir renders the shard directory as one campaign-ordered log.
-func mergeDir(t *testing.T, dir string) []byte {
+// mergeDir renders the campaign directory dir of st as one
+// campaign-ordered log.
+func mergeDir(t *testing.T, st store.LogStore, dir string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := MergeShards(dir, &buf); err != nil {
+	if _, err := MergeShardsIn(st, dir, &buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -158,7 +159,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			s2.Skipped, s2.Executed, s1.Executed)
 	}
 
-	a, b := mergeDir(t, full), mergeDir(t, split)
+	a, b := mergeDir(t, store.Local(), full), mergeDir(t, store.Local(), split)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("merged campaign logs differ between uninterrupted and resumed runs:\n--- full ---\n%s\n--- resumed ---\n%s", a, b)
 	}
@@ -198,7 +199,7 @@ func TestMissingCheckpointStartsFresh(t *testing.T) {
 	if _, err := Stream(datasets[:6], EngineOptions{Options: opts, ShardDir: "ref", Store: ref}, nil); err != nil {
 		t.Fatal(err)
 	}
-	want := mergeMem(t, ref, "ref")
+	want := mergeDir(t, ref, "ref")
 
 	mem := store.NewMem()
 	// Another campaign's shard-only run: no checkpoint.
@@ -213,7 +214,7 @@ func TestMissingCheckpointStartsFresh(t *testing.T) {
 	if stats.Skipped != 0 || stats.Executed != 6 {
 		t.Fatalf("resume without a checkpoint skipped %d and executed %d, want a fresh run of 6", stats.Skipped, stats.Executed)
 	}
-	if got := mergeMem(t, mem, "run"); !bytes.Equal(got, want) {
+	if got := mergeDir(t, mem, "run"); !bytes.Equal(got, want) {
 		t.Fatalf("merged log differs from a clean run's:\n%s", diffLines(want, got))
 	}
 }
@@ -230,7 +231,7 @@ func TestMarkedCheckpointResumes(t *testing.T) {
 	if _, err := Stream(datasets, EngineOptions{Options: opts, ShardDir: "ref", Store: ref}, nil); err != nil {
 		t.Fatal(err)
 	}
-	want := mergeMem(t, ref, "ref")
+	want := mergeDir(t, ref, "ref")
 
 	mem := store.NewMem()
 	eo := EngineOptions{Options: opts, ShardDir: "run", CheckpointPath: "run/ckpt.jsonl", Store: mem, Limit: 7}
@@ -259,7 +260,7 @@ func TestMarkedCheckpointResumes(t *testing.T) {
 	if stats.Skipped != 7 || stats.Executed != len(datasets)-7 {
 		t.Fatalf("resume skipped %d and executed %d after a 7-test first leg", stats.Skipped, stats.Executed)
 	}
-	if got := mergeMem(t, mem, "run"); !bytes.Equal(got, want) {
+	if got := mergeDir(t, mem, "run"); !bytes.Equal(got, want) {
 		t.Fatalf("resumed log differs from an uninterrupted run:\n%s", diffLines(want, got))
 	}
 }
