@@ -13,12 +13,13 @@ build:
 examples:
 	$(GO) build ./examples/...
 
-# The race run, then the engine's stop and resume tests repeated under
-# the race detector: workers and a stop interleave differently on each
-# pass, and a single pass can miss the one that breaks. CI runs this.
+# The race run, then the engine's stop, resume and feedback tests
+# repeated under the race detector: workers, their delivery and a stop
+# interleave differently on each pass, and a single pass can miss the
+# one that breaks. CI runs this.
 test:
 	$(GO) test -race ./...
-	$(GO) test -race -count 20 -run 'Cancel|Abort|Resume' ./internal/campaign
+	$(GO) test -race -count 20 -run 'Cancel|Abort|Resume|Feedback' ./internal/campaign
 
 # Full benchmark run with allocation stats.
 bench:

@@ -5,7 +5,7 @@ package campaign
 // it on any registered target backend (the sim target recycles simulated
 // machines, and the kernels parked on them, through a reset-and-verify
 // pool), and encodes and writes every execution log to its own JSON
-// Lines shard. It then hands the result to the single collector. The
+// Lines shard. It then delivers the result itself, under one mutex. The
 // shards are the campaign's progress record: a resume skips every test
 // whose record is complete there, so an interrupted campaign resumes
 // from where it stopped. RunDatasets is the collect-to-slice step that
@@ -131,9 +131,11 @@ const (
 // Limit below zero, where the engine would otherwise run the default as
 // if the field were unset, and MAFs or Workers above MaxMAFs or
 // MaxWorkers. The error names the field and the bound. Zero keeps
-// selecting each one's default. Entry points call it before they build
-// anything: the pkg/xmrobust facade (and so xmfuzz) and the daemon's
-// Submit.
+// selecting each one's default. It also refuses an injection schedule
+// (a non-zero rate or any site) whose rate lies outside (0, 1] or whose
+// target never injects: that campaign would run with nothing injected.
+// Entry points call it before they build anything: the pkg/xmrobust
+// facade (and so xmfuzz) and the daemon's Submit.
 func (eo EngineOptions) Validate() error {
 	for _, f := range [...]struct {
 		name   string
@@ -145,6 +147,20 @@ func (eo EngineOptions) Validate() error {
 		case f.n > f.max:
 			return fmt.Errorf("campaign: %s %d exceeds the maximum of %d", f.name, f.n, f.max)
 		}
+	}
+	if eo.Inject.Rate == 0 && len(eo.Inject.Sites) == 0 {
+		return nil
+	}
+	// Negated form so NaN fails too.
+	if r := eo.Inject.Rate; !(r > 0 && r <= 1) {
+		return fmt.Errorf("campaign: injection rate %v outside (0, 1]", r)
+	}
+	tgt, err := target.New(eo.Target, target.Config{Inject: eo.injectParams()})
+	if err != nil {
+		return err
+	}
+	if is, ok := tgt.(interface{ InjectSignature() string }); !ok || is.InjectSignature() == "" {
+		return fmt.Errorf("campaign: an injection schedule requires an inject:* target, not %q", tgt.Name())
 	}
 	return nil
 }
@@ -159,12 +175,6 @@ type EngineStats struct {
 	// Pool holds the machine-pool counters (zero on targets that do not
 	// pool).
 	Pool sparc.PoolStats
-}
-
-// posResult pairs an execution log with its campaign position.
-type posResult struct {
-	pos int
-	res Result
 }
 
 // Source is the dataset stream the engine executes: a deterministic,
@@ -222,24 +232,23 @@ func sourcePlan(src Source) string {
 }
 
 // Stream executes a pre-built dataset list through the engine — the slice
-// adapter over StreamPlan.
+// adapter over StreamPlan, whose sink contract it keeps.
 func Stream(datasets []testgen.Dataset, eo EngineOptions, sink func(pos int, r Result)) (EngineStats, error) {
 	return StreamPlan(DatasetSlice(datasets), eo, sink)
 }
 
 // StreamPlan executes a dataset source through the engine. A campaign
-// runs min(Workers, pending tests) worker goroutines, one closer and the
-// collector. A worker runs each of its tests start to finish: it takes a
-// lease from the coordinator, executes it, writes every record to its
-// own shard, and hands the result to the collector. The collector feeds
-// coverage back and hands each completed test to sink (when non-nil),
-// tagged with its position in the source, so the sink always runs on one
-// goroutine, after the test's shard write. Neither the suite nor the
-// results are retained in memory, so a campaign's footprint no longer
-// grows with its test count. Results arrive in completion order, not
-// campaign order. Note that on a resumed run the sink only sees the
-// tests executed by this call — the skipped tests' logs live in the
-// shard files (ScanShards reads them back).
+// runs min(Workers, pending tests) worker goroutines. A worker runs each
+// of its tests start to finish: it takes a lease from the coordinator,
+// executes it, writes every record to its own shard, then delivers the
+// result under one mutex: coverage back to a feedback source, the
+// counters and progress, and sink (when non-nil), tagged with the test's
+// position in the source. The sink sees every position the campaign has
+// completed exactly once. On a resumed run the tests restored from the
+// shards come first, rebuilt from their records; each executed test
+// follows its shard write, in completion order. No two sink calls
+// overlap. Neither the suite nor the results are retained in memory, so
+// a campaign's footprint does not grow with its test count.
 func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (EngineStats, error) {
 	opts := eo.Options.withDefaults()
 	fb, _ := src.(FeedbackSource)
@@ -319,7 +328,8 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 	if !resumed && eo.ShardDir != "" {
 		// A fresh campaign must not inherit records: stale shards from an
 		// earlier run in the same directory would survive the seq-dedup
-		// of CollectShardsIn and contaminate the merged log. They go
+		// of CollectShardsIn and contaminate the merged log, and a stale
+		// trace would start with the earlier campaign's events. They go
 		// before the new header is written, so a crash between the two
 		// cannot leave a valid header beside a foreign campaign's records.
 		if err := clearShards(st, eo.ShardDir); err != nil {
@@ -337,7 +347,8 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 		// same pass replays a feedback plan's coverage, so its frontier
 		// (and corpus admission state) is restored before any pending
 		// test is bred; without it the plan's At would wait forever on
-		// feedback that already ran.
+		// feedback that already ran. It also hands each restored test to
+		// sink, before any test runs.
 		if err := ScanShardsIn(st, eo.ShardDir, func(rec JSONRecord) error {
 			if rec.Seq < 0 || rec.Seq >= total || done[rec.Seq] {
 				return nil
@@ -346,7 +357,14 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 			if fb != nil {
 				fb.Feedback(rec.Seq, cover.FromSites(rec.Cover))
 			}
-			return nil
+			if sink == nil {
+				return nil
+			}
+			r, err := rec.Result(opts.Header)
+			if err == nil {
+				sink(rec.Seq, r)
+			}
+			return err
 		}); err != nil {
 			return stats, err
 		}
@@ -429,45 +447,30 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 	// The coordinator walks the source's index space lazily — no pending
 	// list is materialised, so a billion-test plan costs the same as a
 	// small one until its tests actually run. A stop closes it: every
-	// worker's next Next returns false, the workers return, and the
-	// collector drains — shards flush with every completed test's record,
-	// so the stopped campaign is exactly as resumable as an interrupted
-	// one.
+	// worker's next Next returns false and the workers return — shards
+	// flush with every completed test's record, so the stopped campaign
+	// is exactly as resumable as an interrupted one.
 	coord := NewCoordinator(total, done, batch, pendingCount, 0)
 	coord.Instrument(obs.NewLeaseMetrics(eo.Obs.Registry()), trace)
 	defer context.AfterFunc(ctx, coord.Close)()
 
-	// Write errors are latched, not fatal mid-flight — the campaign
+	// mu serialises delivery. It is held across the sink call on purpose:
+	// no two sink calls overlap, so a sink needs no lock of its own, and
+	// the progress it reads counts its own test. mu also guards firstErr:
+	// write errors are latched, not fatal mid-flight — the campaign
 	// completes and reports the first failure.
 	var (
-		errMu    sync.Mutex
+		mu       sync.Mutex
 		firstErr error
+		wg       sync.WaitGroup
 	)
-	latch := func(err error) {
-		if err == nil {
-			return
-		}
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-
-	// Four buffered results per worker: the collector's per-test work
-	// (feedback, progress, sink) is serial, and the slack lets the
-	// workers keep executing while it catches up instead of parking on a
-	// full channel. One slot per worker made a cold `xmfuzz -stream` run
-	// about 5% slower on a 2-vCPU host.
-	results := make(chan posResult, 4*workers)
-	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		var shard *shardWriter
 		if len(writers) > 0 {
 			shard = writers[w]
 		}
-		// record logs one result of the worker's lease to its shard and
-		// hands it to the collector.
+		// record logs one result of the worker's lease to its shard, then
+		// delivers it.
 		record := func(pos int, r Result) {
 			if r.Aborted {
 				// Not executed (a cancel reached the target mid-lease, or
@@ -482,10 +485,29 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 				}
 				return
 			}
+			var err error
 			if shard != nil {
-				latch(shard.write(pos, r))
+				err = shard.write(pos, r)
 			}
-			results <- posResult{pos: pos, res: r}
+			mu.Lock()
+			defer mu.Unlock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			if fb != nil {
+				// Close the loop: the plan buffers out-of-order arrivals
+				// and applies them in position order.
+				fb.Feedback(pos, r.Cover)
+			}
+			em.Executed.Inc()
+			prog.Done(1)
+			if prog != nil {
+				prog.Outcome(outcomeClass(r))
+			}
+			if sink != nil {
+				sink(pos, r)
+			}
+			stats.Executed++
 		}
 		wg.Add(1)
 		go func() {
@@ -531,28 +553,10 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	for pr := range results {
-		if fb != nil {
-			// Close the loop: the plan buffers out-of-order arrivals
-			// and applies them in position order.
-			fb.Feedback(pr.pos, pr.res.Cover)
-		}
-		em.Executed.Inc()
-		prog.Done(1)
-		if prog != nil {
-			prog.Outcome(outcomeClass(pr.res))
-		}
-		if sink != nil {
-			sink(pr.pos, pr.res)
-		}
-		stats.Executed++
+	wg.Wait()
+	if err := closeShards(writers); firstErr == nil {
+		firstErr = err
 	}
-	latch(closeShards(writers))
 	if ps, ok := tgt.(interface{ PoolStats() sparc.PoolStats }); ok {
 		stats.Pool = ps.PoolStats()
 	}
@@ -728,15 +732,17 @@ func shardPath(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d.jsonl", i))
 }
 
-// clearShards removes every shard of dir.
+// clearShards removes every shard of dir and the trace beside them.
 func clearShards(st store.LogStore, dir string) error {
-	stale, err := st.ListLogs(filepath.Join(dir, ShardPattern))
-	if err != nil {
-		return fmt.Errorf("campaign: shards: %w", err)
-	}
-	for _, p := range stale {
-		if err := st.RemoveLog(p); err != nil {
+	for _, pattern := range [...]string{ShardPattern, TraceName} {
+		stale, err := st.ListLogs(filepath.Join(dir, pattern))
+		if err != nil {
 			return fmt.Errorf("campaign: shards: %w", err)
+		}
+		for _, p := range stale {
+			if err := st.RemoveLog(p); err != nil {
+				return fmt.Errorf("campaign: shards: %w", err)
+			}
 		}
 	}
 	return nil

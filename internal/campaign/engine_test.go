@@ -165,6 +165,71 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestResumeSinkSeesEveryPositionOnce pins the sink's contract on a
+// resumed campaign: every position reaches it exactly once, the tests
+// restored from the shards before any executed one, and each call
+// carries the result whose record is the uninterrupted run's merged-log
+// line for that position. The sink takes no lock: under -race an
+// overlapping call would be reported.
+func TestResumeSinkSeesEveryPositionOnce(t *testing.T) {
+	datasets := mixedSuite(t)
+	opts := Options{Workers: 2, Coverage: true}
+	ref := store.NewMem()
+	if _, err := Stream(datasets, EngineOptions{Options: opts, ShardDir: "ref", Store: ref}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.SplitAfter(mergeDir(t, ref, "ref"), []byte("\n"))
+
+	mem := store.NewMem()
+	eo := EngineOptions{Options: opts, ShardDir: "run", CheckpointPath: "run/ckpt.jsonl", Store: mem, Limit: 13}
+	if _, err := Stream(datasets, eo, nil); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := CollectShardsIn(mem, "run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eo.Limit, eo.Resume = 0, true
+	var order []int
+	stats, err := Stream(datasets, eo, func(pos int, r Result) {
+		order = append(order, pos)
+		rec := ToRecord(pos, r)
+		line, err := Codec{}.AppendEncode(nil, &rec)
+		if err != nil {
+			t.Errorf("position %d: %v", pos, err)
+			return
+		}
+		if got := string(append(line, '\n')); got != string(want[pos]) {
+			t.Errorf("position %d: the sink's result encodes to\n%.120s\nwant the merged line\n%.120s", pos, got, want[pos])
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Skipped != len(restored) || stats.Executed != len(datasets)-len(restored) {
+		t.Fatalf("resume skipped %d and executed %d; the shards held %d records of %d",
+			stats.Skipped, stats.Executed, len(restored), len(datasets))
+	}
+	if len(order) != len(datasets) {
+		t.Fatalf("the sink saw %d calls for %d positions", len(order), len(datasets))
+	}
+	isRestored := map[int]bool{}
+	for _, rec := range restored {
+		isRestored[rec.Seq] = true
+	}
+	seen := map[int]bool{}
+	for i, pos := range order {
+		if seen[pos] {
+			t.Fatalf("the sink saw position %d twice", pos)
+		}
+		seen[pos] = true
+		if isRestored[pos] != (i < len(restored)) {
+			t.Fatalf("call %d is position %d (restored: %v), but the %d restored positions must come first",
+				i, pos, isRestored[pos], len(restored))
+		}
+	}
+}
+
 // TestFreshRunClearsStaleShards: restarting a campaign in a used
 // directory without -resume must not let the previous run's records leak
 // into the merged log.

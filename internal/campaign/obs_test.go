@@ -97,6 +97,36 @@ func TestStreamPlanObs(t *testing.T) {
 	}
 }
 
+// TestFreshRunClearsStaleTrace: an instrumented fresh campaign in a
+// directory that holds another campaign's shards, checkpoint and trace
+// starts its own trace instead of appending to the old one.
+func TestFreshRunClearsStaleTrace(t *testing.T) {
+	st := store.NewMem()
+	for seed, spec := range []string{"rand:5", "rand:7"} {
+		plan, ropts, err := BuildPlan(Options{Plan: spec, Seed: int64(seed + 1), Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eo := EngineOptions{Options: ropts, ShardDir: "run", CheckpointPath: "run/checkpoint.jsonl", Store: st, Obs: obs.New()}
+		if _, err := StreamPlan(plan, eo, nil); err != nil {
+			t.Fatal(err)
+		}
+		var starts []string
+		for _, line := range bytes.Split(bytes.TrimSpace(readLog(t, st, "run/"+TraceName)), []byte("\n")) {
+			var ev obs.Event
+			if err := json.Unmarshal(line, &ev); err != nil {
+				t.Fatalf("bad trace line %q: %v", line, err)
+			}
+			if ev.Kind == "campaign.start" {
+				starts = append(starts, ev.Campaign)
+			}
+		}
+		if len(starts) != 1 || starts[0] != spec {
+			t.Fatalf("after the %s campaign the trace starts campaigns %q, want only %q", spec, starts, spec)
+		}
+	}
+}
+
 // BenchmarkObsOverhead pins the cost of the observability seam in its
 // two states. The "off" case is the invariant the whole design hangs on:
 // a nil Obs must cost the hot path roughly one nil check per event —

@@ -12,7 +12,6 @@ import (
 	"xmrobust/internal/campaign"
 	"xmrobust/internal/corpus"
 	"xmrobust/internal/cover"
-	"xmrobust/internal/store"
 	"xmrobust/internal/testgen"
 	"xmrobust/internal/xm"
 )
@@ -89,10 +88,10 @@ type CampaignReport struct {
 //
 // The plan generates datasets lazily, the engine streams them through
 // its worker pool, and every result is folded into the classifier,
-// clusterer, injection-study and coverage accumulators as it lands. A
-// resumed campaign also folds in the restored tests' shard records, so
-// an interrupted-then-resumed campaign reports exactly what an
-// uninterrupted one does.
+// clusterer, injection-study and coverage accumulators as it lands. The
+// engine hands a resumed campaign's restored tests to the same fold,
+// rebuilt from their shard records, so an interrupted-then-resumed
+// campaign reports exactly what an uninterrupted one does.
 func RunCampaign(opts campaign.Options, engine ...campaign.EngineOptions) (*CampaignReport, error) {
 	var eo campaign.EngineOptions
 	if len(engine) > 0 {
@@ -109,7 +108,13 @@ func RunCampaign(opts campaign.Options, engine ...campaign.EngineOptions) (*Camp
 	clu := analysis.NewClusterer()
 	study := analysis.NewInjectionStudy()
 	var agg cover.Map
-	fold := func(pos int, res campaign.Result) {
+	if eo.ShardDir == "" {
+		rep.Results = make([]campaign.Result, rep.Total)
+	}
+	stats, err := campaign.StreamPlan(plan, eo, func(pos int, res campaign.Result) {
+		if rep.Results != nil {
+			rep.Results[pos] = res
+		}
 		if res.Cover != nil {
 			agg.Merge(res.Cover)
 		}
@@ -120,52 +125,12 @@ func RunCampaign(opts campaign.Options, engine ...campaign.EngineOptions) (*Camp
 		}
 		study.Add(res)
 		clu.Add(pos, cls.Add(res))
-	}
-	if eo.ShardDir == "" {
-		rep.Results = make([]campaign.Result, rep.Total)
-	}
-	// folded marks the positions already analysed, so a resume's shard
-	// re-read skips what this call executed and the byte-identical
-	// duplicates an interruption leaves behind.
-	var folded []bool
-	if eo.Resume {
-		folded = make([]bool, rep.Total)
-	}
-	stats, err := campaign.StreamPlan(plan, eo, func(pos int, res campaign.Result) {
-		if rep.Results != nil {
-			rep.Results[pos] = res
-		}
-		if folded != nil {
-			folded[pos] = true
-		}
-		fold(pos, res)
 	})
 	if err != nil {
 		return nil, err
 	}
 	rep.Engine, rep.Executed, rep.Skipped = stats, stats.Executed, stats.Skipped
-	if eo.Resume {
-		st := eo.Store
-		if st == nil {
-			st = store.Local()
-		}
-		err := campaign.ScanShardsIn(st, eo.ShardDir, func(rec campaign.JSONRecord) error {
-			if rec.Seq < 0 || rec.Seq >= len(folded) || folded[rec.Seq] {
-				return nil
-			}
-			folded[rec.Seq] = true
-			res, err := rec.Result(ropts.Header)
-			if err != nil {
-				return err
-			}
-			fold(rec.Seq, res)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Results arrive in completion or file order; divergences read in
+	// Results arrive in file, then completion order; divergences read in
 	// campaign order.
 	sort.Slice(rep.Divergences, func(a, b int) bool { return rep.Divergences[a].Seq < rep.Divergences[b].Seq })
 	rep.TestsByFunc, rep.Verdicts, rep.HarnessErrors = cls.TestsByFunc, cls.Verdicts, cls.HarnessErrors

@@ -249,20 +249,13 @@ func (s *Server) Submit(sub Submission, client string) (Status, error) {
 		Workers:  sub.Workers,
 		Stress:   sub.Stress,
 		Coverage: sub.Coverage,
+		Inject:   inject.Params{Rate: sub.InjectRate, Sites: sub.InjectSites},
 	}
 	if sub.Patched {
 		opts.Faults = xm.PatchedFaults()
 	}
 	if err := (campaign.EngineOptions{Options: opts, BatchSize: sub.Batch, Limit: sub.Limit}).Validate(); err != nil {
 		return Status{}, &submitError{400, err.Error()}
-	}
-	if sub.InjectRate != 0 || len(sub.InjectSites) > 0 {
-		// Negated form so NaN fails too (the library's WithInjection
-		// check).
-		if r := sub.InjectRate; !(r > 0 && r <= 1) {
-			return Status{}, &submitError{400, fmt.Sprintf("injection rate %v outside (0, 1]", sub.InjectRate)}
-		}
-		opts.Inject = inject.Params{Rate: sub.InjectRate, Sites: sub.InjectSites}
 	}
 	// Build the plan once up front so a bad spec (unknown plan or
 	// target, malformed composite) is a 400 at submission, not a failed
@@ -355,10 +348,11 @@ func (s *Server) run(j *job) {
 		Store:          s.st,
 		Obs:            s.obs,
 	}
-	// The sink runs on the engine's collector goroutine after the
+	// The sink runs on the worker that executed the test, after the
 	// record is written to its shard and flushed, so every record a
 	// subscriber sees live is already durable — exactly what shard
-	// replay will show a later subscriber.
+	// replay will show a later subscriber. No two calls overlap, so
+	// they share one scratch buffer.
 	var scratch []byte
 	sink := func(pos int, r campaign.Result) {
 		rec := campaign.ToRecord(pos, r)

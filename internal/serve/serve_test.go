@@ -398,6 +398,10 @@ func TestServiceValidation(t *testing.T) {
 		{Plan: "rand:2", Limit: -1},
 		{Plan: "rand:2", MAFs: campaign.MaxMAFs + 1},
 		{Plan: "rand:2", Workers: campaign.MaxWorkers + 1},
+		// A schedule for a target that never injects would run a
+		// campaign with nothing injected.
+		{Plan: "rand:2", Target: "sim", InjectRate: 0.5},
+		{Plan: "rand:2", Target: "diff:sim,phantom", InjectRate: 1, InjectSites: []string{"ram"}},
 	} {
 		if _, code := trySubmit(t, ts.URL, sub); code != http.StatusBadRequest {
 			t.Errorf("submission %+v: status %d, want 400", sub, code)

@@ -19,7 +19,7 @@ type event struct {
 
 // subscriber buffer: a consumer this many events behind the campaign is
 // cut off (it resubscribes and replays from the shard files) rather
-// than allowed to backpressure the engine's collector goroutine.
+// than allowed to backpressure the engine's workers.
 const subscriberBuffer = 4096
 
 // hub fans a campaign's event stream out to its SSE subscribers.

@@ -7,7 +7,6 @@ import (
 	"xmrobust/internal/apispec"
 	"xmrobust/internal/campaign"
 	"xmrobust/internal/inject"
-	"xmrobust/internal/target"
 )
 
 // Option configures a campaign run (functional options over
@@ -29,26 +28,11 @@ func build(options []Option) (config, error) {
 	for _, o := range options {
 		o(&cfg)
 	}
-	if cfg.injectSet {
-		// Reject out-of-range rates here rather than at target
-		// construction: a rate of 0 would otherwise silently select the
-		// schedule default of 1 — the opposite of what the caller asked.
-		// Negated form so NaN fails too.
-		if r := cfg.opts.Inject.Rate; !(r > 0 && r <= 1) {
-			return cfg, fmt.Errorf("xmrobust: injection rate %v outside (0, 1]", r)
-		}
-		// And reject a schedule aimed at a target that never injects —
-		// the silent alternative is a user believing they ran an SEU
-		// campaign when zero faults were injected (the WithCorpus /
-		// feedback-plan pairing is policed the same way).
-		tgt, err := target.New(cfg.opts.Target, target.Config{Inject: cfg.opts.Inject})
-		if err != nil {
-			return cfg, err
-		}
-		is, ok := tgt.(interface{ InjectSignature() string })
-		if !ok || is.InjectSignature() == "" {
-			return cfg, fmt.Errorf("xmrobust: WithInjection requires an inject:* target, not %q", tgt.Name())
-		}
+	if cfg.injectSet && cfg.opts.Inject.Rate == 0 && len(cfg.opts.Inject.Sites) == 0 {
+		// Validate reads this schedule as unset, which selects the
+		// default rate of 1 — the opposite of what the caller asked.
+		// Validate checks every other schedule, and its target.
+		return cfg, fmt.Errorf("xmrobust: injection rate 0 outside (0, 1]")
 	}
 	if cfg.fn != "" {
 		base := apispec.Default()
