@@ -209,7 +209,11 @@ daemon-smoke:
 	$(GO) test -race -count 1 ./internal/serve
 
 # Short fuzz runs over the codec round-trip property (the raw codec must
-# agree with encoding/json byte for byte on arbitrary records), over
+# agree with encoding/json byte for byte on arbitrary records, and its
+# build-nothing check pass with its strict decoder), over the shard
+# merge (FuzzMergeShards: arbitrary bytes cut into two shards fail the
+# merge exactly when the codec refuses a complete line, and otherwise
+# merge to decodable lines in seq order that merge again unchanged), over
 # the remote worker's request-frame decoder (arbitrary bytes never panic, no
 # count outruns the bytes that carry it, and what decodes re-encodes
 # unchanged) and over the simulated machine's memory (FuzzMachineMemory:
@@ -221,6 +225,7 @@ daemon-smoke:
 # checked in. CI runs this.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONRecordRoundTrip$$' -fuzztime 10s ./internal/campaign
+	$(GO) test -run '^$$' -fuzz '^FuzzMergeShards$$' -fuzztime 10s ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestFrame$$' -fuzztime 10s ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzMachineMemory$$' -fuzztime 10s ./internal/sparc
 

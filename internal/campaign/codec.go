@@ -49,11 +49,24 @@ func (Codec) AppendEncode(dst []byte, rec *JSONRecord) ([]byte, error) {
 // Decode overwrites *rec with the record parsed from one line.
 func (Codec) Decode(line []byte, rec *JSONRecord) error {
 	*rec = JSONRecord{}
-	if rawDecodeRecord(line, rec) != nil {
+	if rawDecodeRecord(&rawParser{b: line}, rec) != nil {
 		*rec = JSONRecord{}
 		return json.Unmarshal(line, rec)
 	}
 	return nil
+}
+
+// rawCheckRecord runs the strict parser over line in check mode: the
+// grammar of rawDecodeRecord, building no string, slice or struct. It
+// returns the record's seq, as Decode would read it, and reports
+// whether the line is compact: free of whitespace outside its strings.
+// Any error means only Decode can tell whether, and how, the line
+// decodes.
+func rawCheckRecord(line []byte) (seq int, compact bool, err error) {
+	p := rawParser{b: line, check: true}
+	var rec JSONRecord
+	err = rawDecodeRecord(&p, &rec)
+	return rec.Seq, !p.spaced, err
 }
 
 // --- raw encoder --------------------------------------------------------
@@ -314,19 +327,24 @@ func rawAppendHMEvent(dst []byte, e *JSONHMEvent) []byte {
 // error — are authoritative.
 var errRawFallback = fmt.Errorf("campaign: raw codec: line outside the strict wire format")
 
+// rawParser is the strict parser's state over one line. In check mode
+// it walks the same grammar but builds nothing: strings come back
+// empty, slices and nested objects nil.
 type rawParser struct {
-	b []byte
-	i int
+	b     []byte
+	i     int
+	check bool
+	// spaced records whether any whitespace lay between tokens.
+	spaced bool
 }
 
 func (p *rawParser) ws() {
-	for p.i < len(p.b) {
-		switch p.b[p.i] {
-		case ' ', '\t', '\n', '\r':
-			p.i++
-		default:
-			return
-		}
+	i := p.i
+	for i < len(p.b) && (p.b[i] == ' ' || p.b[i] == '\t' || p.b[i] == '\n' || p.b[i] == '\r') {
+		i++
+	}
+	if i > p.i {
+		p.i, p.spaced = i, true
 	}
 }
 
@@ -353,100 +371,124 @@ func (p *rawParser) null() bool {
 // str parses one JSON string with full escape handling. Raw control
 // characters and malformed escapes defer to the fallback, matching
 // encoding/json's rejections; invalid UTF-8 passes through as U+FFFD,
-// matching its coercion.
+// matching its coercion. In check mode it returns "".
 func (p *rawParser) str() (string, error) {
+	b, err := p.strBytes(!p.check)
+	if err != nil || p.check {
+		return "", err
+	}
+	return string(b), nil
+}
+
+// rawPlain marks the bytes a string holds as they are: printable ASCII
+// other than the quote and the backslash.
+var rawPlain = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// key parses an object key. A key without escapes is returned as a
+// slice of the line, so matching it against the known keys allocates
+// nothing; an escaped key is built, in check mode too.
+func (p *rawParser) key() ([]byte, error) { return p.strBytes(true) }
+
+// strBytes parses one JSON string and, with build, returns its decoded
+// bytes: a slice of the line when the string holds no escape, control
+// or non-ASCII byte, else a new buffer. Without build it only checks
+// the string and returns nil for any string that is not such a slice.
+func (p *rawParser) strBytes(build bool) ([]byte, error) {
 	p.ws()
 	if p.i >= len(p.b) || p.b[p.i] != '"' {
-		return "", errRawFallback
+		return nil, errRawFallback
 	}
-	p.i++
-	start := p.i
+	start := p.i + 1
+	i := start
+	for i < len(p.b) && rawPlain[p.b[i]] {
+		i++
+	}
+	p.i = i
+	if i < len(p.b) && p.b[i] == '"' {
+		p.i++
+		return p.b[start:i], nil
+	}
+	var buf []byte
+	if build {
+		buf = append(make([]byte, 0, 64), p.b[start:p.i]...)
+	}
 	for p.i < len(p.b) {
 		c := p.b[p.i]
-		if c == '"' {
-			s := string(p.b[start:p.i])
-			p.i++
-			return s, nil
-		}
-		if c == '\\' || c < ' ' || c >= utf8.RuneSelf {
-			break
-		}
-		p.i++
-	}
-	buf := append(make([]byte, 0, 64), p.b[start:p.i]...)
-	for p.i < len(p.b) {
-		switch c := p.b[p.i]; {
+		var r rune
+		switch {
 		case c == '"':
 			p.i++
-			return string(buf), nil
+			return buf, nil
 		case c < ' ':
-			return "", errRawFallback
+			return nil, errRawFallback
 		case c == '\\':
-			p.i++
-			if p.i >= len(p.b) {
-				return "", errRawFallback
-			}
-			switch e := p.b[p.i]; e {
-			case '"', '\\', '/':
-				buf = append(buf, e)
-				p.i++
-			case 'b':
-				buf = append(buf, '\b')
-				p.i++
-			case 'f':
-				buf = append(buf, '\f')
-				p.i++
-			case 'n':
-				buf = append(buf, '\n')
-				p.i++
-			case 'r':
-				buf = append(buf, '\r')
-				p.i++
-			case 't':
-				buf = append(buf, '\t')
-				p.i++
-			case 'u':
-				p.i++
-				r, err := p.hex4()
-				if err != nil {
-					return "", err
-				}
-				if utf16.IsSurrogate(r) {
-					r2 := rune(utf8.RuneError)
-					if p.i+2 <= len(p.b) && p.b[p.i] == '\\' && p.b[p.i+1] == 'u' {
-						save := p.i
-						p.i += 2
-						lo, err := p.hex4()
-						if err != nil {
-							return "", err
-						}
-						if dec := utf16.DecodeRune(r, lo); dec != utf8.RuneError {
-							r2 = dec
-						} else {
-							p.i = save
-						}
-					}
-					r = r2
-				}
-				buf = utf8.AppendRune(buf, r)
-			default:
-				return "", errRawFallback
+			var err error
+			if r, err = p.escape(); err != nil {
+				return nil, err
 			}
 		case c < utf8.RuneSelf:
-			buf = append(buf, c)
+			r = rune(c)
 			p.i++
 		default:
-			r, size := utf8.DecodeRune(p.b[p.i:])
-			if r == utf8.RuneError && size == 1 {
-				buf = utf8.AppendRune(buf, utf8.RuneError)
-				p.i++
-			} else {
-				buf = append(buf, p.b[p.i:p.i+size]...)
-				p.i += size
-			}
+			// An invalid byte decodes as U+FFFD with size 1.
+			var size int
+			r, size = utf8.DecodeRune(p.b[p.i:])
+			p.i += size
+		}
+		if build {
+			buf = utf8.AppendRune(buf, r)
 		}
 	}
-	return "", errRawFallback
+	return nil, errRawFallback
+}
+
+// escape consumes one backslash escape and returns the rune it stands
+// for. A surrogate pair joins into one rune; a lone surrogate is U+FFFD.
+func (p *rawParser) escape() (rune, error) {
+	p.i++
+	if p.i >= len(p.b) {
+		return 0, errRawFallback
+	}
+	e := p.b[p.i]
+	p.i++
+	switch e {
+	case '"', '\\', '/':
+		return rune(e), nil
+	case 'b':
+		return '\b', nil
+	case 'f':
+		return '\f', nil
+	case 'n':
+		return '\n', nil
+	case 'r':
+		return '\r', nil
+	case 't':
+		return '\t', nil
+	case 'u':
+		r, err := p.hex4()
+		if err != nil || !utf16.IsSurrogate(r) {
+			return r, err
+		}
+		if p.i+2 <= len(p.b) && p.b[p.i] == '\\' && p.b[p.i+1] == 'u' {
+			save := p.i
+			p.i += 2
+			lo, err := p.hex4()
+			if err != nil {
+				return 0, err
+			}
+			if dec := utf16.DecodeRune(r, lo); dec != utf8.RuneError {
+				return dec, nil
+			}
+			p.i = save
+		}
+		return utf8.RuneError, nil
+	}
+	return 0, errRawFallback
 }
 
 // hex4 parses four hex digits of a \u escape.
@@ -589,7 +631,9 @@ func (p *rawParser) strsVal() ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, s)
+		if !p.check {
+			out = append(out, s)
+		}
 		if p.lit(']') {
 			return out, nil
 		}
@@ -617,13 +661,13 @@ func (p *rawParser) comma() (bool, error) {
 	return false, errRawFallback
 }
 
-// rawDecodeRecord strictly parses one wire-format line into rec. Any
+// rawDecodeRecord strictly parses the parser's line into rec. Any
 // deviation from the format returns errRawFallback, and the caller
 // re-parses with encoding/json; unknown (and case-variant) keys fall
 // back wholesale so encoding/json's lenient field matching stays the
-// single source of truth for foreign input.
-func rawDecodeRecord(line []byte, rec *JSONRecord) error {
-	p := rawParser{b: line}
+// single source of truth for foreign input. In check mode rec receives
+// only the record's numbers and booleans.
+func rawDecodeRecord(p *rawParser, rec *JSONRecord) error {
 	if !p.lit('{') {
 		return errRawFallback
 	}
@@ -633,14 +677,14 @@ func rawDecodeRecord(line []byte, rec *JSONRecord) error {
 		return p.end()
 	}
 	for {
-		key, err := p.str()
+		key, err := p.key()
 		if err != nil {
 			return err
 		}
 		if !p.lit(':') {
 			return errRawFallback
 		}
-		switch key {
+		switch string(key) {
 		case "func":
 			rec.Func, err = p.strVal(rec.Func)
 		case "seq":
@@ -769,7 +813,9 @@ func (p *rawParser) returnsVal() ([]int32, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, int32(v))
+		if !p.check {
+			out = append(out, int32(v))
+		}
 		if p.lit(']') {
 			return out, nil
 		}
@@ -795,7 +841,9 @@ func (p *rawParser) coverVal() ([]uint32, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, uint32(v))
+		if !p.check {
+			out = append(out, uint32(v))
+		}
 		if p.lit(']') {
 			return out, nil
 		}
@@ -821,7 +869,9 @@ func (p *rawParser) hmVal() ([]JSONHMEvent, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, e)
+		if !p.check {
+			out = append(out, e)
+		}
 		if p.lit(']') {
 			return out, nil
 		}
@@ -840,14 +890,14 @@ func (p *rawParser) hmEvent() (JSONHMEvent, error) {
 		return e, nil
 	}
 	for {
-		key, err := p.str()
+		key, err := p.key()
 		if err != nil {
 			return e, err
 		}
 		if !p.lit(':') {
 			return e, errRawFallback
 		}
-		switch key {
+		switch string(key) {
 		case "seq":
 			var v uint64
 			if p.null() {
@@ -917,19 +967,19 @@ func (p *rawParser) divergenceVal() (*Divergence, error) {
 	if !p.lit('{') {
 		return nil, errRawFallback
 	}
-	d := &Divergence{}
+	var d Divergence
 	if p.lit('}') {
-		return d, nil
+		return rawKeep(p, &d), nil
 	}
 	for {
-		key, err := p.str()
+		key, err := p.key()
 		if err != nil {
 			return nil, err
 		}
 		if !p.lit(':') {
 			return nil, errRawFallback
 		}
-		switch key {
+		switch string(key) {
 		case "targets":
 			err = p.targetsVal(&d.Targets)
 		case "fields":
@@ -949,9 +999,20 @@ func (p *rawParser) divergenceVal() (*Divergence, error) {
 			return nil, err
 		}
 		if !more {
-			return d, nil
+			return rawKeep(p, &d), nil
 		}
 	}
+}
+
+// rawKeep returns a heap copy of a parsed nested object, or nil in
+// check mode. Parsing into a local and copying it only here keeps the
+// check pass from allocating the object.
+func rawKeep[T any](p *rawParser, v *T) *T {
+	if p.check {
+		return nil
+	}
+	out := *v
+	return &out
 }
 
 // targetsVal decodes into the fixed [2]string with encoding/json's array
@@ -990,19 +1051,19 @@ func (p *rawParser) injectionVal() (*injectInjection, error) {
 	if !p.lit('{') {
 		return nil, errRawFallback
 	}
-	inj := &injectInjection{}
+	var inj injectInjection
 	if p.lit('}') {
-		return inj, nil
+		return rawKeep(p, &inj), nil
 	}
 	for {
-		key, err := p.str()
+		key, err := p.key()
 		if err != nil {
 			return nil, err
 		}
 		if !p.lit(':') {
 			return nil, errRawFallback
 		}
-		switch key {
+		switch string(key) {
 		case "site":
 			inj.Site, err = p.strVal(inj.Site)
 		case "phase":
@@ -1050,7 +1111,7 @@ func (p *rawParser) injectionVal() (*injectInjection, error) {
 			return nil, err
 		}
 		if !more {
-			return inj, nil
+			return rawKeep(p, &inj), nil
 		}
 	}
 }

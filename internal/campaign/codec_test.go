@@ -73,7 +73,7 @@ func TestCodecsGoldenCorpus(t *testing.T) {
 		// The strict decoder must accept its own wire format without the
 		// encoding/json fallback…
 		var strict JSONRecord
-		if err := rawDecodeRecord(je, &strict); err != nil {
+		if err := rawDecodeRecord(&rawParser{b: je}, &strict); err != nil {
 			t.Fatalf("line %d: strict raw decode refused codec output: %v", i, err)
 		}
 		// …and land on the identical record.

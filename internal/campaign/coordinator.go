@@ -11,7 +11,7 @@ package campaign
 // cancelled or stopped campaign) has no shard record and runs on
 // resume. Because every plan is deterministic and
 // index-addressable, a re-executed position produces a byte-identical
-// record, and the seq-dedup of CollectShardsIn keeps the merged log
+// record, and the seq-dedup of MergeShardsIn keeps the merged log
 // byte-identical to a single-process run.
 
 import (

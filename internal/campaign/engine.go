@@ -14,6 +14,7 @@ package campaign
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -23,7 +24,7 @@ import (
 	"io"
 	"math"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -327,8 +328,8 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 	}
 	if !resumed && eo.ShardDir != "" {
 		// A fresh campaign must not inherit records: stale shards from an
-		// earlier run in the same directory would survive the seq-dedup
-		// of CollectShardsIn and contaminate the merged log, and a stale
+		// earlier run in the same directory would survive the merge's
+		// seq-dedup and contaminate the merged log, and a stale
 		// trace would start with the earlier campaign's events. They go
 		// before the new header is written, so a crash between the two
 		// cannot leave a valid header beside a foreign campaign's records.
@@ -735,7 +736,7 @@ func shardPath(dir string, i int) string {
 // clearShards removes every shard of dir and the trace beside them.
 func clearShards(st store.LogStore, dir string) error {
 	for _, pattern := range [...]string{ShardPattern, TraceName} {
-		stale, err := st.ListLogs(filepath.Join(dir, pattern))
+		stale, err := st.ListLogs(store.JoinPattern(dir, pattern))
 		if err != nil {
 			return fmt.Errorf("campaign: shards: %w", err)
 		}
@@ -818,7 +819,9 @@ func closeShards(writers []*shardWriter) error {
 // order, not campaign order, and a record may repeat across an
 // interruption; callers needing uniqueness dedupe by Seq (duplicates are
 // byte-identical, execution being deterministic). A final line without
-// its newline is a torn record from an interrupted run and is skipped.
+// its newline is a torn record from an interrupted run and is skipped;
+// a line the codec refuses anywhere else fails the scan, naming its
+// shard.
 func ScanShards(dir string, fn func(JSONRecord) error) error {
 	return ScanShardsIn(store.Local(), dir, fn)
 }
@@ -826,32 +829,90 @@ func ScanShards(dir string, fn func(JSONRecord) error) error {
 // ScanShardsIn is ScanShards over an explicit log store — the read side
 // of a campaign whose shards live off the local disk.
 func ScanShardsIn(st store.LogStore, dir string, fn func(JSONRecord) error) error {
-	paths, err := st.ListLogs(filepath.Join(dir, ShardPattern))
+	return shardLines(st, dir, func(shard string, line []byte) error {
+		var rec JSONRecord
+		if err := (Codec{}).Decode(line, &rec); err != nil {
+			return fmt.Errorf("campaign: shard %s: %w", shard, err)
+		}
+		return fn(rec)
+	})
+}
+
+// ScanShardLinesIn streams every record of a campaign directory in st
+// through fn as the line MergeShardsIn writes for it, without the
+// newline, together with its seq. It reads in ScanShardsIn's order,
+// repeats what it repeats and fails where it fails; only the merge
+// restores campaign order and drops repeats. The line is valid only
+// during the call.
+//
+// A line the strict parser accepts with no whitespace between its
+// tokens is its own canonical form and passes as it is. Any other line
+// is decoded and re-encoded, so a line only encoding/json accepts, or
+// one with spaces or a CRLF ending, comes out as the encoder writes it.
+func ScanShardLinesIn(st store.LogStore, dir string, fn func(seq int, line []byte) error) error {
+	var scratch []byte
+	return shardLines(st, dir, func(shard string, line []byte) error {
+		seq, compact, err := rawCheckRecord(line)
+		if err != nil || !compact {
+			var rec JSONRecord
+			if err := (Codec{}).Decode(line, &rec); err != nil {
+				return fmt.Errorf("campaign: shard %s: %w", shard, err)
+			}
+			seq = rec.Seq
+			scratch = rawAppendRecord(scratch[:0], &rec)
+			line = scratch
+		}
+		return fn(seq, line)
+	})
+}
+
+// shardLines calls fn with every complete, non-blank line of the shards
+// of dir in st, without its newline, shard after shard in name order.
+// What follows a shard's last newline is a torn record from an
+// interrupted run, or nothing: "complete" means newline-terminated, see
+// the store's torn-tail trim. One buffer serves every shard, so a line
+// costs no allocation unless it outgrows the buffer. The line is valid
+// only during the call.
+func shardLines(st store.LogStore, dir string, fn func(shard string, line []byte) error) error {
+	paths, err := st.ListLogs(store.JoinPattern(dir, ShardPattern))
 	if err != nil {
 		return err
 	}
+	lr := lineReader{br: bufio.NewReaderSize(nil, 1<<16)}
 	for _, p := range paths {
-		if err := scanShard(st, p, fn); err != nil {
+		if err := lr.shard(st, p, fn); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// scanShard streams the complete records of one shard through fn.
-func scanShard(st store.LogStore, p string, fn func(JSONRecord) error) error {
+// lineReader reads the lines of one shard after another through one
+// buffer.
+type lineReader struct {
+	br *bufio.Reader
+	// long gathers a line longer than br's buffer.
+	long []byte
+}
+
+func (lr *lineReader) shard(st store.LogStore, p string, fn func(shard string, line []byte) error) error {
 	f, err := st.OpenLog(p)
 	if err != nil {
 		return fmt.Errorf("campaign: shards: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
+	lr.br.Reset(f)
 	for {
-		line, err := br.ReadBytes('\n')
+		line, err := lr.br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			lr.long = append(lr.long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = lr.br.ReadSlice('\n')
+				lr.long = append(lr.long, line...)
+			}
+			line = lr.long
+		}
 		if err == io.EOF {
-			// What follows the last newline is a torn record from an
-			// interrupted run, or nothing: "complete" means
-			// newline-terminated, see the store's torn-tail trim.
 			return nil
 		}
 		if err != nil {
@@ -860,64 +921,66 @@ func scanShard(st store.LogStore, p string, fn func(JSONRecord) error) error {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var rec JSONRecord
-		if err := (Codec{}).Decode(line, &rec); err != nil {
-			// Mid-file corruption is worth reporting.
-			return fmt.Errorf("campaign: shard %s: %w", p, err)
-		}
-		if err := fn(rec); err != nil {
+		if err := fn(p, line[:len(line)-1]); err != nil {
 			return err
 		}
 	}
 }
 
-// CollectShardsIn loads every shard record of a campaign directory in st,
-// restores campaign order and drops duplicates (a record written twice
-// around an interruption keeps its first copy). It holds the whole log
-// in memory — merging wants random access; incremental consumers use
-// ScanShardsIn.
-func CollectShardsIn(st store.LogStore, dir string) ([]JSONRecord, error) {
-	var records []JSONRecord
-	if err := ScanShardsIn(st, dir, func(rec JSONRecord) error {
-		records = append(records, rec)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	sort.SliceStable(records, func(a, b int) bool { return records[a].Seq < records[b].Seq })
-	out := records[:0]
-	for i, rec := range records {
-		if i > 0 && rec.Seq == records[i-1].Seq {
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
+// mergeEntry locates one verified line in the merge's arena.
+type mergeEntry struct{ seq, start, end int }
 
 // MergeShards writes the shard records of dir to w as one JSON Lines log
 // in campaign order — the same byte stream WriteJSON produces for the
 // same campaign's in-memory results, however many workers (local or
-// remote) executed them. It returns the record count.
+// remote) executed them — and returns the record count. A record
+// written twice around an interruption keeps its first copy in
+// shard-then-file order. Every line is checked before a byte is
+// written: a line the codec refuses fails the merge, naming its shard.
+//
+// The merge copies a line the strict parser accepts with no whitespace
+// between its tokens as it is written, and decodes and re-encodes any
+// other. Such a line is copied even when its keys stand in another
+// order than the encoder's, an omitempty field is present but empty,
+// or a string uses an escape the encoder would not write; every line
+// the encoder writes is already canonical.
 func MergeShards(dir string, w io.Writer) (int, error) {
 	return MergeShardsIn(store.Local(), dir, w)
 }
 
-// MergeShardsIn is MergeShards over an explicit log store.
+// MergeShardsIn is MergeShards over an explicit log store. The verified
+// lines are held in one byte arena, indexed by seq and offset; the
+// index is sorted, not the records.
 func MergeShardsIn(st store.LogStore, dir string, w io.Writer) (int, error) {
-	records, err := CollectShardsIn(st, dir)
-	if err != nil {
+	arena := make([]byte, 0, 1<<16)
+	var index []mergeEntry
+	if err := ScanShardLinesIn(st, dir, func(seq int, line []byte) error {
+		if len(line) >= cap(arena)-len(arena) {
+			// Double: the runtime grows a large slice by a quarter,
+			// which would copy the arena about five times over.
+			arena = slices.Grow(arena, max(len(line)+1, cap(arena)))
+		}
+		start := len(arena)
+		arena = append(append(arena, line...), '\n')
+		index = append(index, mergeEntry{seq, start, len(arena)})
+		return nil
+	}); err != nil {
 		return 0, err
 	}
-	var buf []byte
-	for i := range records {
-		if buf, err = (Codec{}).AppendEncode(buf[:0], &records[i]); err != nil {
+	slices.SortStableFunc(index, func(a, b mergeEntry) int { return cmp.Compare(a.seq, b.seq) })
+	bw := bufio.NewWriterSize(w, 1<<16)
+	n := 0
+	for i, e := range index {
+		if i > 0 && e.seq == index[i-1].seq {
+			continue
+		}
+		if _, err := bw.Write(arena[e.start:e.end]); err != nil {
 			return 0, err
 		}
-		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
-			return 0, err
-		}
+		n++
 	}
-	return len(records), nil
+	if err := bw.Flush(); err != nil {
+		return 0, err
+	}
+	return n, nil
 }

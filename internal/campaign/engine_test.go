@@ -124,6 +124,24 @@ func mergeDir(t *testing.T, st store.LogStore, dir string) []byte {
 	return buf.Bytes()
 }
 
+// mergedRecords decodes the merged log of dir in st: one record per
+// seq, in campaign order.
+func mergedRecords(t *testing.T, st store.LogStore, dir string) []JSONRecord {
+	t.Helper()
+	var records []JSONRecord
+	for _, line := range bytes.SplitAfter(mergeDir(t, st, dir), []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var rec JSONRecord
+		if err := (Codec{}).Decode(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, rec)
+	}
+	return records
+}
+
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	datasets := mixedSuite(t)
 	opts := Options{Workers: 4}
@@ -185,10 +203,7 @@ func TestResumeSinkSeesEveryPositionOnce(t *testing.T) {
 	if _, err := Stream(datasets, eo, nil); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := CollectShardsIn(mem, "run")
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := mergedRecords(t, mem, "run")
 	eo.Limit, eo.Resume = 0, true
 	var order []int
 	stats, err := Stream(datasets, eo, func(pos int, r Result) {
@@ -245,10 +260,7 @@ func TestFreshRunClearsStaleShards(t *testing.T) {
 	if _, err := Stream(datasets[:3], eo, nil); err != nil {
 		t.Fatal(err)
 	}
-	records, err := CollectShardsIn(store.Local(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := mergedRecords(t, store.Local(), dir)
 	if len(records) != 3 {
 		t.Fatalf("merged log holds %d records after a 3-test fresh run", len(records))
 	}
@@ -307,10 +319,7 @@ func TestMarkedCheckpointResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records, err := CollectShardsIn(mem, "run")
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := mergedRecords(t, mem, "run")
 	for _, rec := range records {
 		fmt.Fprintf(w, "{\"seq\":%d}\n", rec.Seq)
 	}
@@ -374,10 +383,7 @@ func TestResumeTrimsTornShardTail(t *testing.T) {
 	if _, err := Stream(datasets, eo, nil); err != nil {
 		t.Fatal(err)
 	}
-	records, err := CollectShardsIn(store.Local(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := mergedRecords(t, store.Local(), dir)
 	if len(records) != len(datasets) {
 		t.Fatalf("merged log holds %d records, want %d", len(records), len(datasets))
 	}
@@ -429,10 +435,7 @@ func TestCollectShardsDeduplicates(t *testing.T) {
 	write("shard-000.jsonl", `{"func":"XM_a","seq":0,"kernel_state":"RUNNING","part_state":"NORMAL"}`+"\n"+`{"func":"XM_tor`)
 	write("shard-001.jsonl", `{"func":"XM_b","seq":1,"kernel_state":"RUNNING","part_state":"NORMAL"}`+"\n"+
 		`{"func":"XM_a","seq":0,"kernel_state":"RUNNING","part_state":"NORMAL"}`+"\n")
-	records, err := CollectShardsIn(store.Local(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := mergedRecords(t, store.Local(), dir)
 	if len(records) != 2 || records[0].Seq != 0 || records[1].Seq != 1 {
 		t.Fatalf("records = %+v", records)
 	}

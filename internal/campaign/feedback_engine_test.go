@@ -93,10 +93,7 @@ func TestStreamFeedbackCheckpointResume(t *testing.T) {
 	if st.Edges == 0 {
 		t.Fatal("resumed loop has an empty frontier despite replay")
 	}
-	records, err := CollectShardsIn(store.Local(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := mergedRecords(t, store.Local(), dir)
 	if len(records) != 50 {
 		t.Fatalf("shards hold %d unique records, want 50", len(records))
 	}
@@ -160,14 +157,8 @@ func TestStreamFeedbackResumeExactReplay(t *testing.T) {
 		t.Fatalf("resume skipped %d executed %d, want 45 / 15", stats.Skipped, stats.Executed)
 	}
 
-	ref, err := CollectShardsIn(store.Local(), refDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CollectShardsIn(store.Local(), intDir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := mergedRecords(t, store.Local(), refDir)
+	got := mergedRecords(t, store.Local(), intDir)
 	if len(ref) != n || len(got) != n {
 		t.Fatalf("records: ref %d, interrupted %d, want %d", len(ref), len(got), n)
 	}

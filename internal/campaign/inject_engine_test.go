@@ -59,14 +59,8 @@ func TestStreamInjectResumeExactReplay(t *testing.T) {
 		t.Fatalf("resume skipped %d executed %d, want 25 / 15", stats.Skipped, stats.Executed)
 	}
 
-	ref, err := CollectShardsIn(store.Local(), refDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CollectShardsIn(store.Local(), intDir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := mergedRecords(t, store.Local(), refDir)
+	got := mergedRecords(t, store.Local(), intDir)
 	if len(ref) != n || len(got) != n {
 		t.Fatalf("records: ref %d, interrupted %d, want %d", len(ref), len(got), n)
 	}

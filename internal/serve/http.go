@@ -100,10 +100,12 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents is the SSE stream: an initial status event, a replay of
 // every record already in the campaign's shard files, then the live
-// feed. Subscription precedes the replay, and live records duplicated
-// by the replay are dropped by seq, so a subscriber — however late it
-// attaches — collects exactly the records of the merged log, byte for
-// byte.
+// feed. The replay sends each record's merged-log line as
+// campaign.ScanShardLinesIn yields it and keeps the first copy of a
+// seq, as the merge does. Subscription precedes the
+// replay, and live records duplicated by the replay are dropped by seq,
+// so a subscriber — however late it attaches — collects exactly the
+// records of the merged log, byte for byte.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j := s.jobs[r.PathValue("id")]
@@ -126,17 +128,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// Replay the durable records. A campaign that has not started (or
 	// wrote nothing yet) simply has no shards to list.
 	seen := map[int]bool{}
-	var buf []byte
-	err := campaign.ScanShardsIn(s.st, j.dir, func(rec campaign.JSONRecord) error {
-		if seen[rec.Seq] {
+	err := campaign.ScanShardLinesIn(s.st, j.dir, func(seq int, line []byte) error {
+		if seen[seq] {
 			return nil
 		}
-		seen[rec.Seq] = true
-		line, err := campaign.Codec{}.AppendEncode(buf[:0], &rec)
-		if err != nil {
-			return err
-		}
-		buf = line
+		seen[seq] = true
 		return sse.send("record", line)
 	})
 	if err != nil {

@@ -206,7 +206,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Prior daemon lifetimes left their campaign directories behind
 	// (each holds a checkpoint); start numbering above them.
-	if names, err := s.st.ListLogs(filepath.Join(cfg.DataDir, "c*", checkpointName)); err == nil {
+	if names, err := s.st.ListLogs(store.JoinPattern(cfg.DataDir, "c*", checkpointName)); err == nil {
 		for _, name := range names {
 			base := store.Base(name[:len(name)-len(checkpointName)-1])
 			if n, err := strconv.Atoi(strings.TrimPrefix(base, "c")); err == nil && n >= s.nextID {

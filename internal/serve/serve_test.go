@@ -18,6 +18,7 @@ import (
 	"xmrobust/internal/campaign"
 	"xmrobust/internal/inject"
 	"xmrobust/internal/serve"
+	"xmrobust/internal/store"
 )
 
 // newService starts a campaign service over httptest.
@@ -454,5 +455,47 @@ func TestServiceHugeBatch(t *testing.T) {
 	final := waitFor(t, ts.URL, st.ID, func(s serve.Status) bool { return s.State.Terminal() })
 	if final.State != serve.StateDone || final.Executed != 2 {
 		t.Fatalf("campaign ended %s with %d executed (%s), want done with 2", final.State, final.Executed, final.Error)
+	}
+}
+
+// TestServiceRestartOnGlobDataDir: a restarted daemon numbers its next
+// campaign above the ones its data directory holds, even when the
+// directory's name holds a glob metacharacter — otherwise the new
+// campaign would reuse, and overwrite, an earlier lifetime's directory.
+func TestServiceRestartOnGlobDataDir(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		st   store.Store
+		dir  string
+	}{{"FS", store.Local(), filepath.Join(t.TempDir(), "data[1]")}, {"Mem", store.NewMem(), "data[1]"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			lifetime := func() string {
+				s, err := serve.New(serve.Config{DataDir: tc.dir, Store: tc.st})
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := s.Submit(serve.Submission{Plan: "rand:2", Target: "sim", Seed: 1}, "ci")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for deadline := time.Now().Add(60 * time.Second); !st.State.Terminal(); st, _ = s.Get(st.ID) {
+					if time.Now().After(deadline) {
+						t.Fatalf("campaign %s never settled (state %s)", st.ID, st.State)
+					}
+					time.Sleep(10 * time.Millisecond)
+				}
+				if st.State != serve.StateDone {
+					t.Fatalf("campaign %s ended %s: %s", st.ID, st.State, st.Error)
+				}
+				if err := s.Shutdown(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				return st.ID
+			}
+			first, second := lifetime(), lifetime()
+			if second <= first {
+				t.Fatalf("the restarted daemon numbered its campaign %s after %s", second, first)
+			}
+		})
 	}
 }

@@ -55,8 +55,10 @@ type CheckpointStore interface {
 // LogStore persists campaign log shards: append-only JSON Lines files,
 // listed by pattern for the merge and scan paths.
 type LogStore interface {
-	// ListLogs returns the names matching pattern (path.Match syntax on
-	// the last name element), sorted.
+	// ListLogs returns the names matching pattern (filepath.Match
+	// syntax), sorted. Metacharacters apply wherever they appear in
+	// pattern, so a caller joining a literal name to a pattern escapes
+	// the name with JoinPattern.
 	ListLogs(pattern string) ([]string, error)
 	// OpenLog opens a shard for reading (ErrNotExist when absent).
 	OpenLog(name string) (io.ReadCloser, error)
@@ -341,6 +343,22 @@ var (
 // Join builds a store name from components with the path separator the
 // FS store expects; other stores treat the result as an opaque name.
 func Join(elem ...string) string { return filepath.Join(elem...) }
+
+// JoinPattern builds a ListLogs pattern from a literal directory name
+// and pattern elements. The directory's metacharacters (\ * ? [) are
+// escaped, so only the elements' own match: the shards of "c[1]" are
+// listed as c[1]'s, never as those of "c1".
+func JoinPattern(dir string, pattern ...string) string {
+	var b strings.Builder
+	for i := 0; i < len(dir); i++ {
+		switch dir[i] {
+		case '\\', '*', '?', '[':
+			b.WriteByte('\\')
+		}
+		b.WriteByte(dir[i])
+	}
+	return filepath.Join(append([]string{b.String()}, pattern...)...)
+}
 
 // Base returns the last element of a store name.
 func Base(name string) string {
