@@ -13,13 +13,17 @@ build:
 examples:
 	$(GO) build ./examples/...
 
-# The race run, then the engine's stop, resume and feedback tests
-# repeated under the race detector: workers, their delivery and a stop
-# interleave differently on each pass, and a single pass can miss the
-# one that breaks. CI runs this.
+# The race run, then the engine's stop, resume and feedback tests and
+# the remote client's connection tests repeated under the race
+# detector: workers, their delivery, a stop, and leases taking, dropping
+# and dialling connections interleave differently on each pass, and a
+# single pass can miss the one that breaks. The whole-fleet outage test
+# stays out of the loop: it spends ~7 s in backoff per pass. CI runs
+# this.
 test:
 	$(GO) test -race ./...
 	$(GO) test -race -count 20 -run 'Cancel|Abort|Resume|Feedback' ./internal/campaign
+	$(GO) test -race -count 20 -run 'WorkerDeath|MergeByteIdentical|ClosesRemoteConnections|GracefulShutdown|ObsSmoke|Mismatched|Cancel|Fault' ./internal/remote
 
 # Full benchmark run with allocation stats.
 bench:

@@ -6,9 +6,9 @@
 // The protocol: one shared sim target (warm machine pool and parked
 // testbed kernels, exactly a long campaign's steady state) executes the
 // same fixed-seed plan for -reps repetitions through the streaming
-// engine with sharded logs; the first repetition is warm-up and is not
-// timed. Encode cost is measured separately by serialising one
-// representative executed record in a tight loop.
+// engine with sharded logs, after one untimed warm-up repetition.
+// Encode cost is measured separately by serialising one representative
+// executed record in a tight loop.
 //
 //	go run ./cmd/xmbench -o BENCH_1.json
 //	go run ./cmd/xmbench -baseline BENCH_1.json -gate 15
@@ -23,7 +23,14 @@
 // With -sweep, one measurement per workers count runs instead (plus a
 // loopback remote: point over -remote-workers in-process xmworker-style
 // servers, when non-zero), and the output is the schema-2 sweep file
-// (BENCH_2.json) recording the multi-worker scaling trajectory:
+// (BENCH_2.json) recording the multi-worker scaling trajectory. Each
+// point keeps its own shared target, plan and shard directory, but the
+// points' repetitions run in interleaved rounds — one untimed warm-up
+// round, then -reps timed rounds, each running every point once — so
+// load from elsewhere on the host that drifts over the sweep lands on
+// every point alike instead of on the ones that ran while it lasted.
+// The file records the CPU steal time the host reported over the timed
+// rounds (steal_s, from /proc/stat; 0 where it is not reported):
 //
 //	go run ./cmd/xmbench -sweep 1,2,4,8 -o BENCH_2.json -min-scale 3
 //
@@ -85,6 +92,7 @@ type Sweep struct {
 	Reps   int     `json:"reps"`
 	Batch  int     `json:"batch"`
 	CPUs   int     `json:"cpus"`
+	StealS float64 `json:"steal_s"`
 	Points []Bench `json:"points"`
 	Note   string  `json:"note,omitempty"`
 }
@@ -133,13 +141,14 @@ func main() {
 		return
 	}
 
-	b, err := measure(point{
-		plan: fmt.Sprintf("rand:%d", *n), seed: *seed, reps: *reps,
+	bs, _, err := measure([]point{{
+		plan: fmt.Sprintf("rand:%d", *n), seed: *seed,
 		batch: *batch, workers: *workers, obs: o,
-	})
+	}}, *reps)
 	if err != nil {
 		fail(err)
 	}
+	b := bs[0]
 	b.Schema = 1
 	b.Note = *note
 	b.EncodeNsRaw = encodeCost()
@@ -160,7 +169,6 @@ func main() {
 type point struct {
 	plan    string
 	seed    int64
-	reps    int
 	batch   int
 	workers int
 	// targetSpec selects a non-default execution backend ("" = one
@@ -171,64 +179,102 @@ type point struct {
 	obs *obs.Obs
 }
 
-// measure runs the fixed-seed plan reps times through the streaming
-// engine (one untimed warm-up first) and returns the timing.
-func measure(p point) (Bench, error) {
-	b := Bench{
-		Plan: p.plan, Seed: p.seed, Reps: p.reps, Batch: p.batch,
-		Workers: p.workers, Target: p.targetSpec,
+// measure runs each point's fixed-seed plan through the streaming
+// engine: one untimed warm-up round, then reps timed rounds, each
+// running every point once in turn. Each point times and counts
+// allocations over its own repetitions only. It returns the points'
+// measurements and the CPU steal seconds the host reported over the
+// timed rounds.
+func measure(points []point, reps int) ([]Bench, float64, error) {
+	bs := make([]Bench, len(points))
+	runs := make([]func() error, len(points))
+	for i, p := range points {
+		bs[i] = Bench{
+			Plan: p.plan, Seed: p.seed, Reps: reps, Batch: p.batch,
+			Workers: p.workers, Target: p.targetSpec,
+		}
+		opts := campaign.Options{Plan: p.plan, Seed: p.seed, Workers: p.workers}
+		if p.targetSpec != "" {
+			opts.Target = p.targetSpec
+		}
+		plan, ropts, err := campaign.BuildPlan(opts)
+		if err != nil {
+			return nil, 0, err
+		}
+		dir, err := os.MkdirTemp("", "xmbench")
+		if err != nil {
+			return nil, 0, err
+		}
+		defer os.RemoveAll(dir)
+		eo := campaign.EngineOptions{
+			Options:   ropts,
+			BatchSize: p.batch,
+			ShardDir:  dir,
+			Obs:       p.obs,
+		}
+		if p.targetSpec == "" {
+			// One shared target across repetitions: the warm pool and
+			// parked kernels make every timed rep a steady-state sample.
+			// Remote points skip this — their steady state lives in the
+			// worker servers, which persist across repetitions anyway.
+			eo.TargetInstance = target.NewSim(target.Config{})
+		}
+		runs[i] = func() error { _, err := campaign.StreamPlan(plan, eo, nil); return err }
+		bs[i].Tests = plan.Len() * reps
 	}
-	opts := campaign.Options{Plan: p.plan, Seed: p.seed, Workers: p.workers}
-	if p.targetSpec != "" {
-		opts.Target = p.targetSpec
-	}
-	plan, ropts, err := campaign.BuildPlan(opts)
-	if err != nil {
-		return b, err
-	}
-	dir, err := os.MkdirTemp("", "xmbench")
-	if err != nil {
-		return b, err
-	}
-	defer os.RemoveAll(dir)
-	eo := campaign.EngineOptions{
-		Options:   ropts,
-		BatchSize: p.batch,
-		ShardDir:  dir,
-		Obs:       p.obs,
-	}
-	if p.targetSpec == "" {
-		// One shared target across repetitions: the warm pool and parked
-		// kernels make every timed rep a steady-state sample. Remote
-		// points skip this — their steady state lives in the worker
-		// servers, which persist across repetitions anyway.
-		eo.TargetInstance = target.NewSim(target.Config{})
-	}
-
-	run := func() error { _, err := campaign.StreamPlan(plan, eo, nil); return err }
-	if err := run(); err != nil { // warm-up, untimed
-		return b, err
-	}
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	for r := 0; r < p.reps; r++ {
+	for _, run := range runs { // warm-up round, untimed
 		if err := run(); err != nil {
-			return b, err
+			return nil, 0, err
 		}
 	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	b.Tests = plan.Len() * p.reps
-	b.TestsPerSec = float64(b.Tests) / wall.Seconds()
-	b.AllocsPerTest = float64(ms1.Mallocs-ms0.Mallocs) / float64(b.Tests)
-	b.BytesPerTest = float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(b.Tests)
-	return b, nil
+	walls := make([]time.Duration, len(points))
+	var ms0, ms1 runtime.MemStats
+	runtime.GC()
+	steal0 := stealSeconds()
+	for r := 0; r < reps; r++ {
+		for i, run := range runs {
+			runtime.ReadMemStats(&ms0)
+			start := time.Now()
+			if err := run(); err != nil {
+				return nil, 0, err
+			}
+			walls[i] += time.Since(start)
+			runtime.ReadMemStats(&ms1)
+			bs[i].AllocsPerTest += float64(ms1.Mallocs - ms0.Mallocs)
+			bs[i].BytesPerTest += float64(ms1.TotalAlloc - ms0.TotalAlloc)
+		}
+	}
+	steal := stealSeconds() - steal0
+	for i := range bs {
+		bs[i].TestsPerSec = float64(bs[i].Tests) / walls[i].Seconds()
+		bs[i].AllocsPerTest /= float64(bs[i].Tests)
+		bs[i].BytesPerTest /= float64(bs[i].Tests)
+	}
+	return bs, steal, nil
+}
+
+// stealSeconds is the host's cumulative CPU steal time, summed over its
+// CPUs, from the cpu line of /proc/stat (0 where it is not reported).
+func stealSeconds() float64 {
+	data, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		return 0
+	}
+	line, _, _ := strings.Cut(string(data), "\n")
+	f := strings.Fields(line)
+	if len(f) < 9 || f[0] != "cpu" {
+		return 0
+	}
+	jiffies, err := strconv.ParseFloat(f[8], 64)
+	if err != nil {
+		return 0
+	}
+	return jiffies / 100 // USER_HZ
 }
 
 // sweep measures one point per workers count, plus a loopback remote:
-// point, emits the schema-2 scaling file, and returns it.
+// point, in interleaved rounds, emits the schema-2 scaling file, and
+// returns it.
 func sweep(n int, seed int64, reps, batch int, list string, remoteN int, minScale float64, out, note string, o *obs.Obs) Sweep {
 	var counts []int
 	for _, f := range strings.Split(list, ",") {
@@ -243,24 +289,36 @@ func sweep(n int, seed int64, reps, batch int, list string, remoteN int, minScal
 		Reps: reps, Batch: batch,
 		CPUs: runtime.NumCPU(), Note: note,
 	}
+	var points []point
 	for _, w := range counts {
-		b, err := measure(point{plan: s.Plan, seed: seed, reps: reps, batch: batch, workers: w, obs: o})
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "xmbench: workers=%d — %.0f tests/sec, %.0f allocs/test\n",
-			w, b.TestsPerSec, b.AllocsPerTest)
-		s.Points = append(s.Points, b)
+		points = append(points, point{plan: s.Plan, seed: seed, batch: batch, workers: w, obs: o})
 	}
 	if remoteN > 0 {
-		b, err := remotePoint(s.Plan, seed, reps, batch, remoteN)
+		p, stop, err := remotePoint(s.Plan, seed, batch, remoteN)
 		if err != nil {
 			fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "xmbench: %s workers=%d — %.0f tests/sec (wire round-trip included)\n",
-			b.Target, b.Workers, b.TestsPerSec)
+		defer stop()
+		points = append(points, p)
+	}
+	bs, steal, err := measure(points, reps)
+	if err != nil {
+		fail(err)
+	}
+	for i, b := range bs {
+		if points[i].targetSpec != "" {
+			// A stable label, not the ephemeral ports.
+			b.Target = fmt.Sprintf("remote:loopback×%d", remoteN)
+			fmt.Fprintf(os.Stderr, "xmbench: %s workers=%d — %.0f tests/sec, %.0f allocs/test (wire round-trip included)\n",
+				b.Target, b.Workers, b.TestsPerSec, b.AllocsPerTest)
+		} else {
+			fmt.Fprintf(os.Stderr, "xmbench: workers=%d — %.0f tests/sec, %.0f allocs/test\n",
+				b.Workers, b.TestsPerSec, b.AllocsPerTest)
+		}
 		s.Points = append(s.Points, b)
 	}
+	s.StealS = steal
+	fmt.Fprintf(os.Stderr, "xmbench: the host reported %.2f s of CPU steal over the timed rounds\n", steal)
 
 	buf, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
@@ -323,27 +381,33 @@ func gateRemote(cur Sweep, path string, gatePct float64) error {
 	return nil
 }
 
-// remotePoint measures the sweep's remote: leg — remoteN in-process
-// worker servers on loopback TCP, each wrapping its own sim target, the
-// engine fanning leases out over the remote backend. The point records
-// a stable target label, not the ephemeral ports.
-func remotePoint(plan string, seed int64, reps, batch, remoteN int) (Bench, error) {
-	var addrs []string
+// remotePoint starts the sweep's remote: leg — remoteN in-process
+// worker servers on loopback TCP, each wrapping its own sim target — and
+// returns the point that fans leases out over them through the remote
+// backend, with the function that stops the servers.
+func remotePoint(plan string, seed int64, batch, remoteN int) (point, func(), error) {
+	var (
+		addrs   []string
+		servers []*remote.Server
+	)
+	stop := func() {
+		for _, srv := range servers {
+			srv.Close()
+		}
+	}
 	for i := 0; i < remoteN; i++ {
 		srv := &remote.Server{Target: target.NewSim(target.Config{}), Workers: 1}
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
-			return Bench{}, err
+			stop()
+			return point{}, nil, err
 		}
-		defer srv.Close()
-		addrs = append(addrs, addr)
+		servers, addrs = append(servers, srv), append(addrs, addr)
 	}
-	b, err := measure(point{
-		plan: plan, seed: seed, reps: reps, batch: batch,
+	return point{
+		plan: plan, seed: seed, batch: batch,
 		workers: remoteN, targetSpec: "remote:" + strings.Join(addrs, ","),
-	})
-	b.Target = fmt.Sprintf("remote:loopback×%d", remoteN)
-	return b, err
+	}, stop, nil
 }
 
 // gateScale fails the sweep when the largest workers point does not beat

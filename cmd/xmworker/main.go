@@ -22,8 +22,10 @@
 // -ops serves the worker's observability endpoints (/metrics, /healthz,
 // /progress, /debug/pprof) on a second address. On SIGINT or SIGTERM
 // the worker drains instead of dying: it stops accepting, lets in-flight
-// leases finish and answer, then exits 0 — clients lose the connection
-// only between leases and retry nothing.
+// leases finish and answer, then exits 0. Clients lose the connection
+// only between leases: a connection the drain closed while idle fails on
+// its next lease, which retries on another connection, and nothing
+// re-executes, because the worker never read that request.
 package main
 
 import (

@@ -41,32 +41,34 @@ const (
 	helloTimeout   = 5 * time.Second
 )
 
-// errConnDown marks a transport failure a retry on another connection
-// can heal (as opposed to a protocol refusal, which is deterministic).
-var errConnDown = errors.New("remote: connection down")
-
 // errClosed aborts the leases of a client after Close.
 var errClosed = errors.New("remote: client closed")
 
-// client is the "remote:" execution backend: it fans leases across one
-// managed connection per worker address. Execute and ExecuteBatch are
+// client is the "remote:" execution backend: each lease holds a
+// connection of its own for its round trip. Execute and ExecuteBatch are
 // synchronous per caller — the campaign engine's worker pool provides
-// the concurrency and bounds the leases in flight. A connection failure
-// retries the lease on the next live worker (re-dialling dead ones
-// behind a backoff), which is the only way a lease re-executes: the
-// caller still holds the lease, so the coordinator sees one completion
-// however many workers the lease bounced through. When the attempts run
-// out, the lease comes back Aborted: not executed, nothing logged, and
-// the engine stops the campaign so a resume can finish it.
+// the concurrency and bounds the leases in flight, so the client opens
+// at most one connection per running engine worker. A lease takes an
+// idle connection to any worker, scanning the fleet round-robin, or
+// dials one; it writes its request and reads the response on its own
+// goroutine, and hands the connection back only once the response is
+// decoded. A failed round trip drops the connection and retries the
+// lease on another (re-dialling dead workers behind a backoff), which
+// is the only way a lease re-executes: the caller still holds the
+// lease, so the coordinator sees one completion however many workers
+// the lease bounced through. When the attempts run out, the lease comes
+// back Aborted: not executed, nothing logged, and the engine stops the
+// campaign so a resume can finish it.
 type client struct {
 	spec   string
 	addrs  []string
 	header *apispec.Header
 	// ctx is the campaign's cancellation context (target.Config.Ctx).
-	// Once done, in-flight round trips and retry waits abandon — the
-	// worker may still execute the lease, but nobody listens — and exec
-	// returns Aborted results the engine discards instead of logging.
-	// Never nil (Background when the campaign runs uncancellable).
+	// Once done, the client closes: round trips in flight and retry
+	// waits abandon — the worker may still execute the lease, but nobody
+	// listens — and exec returns Aborted results the engine discards
+	// instead of logging. Never nil (Background when the campaign runs
+	// uncancellable).
 	ctx context.Context
 
 	next   atomic.Uint64 // round-robin cursor over addrs
@@ -77,9 +79,10 @@ type client struct {
 	met *obs.RemoteMetrics
 
 	mu     sync.Mutex
-	conns  []*workerConn // lazily (re)dialled, one slot per addr
-	dial   []dialState   // per-addr redial pacing
-	closed bool          // set by Close: no more dials
+	idle   [][]*workerConn          // per addr: connections no lease holds
+	open   map[*workerConn]struct{} // every connection, idle or held
+	dial   []dialState              // per-addr redial pacing
+	closed bool                     // set by Close: no more dials
 }
 
 // dialState paces redials of one address. Until notBefore, the address
@@ -90,30 +93,15 @@ type dialState struct {
 	err       error
 }
 
-// workerConn is one live connection: a write lock over a reused frame
-// buffer and a response demultiplexer keyed by request ID reading
-// through a buffered reader.
+// workerConn is one connection to a worker, idle or held by one lease.
+// buf holds the lease's request frame, then its response payload.
 type workerConn struct {
+	i           int // the worker's index in client.addrs
 	addr        string
 	helloTarget string // target spec the worker's hello advertised
 	conn        net.Conn
-	br          *bufio.Reader      // read by dialWorker, then only by readLoop
-	done        chan struct{}      // closed when readLoop exits
-	met         *obs.RemoteMetrics // never nil; nil handles when obs off
-
-	wmu  sync.Mutex // frame writes interleave frames, never bytes
-	wbuf []byte     // request frame storage, guarded by wmu
-
-	pmu     sync.Mutex
-	pending map[uint64]chan response
-	downErr error
-}
-
-// response is one demultiplexed response frame: its decoded header and
-// the record lines that follow it.
-type response struct {
-	hdr     respHeader
-	records []byte
+	br          *bufio.Reader
+	buf         []byte
 }
 
 func newClient(arg string, cfg target.Config) (*client, error) {
@@ -130,15 +118,20 @@ func newClient(arg string, cfg target.Config) (*client, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &client{
+	c := &client{
 		spec:   Name + ":" + strings.Join(addrs, ","),
 		addrs:  addrs,
 		header: apispec.Default(),
 		ctx:    ctx,
 		met:    obs.NewRemoteMetrics(cfg.Obs.Registry()),
-		conns:  make([]*workerConn, len(addrs)),
+		idle:   make([][]*workerConn, len(addrs)),
+		open:   map[*workerConn]struct{}{},
 		dial:   make([]dialState, len(addrs)),
-	}, nil
+	}
+	// One close per client, not per round trip. The engine's campaign
+	// context always ends with the campaign, and the registration with it.
+	context.AfterFunc(ctx, func() { c.Close() })
+	return c, nil
 }
 
 // Name returns the canonical spec.
@@ -158,13 +151,14 @@ func (c *client) Provision(workers int) error {
 	)
 	live := 0
 	for i := range c.addrs {
-		wc, err := c.getConn(i)
+		wc, err := c.connect(i)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
+		c.put(wc)
 		if live == 0 {
 			fleet, fleetOf = wc.helloTarget, wc.addr
 		} else if wc.helloTarget != fleet {
@@ -186,20 +180,17 @@ func (c *client) Acquire() target.Slot { return nil }
 // Release returns a slot (a no-op; see Acquire).
 func (c *client) Release(target.Slot) {}
 
-// Close drops every worker connection and returns once their read loops
-// have exited. It dials no more: leases in flight or executed after
-// Close come back Aborted.
+// Close closes every connection, idle or held by a lease in flight, and
+// dials no more: leases in flight or executed after Close come back
+// Aborted.
 func (c *client) Close() error {
 	c.mu.Lock()
 	c.closed = true
-	conns := c.conns
-	c.conns = make([]*workerConn, len(c.addrs))
+	open := c.open
+	c.open = nil
 	c.mu.Unlock()
-	for _, wc := range conns {
-		if wc != nil {
-			wc.fail(errClosed)
-			<-wc.done
-		}
+	for wc := range open {
+		wc.conn.Close()
 	}
 	return nil
 }
@@ -218,10 +209,10 @@ func (c *client) ExecuteBatch(_ target.Slot, batch []testgen.Dataset, spec targe
 	return c.exec(batch, spec)
 }
 
-// exec round-trips one lease, handing it to the next worker on every
-// transport failure until a response lands. When the attempt budget is
-// spent, the client is closed or the campaign is cancelled, the lease
-// comes back Aborted (not executed); a worker's refusal or an
+// exec round-trips one lease, handing it to another connection on
+// every failed round trip until a response lands. When the attempt
+// budget is spent, the client is closed or the campaign is cancelled,
+// the lease comes back Aborted (not executed); a worker's refusal or an
 // undecodable response fails every test with RunErr.
 func (c *client) exec(batch []testgen.Dataset, spec target.RunSpec) []target.Result {
 	// Results come back in lease order; the engine pairs them with the
@@ -229,10 +220,10 @@ func (c *client) exec(batch []testgen.Dataset, spec target.RunSpec) []target.Res
 	req := execRequest{Spec: spec, Tests: batch}
 	var lastErr error
 	for attempt := 0; attempt < execAttempts; attempt++ {
-		if err := c.ctx.Err(); err != nil {
+		if err := c.stopped(); err != nil {
 			return abortedResults(batch, err)
 		}
-		wc, err := c.pick()
+		wc, err := c.take()
 		if errors.Is(err, errClosed) {
 			return abortedResults(batch, err)
 		}
@@ -246,20 +237,25 @@ func (c *client) exec(batch []testgen.Dataset, spec target.RunSpec) []target.Res
 			continue
 		}
 		req.ID = c.nextID.Add(1)
-		resp, err := wc.roundTrip(c.ctx, &req)
-		if errors.Is(err, errConnDown) && c.ctx.Err() == nil {
-			// The worker died with our lease in flight: hand it to the
-			// next one. Anything it already executed re-executes there,
-			// byte-identically.
+		hdr, records, err := c.roundTrip(wc, &req)
+		if err != nil {
+			c.drop(wc)
+			if err := c.stopped(); err != nil {
+				// Cancelled, or closed under us: Close closes the
+				// connections of leases in flight too.
+				return abortedResults(batch, err)
+			}
+			// The worker died, or answered another request, with our
+			// lease in flight: hand it to the next connection. Anything
+			// it already executed re-executes there, byte-identically.
 			lastErr = err
 			c.met.Retries.Inc()
 			continue
 		}
-		if err != nil {
-			// Cancelled, or closed under us.
-			return abortedResults(batch, err)
-		}
-		results, err := c.decodeResults(resp, batch)
+		results, err := c.decodeResults(hdr, records, batch)
+		// The records are views of the connection's buffer, so the
+		// connection goes back only once they are decoded.
+		c.put(wc)
 		if err != nil {
 			return errResults(batch, err)
 		}
@@ -268,63 +264,119 @@ func (c *client) exec(batch []testgen.Dataset, spec target.RunSpec) []target.Res
 	return abortedResults(batch, fmt.Errorf("remote: lease abandoned after %d attempts: %w", execAttempts, lastErr))
 }
 
-// pick returns a live connection, round-robin across the fleet,
-// re-dialling dead workers whose backoff has elapsed.
-func (c *client) pick() (*workerConn, error) {
+// stopped returns why no lease may start another attempt: the
+// campaign's cancel or Close. Nil while the client runs.
+func (c *client) stopped() error {
+	if err := c.ctx.Err(); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return errClosed
+	}
+	return nil
+}
+
+// take hands a lease a connection of its own: an idle one to any
+// worker, scanning the fleet from the round-robin cursor, else a new
+// one to the first worker from the cursor that answers a dial.
+func (c *client) take() (*workerConn, error) {
 	start := int(c.next.Add(1))
-	var firstErr error
-	for k := 0; k < len(c.addrs); k++ {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, errClosed
+	}
+	for k := range c.addrs {
 		i := (start + k) % len(c.addrs)
-		wc, err := c.getConn(i)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		if n := len(c.idle[i]); n > 0 {
+			wc := c.idle[i][n-1]
+			c.idle[i] = c.idle[i][:n-1]
+			c.mu.Unlock()
+			return wc, nil
 		}
-		return wc, nil
+	}
+	c.mu.Unlock()
+	var firstErr error
+	for k := range c.addrs {
+		wc, err := c.connect((start + k) % len(c.addrs))
+		if err == nil || errors.Is(err, errClosed) {
+			return wc, err
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
 	}
 	return nil, fmt.Errorf("remote: no live worker: %w", firstErr)
 }
 
-// getConn returns the live connection for addr i, dialling if the slot
-// is empty or dead and its backoff window has elapsed.
-func (c *client) getConn(i int) (*workerConn, error) {
+// put returns a connection whose round trip completed to the idle set.
+func (c *client) put(wc *workerConn) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
+		// Close has closed it already.
+		return
+	}
+	c.idle[wc.i] = append(c.idle[wc.i], wc)
+}
+
+// drop closes a connection whose round trip failed, and every idle
+// connection to the same worker: a connection that missed its response
+// never serves another lease, and a worker that failed one round trip
+// has most likely failed the rest.
+func (c *client) drop(wc *workerConn) {
+	c.mu.Lock()
+	stale := append(c.idle[wc.i], wc)
+	c.idle[wc.i] = nil
+	for _, s := range stale {
+		delete(c.open, s)
+	}
+	c.mu.Unlock()
+	for _, s := range stale {
+		s.conn.Close()
+	}
+}
+
+// connect dials worker i unless its redial backoff is pending. The
+// dial runs outside the client's lock, so a slow worker holds up no
+// other lease and no Close.
+func (c *client) connect(i int) (*workerConn, error) {
+	c.mu.Lock()
+	d := c.dial[i]
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
 		return nil, errClosed
 	}
-	if wc := c.conns[i]; wc != nil && !wc.down() {
-		return wc, nil
+	if time.Now().Before(d.notBefore) {
+		return nil, d.err
 	}
-	if now := time.Now(); now.Before(c.dial[i].notBefore) {
-		return nil, c.dial[i].err
-	}
-	wc, err := dialWorker(c.addrs[i], c.met)
+	wc, err := dialWorker(c.addrs[i])
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if err != nil {
 		c.met.DialErrors.Inc()
 		d := &c.dial[i]
-		d.delay *= 2
-		if d.delay < dialBackoffMin {
-			d.delay = dialBackoffMin
-		}
-		if d.delay > dialBackoffMax {
-			d.delay = dialBackoffMax
-		}
+		d.delay = min(max(2*d.delay, dialBackoffMin), dialBackoffMax)
 		d.notBefore = time.Now().Add(d.delay)
 		d.err = err
 		return nil, err
 	}
+	if c.closed {
+		wc.conn.Close()
+		return nil, errClosed
+	}
 	c.met.Dials.Inc()
 	c.dial[i] = dialState{}
-	c.conns[i] = wc
+	wc.i = i
+	c.open[wc] = struct{}{}
 	return wc, nil
 }
 
-// dialWorker dials one worker and verifies its hello. met must be
-// non-nil (its handles may be — obs off).
-func dialWorker(addr string, met *obs.RemoteMetrics) (*workerConn, error) {
+// dialWorker dials one worker and verifies its hello.
+func dialWorker(addr string) (*workerConn, error) {
 	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("remote: dial %s: %w", addr, err)
@@ -346,127 +398,37 @@ func dialWorker(addr string, met *obs.RemoteMetrics) (*workerConn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("remote: %s speaks protocol %d, this client speaks %d", addr, hello.Proto, ProtoVersion)
 	}
-	wc := &workerConn{
-		addr:        addr,
-		helloTarget: hello.Target,
-		conn:        conn,
-		br:          br,
-		done:        make(chan struct{}),
-		met:         met,
-		pending:     map[uint64]chan response{},
-	}
-	go wc.readLoop()
-	return wc, nil
+	return &workerConn{addr: addr, helloTarget: hello.Target, conn: conn, br: br}, nil
 }
 
-// WorkerTarget dials addr and returns the target spec its hello
-// advertises — the discovery surface behind fleet-consistency checks.
-func WorkerTarget(addr string) (string, error) {
-	wc, err := dialWorker(addr, obs.NewRemoteMetrics(nil))
+// roundTrip writes one request on wc and reads the response on the same
+// goroutine, refusing a response to any other request. The records it
+// returns are views of wc's buffer, valid until wc's next round trip.
+func (c *client) roundTrip(wc *workerConn, req *execRequest) (respHeader, []byte, error) {
+	wc.buf = appendRequest(beginFrame(wc.buf), req)
+	if err := sendFrame(wc.conn, wc.buf); err != nil {
+		return respHeader{}, nil, fmt.Errorf("remote: %s: %w", wc.addr, err)
+	}
+	c.met.WireTx.Add(uint64(len(wc.buf)))
+	payload, err := readFrame(wc.br, wc.buf)
 	if err != nil {
-		return "", err
+		return respHeader{}, nil, fmt.Errorf("remote: %s: %w", wc.addr, err)
 	}
-	wc.conn.Close()
-	return wc.helloTarget, nil
-}
-
-// down reports whether the connection has failed.
-func (wc *workerConn) down() bool {
-	wc.pmu.Lock()
-	defer wc.pmu.Unlock()
-	return wc.downErr != nil
-}
-
-// fail marks the connection dead and wakes every pending round trip with
-// the bad news.
-func (wc *workerConn) fail(err error) {
-	wc.pmu.Lock()
-	if wc.downErr == nil {
-		wc.downErr = err
-		for id, ch := range wc.pending {
-			close(ch)
-			delete(wc.pending, id)
-		}
-	}
-	wc.pmu.Unlock()
-	wc.conn.Close()
-}
-
-// readLoop demultiplexes response frames to their waiting round trips,
-// decoding each header once.
-func (wc *workerConn) readLoop() {
-	defer close(wc.done)
-	for {
-		payload, err := readFrame(wc.br, nil)
-		if err != nil {
-			wc.fail(fmt.Errorf("%w: %s: %v", errConnDown, wc.addr, err))
-			return
-		}
-		wc.met.WireRx.Add(uint64(len(payload)) + frameOverhead)
-		hdr, records, err := decodeRespHeader(payload)
-		if err != nil {
-			wc.fail(fmt.Errorf("%w: %s: %v", errConnDown, wc.addr, err))
-			return
-		}
-		wc.pmu.Lock()
-		ch := wc.pending[hdr.ID]
-		delete(wc.pending, hdr.ID)
-		wc.pmu.Unlock()
-		if ch != nil {
-			ch <- response{hdr: hdr, records: records}
-		}
-	}
-}
-
-// roundTrip sends one request frame and waits for its response.
-// errConnDown failures are retryable on another connection; a done ctx
-// abandons the wait (the connection stays healthy — the worker's
-// eventual response is dropped by the demultiplexer, whose pending
-// entry is removed here).
-func (wc *workerConn) roundTrip(ctx context.Context, req *execRequest) (response, error) {
-	ch := make(chan response, 1)
-	wc.pmu.Lock()
-	if wc.downErr != nil {
-		err := wc.downErr
-		wc.pmu.Unlock()
-		return response{}, err
-	}
-	wc.pending[req.ID] = ch
-	wc.pmu.Unlock()
-
-	wc.wmu.Lock()
-	wc.wbuf = appendRequest(beginFrame(wc.wbuf), req)
-	err := sendFrame(wc.conn, wc.wbuf)
-	sent := len(wc.wbuf)
-	wc.wmu.Unlock()
+	wc.buf = payload
+	c.met.WireRx.Add(uint64(len(payload)) + frameOverhead)
+	hdr, records, err := decodeRespHeader(payload)
 	if err != nil {
-		err = fmt.Errorf("%w: %s: %v", errConnDown, wc.addr, err)
-		wc.fail(err)
-		return response{}, err
+		return respHeader{}, nil, fmt.Errorf("remote: %s: %w", wc.addr, err)
 	}
-	wc.met.WireTx.Add(uint64(sent))
-
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			wc.pmu.Lock()
-			err := wc.downErr
-			wc.pmu.Unlock()
-			return response{}, err
-		}
-		return resp, nil
-	case <-ctx.Done():
-		wc.pmu.Lock()
-		delete(wc.pending, req.ID)
-		wc.pmu.Unlock()
-		return response{}, ctx.Err()
+	if hdr.ID != req.ID {
+		return respHeader{}, nil, fmt.Errorf("remote: %s: response to request %d, want %d", wc.addr, hdr.ID, req.ID)
 	}
+	return hdr, records, nil
 }
 
 // decodeResults turns a response back into execution logs, in lease
 // order.
-func (c *client) decodeResults(resp response, batch []testgen.Dataset) ([]target.Result, error) {
-	hdr := resp.hdr
+func (c *client) decodeResults(hdr respHeader, records []byte, batch []testgen.Dataset) ([]target.Result, error) {
 	if hdr.Err != "" {
 		return nil, fmt.Errorf("remote: worker refused lease: %s", hdr.Err)
 	}
@@ -474,7 +436,7 @@ func (c *client) decodeResults(resp response, batch []testgen.Dataset) ([]target
 		return nil, fmt.Errorf("remote: worker returned %d records for a lease of %d", hdr.N, len(batch))
 	}
 	results := make([]target.Result, 0, len(batch))
-	rest := resp.records
+	rest := records
 	for len(results) < hdr.N {
 		j := bytes.IndexByte(rest, '\n')
 		if j < 0 {

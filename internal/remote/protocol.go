@@ -111,9 +111,9 @@ type Hello struct {
 	Target string `json:"target"`
 }
 
-// execRequest is one lease on the wire: an ID for response matching
-// (connections pipeline; responses may interleave), the run parameters
-// and the tests to execute. Of Spec only Faults, MAFs, Stress and
+// execRequest is one lease on the wire: an ID, which its response
+// carries back and the client checks against its request, the run
+// parameters and the tests to execute. Of Spec only Faults, MAFs, Stress and
 // Coverage travel: datasets ship resolved, the worker supplies Header
 // and Dict from its own defaults, and Inject is never set at this layer
 // (SEU composites run worker-side, inside the worker's own target spec).

@@ -3,6 +3,9 @@ package remote
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -90,6 +93,35 @@ func mergedLog(t *testing.T, plan testgen.Plan, tgtSpec string, workers, batch i
 	}
 	if n != plan.Len() {
 		t.Fatalf("merge on %s: %d records, want %d", tgtSpec, n, plan.Len())
+	}
+	return buf.Bytes()
+}
+
+// loggedRecords counts the records in a campaign's shards and fails the
+// test on any that carries a harness error: a lease the client gave up
+// on, or one a faulted connection cut, must leave no record, and one
+// that ran must leave its result, not a run_err.
+func loggedRecords(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	if err := campaign.ScanShards(dir, func(rec campaign.JSONRecord) error {
+		if rec.RunErr != "" {
+			return fmt.Errorf("record %d carries run_err %q", rec.Seq, rec.RunErr)
+		}
+		n++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// mergeDir merges a campaign's shards and returns the log bytes.
+func mergeDir(t *testing.T, dir string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := campaign.MergeShards(dir, &buf); err != nil {
+		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
@@ -248,15 +280,154 @@ func TestRemoteRefusesEmptyFleet(t *testing.T) {
 	}
 }
 
-// TestWorkerTarget pins the hello discovery surface.
-func TestWorkerTarget(t *testing.T) {
-	addr, _, _ := startWorker(t, "phantom", 1, 0)
-	got, err := WorkerTarget(addr)
+// TestRemoteRefusesMismatchedResponse: a worker that answers each
+// request with the next request's ID is refused, round trip after round
+// trip, until the lease's attempts run out and the campaign stops with
+// nothing logged. The campaign runs under a deadline, so a client that
+// waits for a response matching its request fails the test instead of
+// hanging it.
+func TestRemoteRefusesMismatchedResponse(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != "phantom" {
-		t.Fatalf("hello target %q, want %q", got, "phantom")
+	defer ln.Close()
+	h := apispec.Default()
+	answer := func(conn net.Conn) {
+		defer conn.Close()
+		hello, _ := json.Marshal(Hello{Proto: ProtoVersion, Target: target.SimName})
+		if WriteFrame(conn, hello) != nil {
+			return
+		}
+		br := bufio.NewReader(conn)
+		for {
+			payload, err := readFrame(br, nil)
+			if err != nil {
+				return
+			}
+			req, err := decodeRequest(payload, h)
+			if err != nil {
+				return
+			}
+			// A well-formed response, one record per test, carrying the
+			// ID of the request after this one.
+			frame := appendRespHeader(nil, respHeader{ID: req.ID + 1, N: len(req.Tests)})
+			for _, ds := range req.Tests {
+				rec := campaign.ToRecord(ds.Index, target.Result{Dataset: ds})
+				frame, _ = campaign.Codec{}.AppendEncode(frame, &rec)
+				frame = append(frame, '\n')
+			}
+			if WriteFrame(conn, frame) != nil {
+				return
+			}
+		}
+	}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go answer(conn)
+		}
+	}()
+
+	plan := testPlan(t, "rand:4", 1, "XM_set_timer", "XM_get_time")
+	dir := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, err = campaign.StreamPlan(plan, campaign.EngineOptions{
+		Options:  campaign.Options{Workers: 1, Target: "remote:" + ln.Addr().String()},
+		Ctx:      ctx,
+		ShardDir: dir,
+	}, nil)
+	if err == nil || !strings.Contains(err.Error(), "lease abandoned after 8 attempts") ||
+		!strings.Contains(err.Error(), "response to request") {
+		t.Fatalf("campaign against a worker answering other requests returned %v, want the lease abandoned over a response to another request", err)
+	}
+	if n := loggedRecords(t, dir); n != 0 {
+		t.Fatalf("%d records logged from responses to other requests", n)
+	}
+}
+
+// TestRemoteCancelWithLeaseInFlight: cancelling a campaign while its only
+// lease executes on a worker returns context.Canceled without waiting
+// for the lease, and logs nothing. Once the lease finishes, the worker
+// lets the cancelled connection go, and a resume on a plain sim worker at
+// the same address merges to the bytes of the single-process run.
+func TestRemoteCancelWithLeaseInFlight(t *testing.T) {
+	plan := testPlan(t, "rand:12", 7, "XM_set_timer", "XM_get_time")
+	local := mergedLog(t, plan, "sim", 1, 0)
+
+	gate := &gateTarget{started: make(chan struct{}, 1), gate: make(chan struct{})}
+	srv := &Server{Target: gate, Workers: 1, Obs: obs.New()}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	eo := campaign.EngineOptions{
+		Options:        campaign.Options{Workers: 1, Target: "remote:" + addr},
+		Ctx:            ctx,
+		ShardDir:       dir,
+		CheckpointPath: filepath.Join(dir, "checkpoint.jsonl"),
+	}
+	type outcome struct {
+		stats campaign.EngineStats
+		err   error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		stats, err := campaign.StreamPlan(plan, eo, nil)
+		done <- outcome{stats, err}
+	}()
+	select {
+	case <-gate.started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the campaign's lease never reached the worker")
+	}
+	cancel()
+	var out outcome
+	select {
+	case out = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the cancelled campaign waited for its lease in flight")
+	}
+	if !errors.Is(out.err, context.Canceled) {
+		t.Fatalf("cancelled campaign returned %v, want context.Canceled", out.err)
+	}
+	if out.stats.Executed != 0 {
+		t.Fatalf("cancelled campaign executed %d tests, want 0", out.stats.Executed)
+	}
+	if n := loggedRecords(t, dir); n != 0 {
+		t.Fatalf("cancelled campaign logged %d records", n)
+	}
+
+	close(gate.gate)
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.met.Connections.Value() != 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := srv.met.Connections.Value(); n != 0 {
+		t.Fatalf("worker reports %d open connections after the cancelled lease finished, want 0", n)
+	}
+
+	srv.Close()
+	healthy := &Server{Target: target.NewSim(target.Config{}), Workers: 1}
+	if _, err := healthy.Listen(addr); err != nil {
+		t.Fatalf("restart worker on %s: %v", addr, err)
+	}
+	t.Cleanup(healthy.Close)
+	eo.Ctx, eo.Resume = nil, true
+	if _, err := campaign.StreamPlan(plan, eo, nil); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if got := mergeDir(t, dir); !bytes.Equal(local, got) {
+		t.Fatalf("resumed log differs from local: %d vs %d bytes", len(got), len(local))
 	}
 }
 

@@ -18,13 +18,12 @@ import (
 )
 
 // Server wraps one local target behind the wire protocol: every accepted
-// connection gets a hello, then a stream of lease requests, each executed
-// on the wrapped target and answered with campaign-log records.
-// Connections pipeline: each runs up to Workers executor goroutines that
-// live as long as the connection, so one slow lease never stalls the
-// link and the target's stack grows once per executor, not per request.
-// A server-wide semaphore bounds executions across all connections to
-// Workers.
+// connection gets a hello, then a sequence of lease requests, each
+// executed on the wrapped target and answered with campaign-log records
+// before the connection's next request is read. A client holds one
+// connection per lease in flight, so a worker runs as many leases at
+// once as it has busy connections; a server-wide semaphore bounds
+// executions across all of them to Workers.
 type Server struct {
 	// Target executes the leases; it may be any registered backend
 	// (sim, phantom, diff:..., inject:...). Provision is called once with
@@ -60,8 +59,7 @@ type Server struct {
 	header *apispec.Header
 	dict   *dict.Dictionary
 
-	draining atomic.Bool
-	connWG   sync.WaitGroup
+	connWG sync.WaitGroup
 
 	connsMu sync.Mutex
 	open    map[net.Conn]struct{}
@@ -174,11 +172,11 @@ func (s *Server) Serve(ln net.Listener) error {
 // every open connection stops reading new frames (its pending read is
 // unblocked by an immediate read deadline), in-flight requests finish
 // executing and write their responses, and only then do the connections
-// close. It returns once every connection handler has exited. Clients
-// treat the subsequent connection loss like any dead worker: unanswered
-// leases retry on another worker.
+// close. It returns once every connection handler has exited. A client
+// connection the drain closed while idle fails on its next lease, which
+// retries on another connection; the worker never read that request, so
+// nothing re-executes.
 func (s *Server) Shutdown() {
-	s.draining.Store(true)
 	s.connsMu.Lock()
 	if s.ln != nil {
 		s.ln.Close()
@@ -190,29 +188,12 @@ func (s *Server) Shutdown() {
 	s.connWG.Wait()
 }
 
-// Draining reports whether Shutdown has begun — how a serving loop
-// distinguishes a graceful drain's listener-closed error from a fault.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// serverConn is one accepted connection's write side: executors'
-// responses interleave whole frames, never bytes.
-type serverConn struct {
-	conn net.Conn
-	wmu  sync.Mutex
-}
-
-// job is one decoded request handed from a connection's reader to its
-// executors; err is set when the frame did not decode.
-type job struct {
-	req execRequest
-	err error
-}
-
 // handleConn speaks the protocol on one connection: hello, then a loop
-// reading pipelined lease requests and handing them to the connection's
-// executors until the peer hangs up (or Shutdown breaks the read loop;
-// requests already read still answer). Executors start on demand, up to
-// Workers, and exit with the connection.
+// that reads a request, executes it and writes its response before it
+// reads the next, until the peer hangs up (or Shutdown's read deadline
+// ends the loop; a request already read still answers). One buffer
+// holds each request frame, then its response frame: the decoded
+// request copies what it keeps.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
@@ -225,14 +206,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	s.met.WireTx.Add(uint64(len(hello)) + frameOverhead)
 
-	sc := &serverConn{conn: conn}
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	defer func() {
-		close(jobs)
-		wg.Wait()
-	}()
-	executors := 0
 	br := bufio.NewReader(conn)
 	var buf []byte
 	for {
@@ -240,41 +213,23 @@ func (s *Server) handleConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		buf = payload
 		s.met.WireRx.Add(uint64(len(payload)) + frameOverhead)
 		req, err := decodeRequest(payload, s.header)
-		j := job{req: req, err: err}
-		select {
-		case jobs <- j: // an idle executor took it
-			continue
-		default:
-		}
-		if executors < s.Workers {
-			executors++
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var frame []byte
-				for j := range jobs {
-					frame = s.handleRequest(sc, j, frame)
-				}
-			}()
-		}
-		jobs <- j
+		buf = s.handleRequest(conn, req, err, payload)
 	}
 }
 
-// handleRequest executes one lease and writes its response frame,
-// building it in frame's storage; it returns the storage for reuse.
-func (s *Server) handleRequest(sc *serverConn, j job, frame []byte) []byte {
+// handleRequest executes one decoded lease (or refuses the request
+// decodeErr names) and writes its response frame, building it in
+// frame's storage; it returns the storage for reuse.
+func (s *Server) handleRequest(conn net.Conn, req execRequest, decodeErr error, frame []byte) []byte {
 	if s.ExitAfter > 0 && int(s.executed.Load()) >= s.ExitAfter {
 		// Already dying: a dead worker answers nothing.
 		return frame
 	}
-	req := j.req
-	if j.err != nil {
-		s.logf("refusing request: %v", j.err)
-		return s.respond(sc, frame, respHeader{ID: req.ID, Err: j.err.Error()}, nil, nil)
+	if decodeErr != nil {
+		s.logf("refusing request: %v", decodeErr)
+		return s.respond(conn, frame, respHeader{ID: req.ID, Err: decodeErr.Error()}, nil, nil)
 	}
 	spec := req.Spec
 	spec.Header, spec.Dict = s.header, s.dict
@@ -305,25 +260,23 @@ func (s *Server) handleRequest(sc *serverConn, j job, frame []byte) []byte {
 			return frame
 		}
 	}
-	return s.respond(sc, frame, respHeader{ID: req.ID, N: len(results)}, req.Tests, results)
+	return s.respond(conn, frame, respHeader{ID: req.ID, N: len(results)}, req.Tests, results)
 }
 
 // respond writes one response frame — the header, then one raw-codec
 // record line per result, keyed by its test's campaign position — with
 // one write, and returns the frame storage for reuse.
-func (s *Server) respond(sc *serverConn, frame []byte, hdr respHeader, tests []testgen.Dataset, results []target.Result) []byte {
+func (s *Server) respond(conn net.Conn, frame []byte, hdr respHeader, tests []testgen.Dataset, results []target.Result) []byte {
 	frame = appendRespHeader(beginFrame(frame), hdr)
 	for i, r := range results {
 		rec := campaign.ToRecord(tests[i].Index, r)
 		var err error
 		if frame, err = (campaign.Codec{}).AppendEncode(frame, &rec); err != nil {
-			return s.respond(sc, frame, respHeader{ID: hdr.ID, Err: fmt.Sprintf("record %d: %v", i, err)}, nil, nil)
+			return s.respond(conn, frame, respHeader{ID: hdr.ID, Err: fmt.Sprintf("record %d: %v", i, err)}, nil, nil)
 		}
 		frame = append(frame, '\n')
 	}
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	if err := sendFrame(sc.conn, frame); err != nil {
+	if err := sendFrame(conn, frame); err != nil {
 		s.logf("response %d: %v", hdr.ID, err)
 		return frame
 	}
