@@ -432,8 +432,8 @@ func TestRemoteCancelWithLeaseInFlight(t *testing.T) {
 }
 
 // TestStreamPlanClosesRemoteConnections: a campaign closes the remote
-// target it built, so once StreamPlan returns no worker connection (and
-// no client read loop behind it) outlives the campaign.
+// target it built, so once StreamPlan returns no worker connection
+// outlives the campaign.
 func TestStreamPlanClosesRemoteConnections(t *testing.T) {
 	plan := testPlan(t, "rand:20", 3, "XM_set_timer", "XM_get_time")
 	var (
