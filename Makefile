@@ -220,10 +220,14 @@ daemon-smoke:
 # merge to decodable lines in seq order that merge again unchanged), over
 # the remote worker's request-frame decoder (arbitrary bytes never panic, no
 # count outruns the bytes that carry it, and what decodes re-encodes
-# unchanged) and over the simulated machine's memory (FuzzMachineMemory:
+# unchanged), over the simulated machine's memory (FuzzMachineMemory:
 # the paged banks must agree with a flat reference on every read, trap,
 # counter and dirty page of an arbitrary sequence of stores, loads, flips
-# and resets):
+# and resets), over the trap-free space check (FuzzSpaceCheck: Allows
+# must agree with Check, and Check's trap text with its reference, on the
+# EagleEye partitions' spaces) and over dictionary values (FuzzResolve:
+# resolving the symbolic tokens first must give the bits and error text
+# of parsing the literal first, for any raw value from user XML):
 # long enough to shake out encoding and paging regressions, short enough
 # for every CI run. The corpus under internal/campaign/testdata stays
 # checked in. CI runs this.
@@ -232,6 +236,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeShards$$' -fuzztime 10s ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestFrame$$' -fuzztime 10s ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzMachineMemory$$' -fuzztime 10s ./internal/sparc
+	$(GO) test -run '^$$' -fuzz '^FuzzSpaceCheck$$' -fuzztime 10s ./internal/sparc
+	$(GO) test -run '^$$' -fuzz '^FuzzResolve$$' -fuzztime 10s ./internal/dict
 
 # The invariant lint suite: cmd/xmlint is a go vet tool (see
 # internal/lint) checking determinism, obsnil, registry and seqfield.

@@ -30,7 +30,11 @@
 // load from elsewhere on the host that drifts over the sweep lands on
 // every point alike instead of on the ones that ran while it lasted.
 // The file records the CPU steal time the host reported over the timed
-// rounds (steal_s, from /proc/stat; 0 where it is not reported):
+// rounds (steal_s, from /proc/stat; 0 where it is not reported), and
+// each point its process CPU seconds over its timed repetitions (cpu_s,
+// user plus system time from getrusage), which the run prints beside
+// the point as CPU÷wall: on two CPUs a workers=8 point reads about 2
+// when the process ran on both and about 1 when it ran on one:
 //
 //	go run ./cmd/xmbench -sweep 1,2,4,8 -o BENCH_2.json -min-scale 3
 //
@@ -56,6 +60,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"xmrobust/internal/campaign"
@@ -79,6 +84,7 @@ type Bench struct {
 	AllocsPerTest float64 `json:"allocs_per_test"`
 	BytesPerTest  float64 `json:"bytes_per_test"`
 	EncodeNsRaw   float64 `json:"encode_ns_raw,omitempty"`
+	CPUS          float64 `json:"cpu_s,omitempty"`
 	Note          string  `json:"note,omitempty"`
 }
 
@@ -181,10 +187,10 @@ type point struct {
 
 // measure runs each point's fixed-seed plan through the streaming
 // engine: one untimed warm-up round, then reps timed rounds, each
-// running every point once in turn. Each point times and counts
-// allocations over its own repetitions only. It returns the points'
-// measurements and the CPU steal seconds the host reported over the
-// timed rounds.
+// running every point once in turn. Each point times, counts
+// allocations and takes the process's CPU time over its own
+// repetitions only. It returns the points' measurements and the CPU
+// steal seconds the host reported over the timed rounds.
 func measure(points []point, reps int) ([]Bench, float64, error) {
 	bs := make([]Bench, len(points))
 	runs := make([]func() error, len(points))
@@ -234,11 +240,13 @@ func measure(points []point, reps int) ([]Bench, float64, error) {
 	for r := 0; r < reps; r++ {
 		for i, run := range runs {
 			runtime.ReadMemStats(&ms0)
+			cpu0 := cpuSeconds()
 			start := time.Now()
 			if err := run(); err != nil {
 				return nil, 0, err
 			}
 			walls[i] += time.Since(start)
+			bs[i].CPUS += cpuSeconds() - cpu0
 			runtime.ReadMemStats(&ms1)
 			bs[i].AllocsPerTest += float64(ms1.Mallocs - ms0.Mallocs)
 			bs[i].BytesPerTest += float64(ms1.TotalAlloc - ms0.TotalAlloc)
@@ -270,6 +278,15 @@ func stealSeconds() float64 {
 		return 0
 	}
 	return jiffies / 100 // USER_HZ
+}
+
+// cpuSeconds is the process's user plus system CPU time so far.
+func cpuSeconds() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return float64(ru.Utime.Nano()+ru.Stime.Nano()) / 1e9
 }
 
 // sweep measures one point per workers count, plus a loopback remote:
@@ -306,14 +323,15 @@ func sweep(n int, seed int64, reps, batch int, list string, remoteN int, minScal
 		fail(err)
 	}
 	for i, b := range bs {
+		cpuPerWall := b.CPUS * b.TestsPerSec / float64(b.Tests)
 		if points[i].targetSpec != "" {
 			// A stable label, not the ephemeral ports.
 			b.Target = fmt.Sprintf("remote:loopback×%d", remoteN)
-			fmt.Fprintf(os.Stderr, "xmbench: %s workers=%d — %.0f tests/sec, %.0f allocs/test (wire round-trip included)\n",
-				b.Target, b.Workers, b.TestsPerSec, b.AllocsPerTest)
+			fmt.Fprintf(os.Stderr, "xmbench: %s workers=%d — %.0f tests/sec, %.0f allocs/test, CPU÷wall %.2f (wire round-trip included)\n",
+				b.Target, b.Workers, b.TestsPerSec, b.AllocsPerTest, cpuPerWall)
 		} else {
-			fmt.Fprintf(os.Stderr, "xmbench: workers=%d — %.0f tests/sec, %.0f allocs/test\n",
-				b.Workers, b.TestsPerSec, b.AllocsPerTest)
+			fmt.Fprintf(os.Stderr, "xmbench: workers=%d — %.0f tests/sec, %.0f allocs/test, CPU÷wall %.2f\n",
+				b.Workers, b.TestsPerSec, b.AllocsPerTest, cpuPerWall)
 		}
 		s.Points = append(s.Points, b)
 	}

@@ -95,6 +95,9 @@ const (
 
 // IsSymbol reports whether the value is a symbolic token (vs a literal).
 func (v Value) IsSymbol() bool {
+	if _, ok := (Layout{}).symbol(v.Raw); ok {
+		return true
+	}
 	_, err := parseLiteral(v.Raw)
 	return err != nil
 }

@@ -25,37 +25,45 @@ type Resolved struct {
 }
 
 // Resolve fixes a value against the layout. Literals pass through;
-// symbolic tokens become the corresponding address.
+// symbolic tokens become the corresponding address. No token parses as
+// a literal, so trying the tokens first gives a literal's bits exactly
+// as parsing it first would, and a token costs no parse error.
 func (l Layout) Resolve(v Value) (Resolved, error) {
-	if bits, err := parseLiteral(v.Raw); err == nil {
-		return Resolved{Value: v, Bits: bits}, nil
+	if addr, ok := l.symbol(v.Raw); ok {
+		return Resolved{Value: v, Bits: uint64(uint32(addr))}, nil
 	}
-	var addr sparc.Addr
-	switch v.Raw {
-	case SymNull:
-		addr = 0
-	case SymValid:
-		addr = l.DataArea.Base
-	case SymValidMid:
-		addr = l.DataArea.Base + sparc.Addr(l.DataArea.Size/2)
-	case SymValidLast:
-		addr = l.DataArea.Base + sparc.Addr(l.DataArea.Size-4)
-	case SymValidEnd:
-		addr = l.DataArea.Base + sparc.Addr(l.DataArea.Size)
-	case SymUnaligned:
-		addr = l.DataArea.Base + 1
-	case SymOtherPart:
-		addr = l.OtherArea.Base
-	case SymKernel:
-		addr = l.Kernel
-	case SymROM:
-		addr = l.ROM
-	case SymIO:
-		addr = l.IO
-	default:
+	bits, err := parseLiteral(v.Raw)
+	if err != nil {
 		return Resolved{}, fmt.Errorf("dict: unknown symbolic value %q", v.Raw)
 	}
-	return Resolved{Value: v, Bits: uint64(uint32(addr))}, nil
+	return Resolved{Value: v, Bits: bits}, nil
+}
+
+// symbol resolves a symbolic token; ok is false for anything else.
+func (l Layout) symbol(raw string) (addr sparc.Addr, ok bool) {
+	switch raw {
+	case SymNull:
+		return 0, true
+	case SymValid:
+		return l.DataArea.Base, true
+	case SymValidMid:
+		return l.DataArea.Base + sparc.Addr(l.DataArea.Size/2), true
+	case SymValidLast:
+		return l.DataArea.Base + sparc.Addr(l.DataArea.Size-4), true
+	case SymValidEnd:
+		return l.DataArea.Base + sparc.Addr(l.DataArea.Size), true
+	case SymUnaligned:
+		return l.DataArea.Base + 1, true
+	case SymOtherPart:
+		return l.OtherArea.Base, true
+	case SymKernel:
+		return l.Kernel, true
+	case SymROM:
+		return l.ROM, true
+	case SymIO:
+		return l.IO, true
+	}
+	return 0, false
 }
 
 // ResolveAll fixes a whole value list.

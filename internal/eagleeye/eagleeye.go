@@ -126,18 +126,30 @@ func NewSystem(opts ...xm.Option) (*xm.Kernel, error) {
 	return k, nil
 }
 
+// obsw is the synthetic on-board software's state: the five programs
+// with their runtime contexts and ports.
+type obsw struct {
+	platform platformProg
+	payload  payloadProg
+	gnc      gncProg
+	tmtc     tmtcProg
+	fdir     fdirProg
+}
+
 // AttachOBSW hosts the synthetic on-board software in every partition of
-// an EagleEye-configured kernel.
+// an EagleEye-configured kernel. The five program states live in one
+// block that stays with the kernel (xm.Kernel.SetGuest) and is zeroed
+// on each call, so each incarnation still starts from zero values,
+// exactly like five fresh literals, and reattaching the OBSW to a
+// recycled kernel allocates nothing.
 func AttachOBSW(k *xm.Kernel) error {
-	// One allocation carries all five program states; each incarnation
-	// still starts from zero values, exactly like five fresh literals.
-	ps := new(struct {
-		platform platformProg
-		payload  payloadProg
-		gnc      gncProg
-		tmtc     tmtcProg
-		fdir     fdirProg
-	})
+	ps, _ := k.Guest().(*obsw)
+	if ps == nil {
+		ps = new(obsw)
+		k.SetGuest(ps)
+	} else {
+		*ps = obsw{}
+	}
 	for _, a := range [...]struct {
 		id   int
 		prog xm.Program
@@ -155,7 +167,7 @@ func AttachOBSW(k *xm.Kernel) error {
 	return nil
 }
 
-// dataRegion builds the region descriptor for partition id (for xal.New).
+// dataRegion builds the region descriptor for partition id (for xal.Ctx.Init).
 func dataRegion(id int) sparc.Region {
 	return sparc.Region{Name: "data", Base: areaBase(id), Size: AreaSize, Perm: sparc.PermRW}
 }
@@ -163,8 +175,8 @@ func dataRegion(id int) sparc.Region {
 // --- GNC: publishes attitude quaternions -----------------------------------
 
 type gncProg struct {
-	ctx  *xal.Ctx
-	port *xal.Port
+	ctx  xal.Ctx
+	port xal.Port
 	seq  uint32
 	// msg is the reused attitude message image. Bytes the step below
 	// does not write stay zero, exactly as in a freshly made buffer.
@@ -172,7 +184,7 @@ type gncProg struct {
 }
 
 func (g *gncProg) Boot(env xm.Env) {
-	g.ctx = xal.New(env, dataRegion(GNC))
+	g.ctx.Init(env, dataRegion(GNC))
 	g.port, _ = g.ctx.CreateSamplingPort(ChanAttitude, 32, xm.SourcePort)
 	g.seq = 0
 }
@@ -180,7 +192,7 @@ func (g *gncProg) Boot(env xm.Env) {
 func (g *gncProg) Step(env xm.Env) bool {
 	g.ctx.ResetHeap()
 	env.Compute(2000) // attitude determination & control iteration
-	if g.port == nil {
+	if !g.port.Open() {
 		return false
 	}
 	g.seq++
@@ -196,9 +208,9 @@ func (g *gncProg) Step(env xm.Env) bool {
 // --- PLATFORM: consumes attitude, emits housekeeping telemetry -------------
 
 type platformProg struct {
-	ctx      *xal.Ctx
-	attitude *xal.Port
-	hktm     *xal.Port
+	ctx      xal.Ctx
+	attitude xal.Port
+	hktm     xal.Port
 	cycles   uint32
 	lastAtt  uint32
 	rbuf     [32]byte
@@ -206,7 +218,7 @@ type platformProg struct {
 }
 
 func (p *platformProg) Boot(env xm.Env) {
-	p.ctx = xal.New(env, dataRegion(Platform))
+	p.ctx.Init(env, dataRegion(Platform))
 	p.attitude, _ = p.ctx.CreateSamplingPort(ChanAttitude, 32, xm.DestinationPort)
 	p.hktm, _ = p.ctx.CreateSamplingPort(ChanHKTM, 64, xm.SourcePort)
 }
@@ -215,12 +227,12 @@ func (p *platformProg) Step(env xm.Env) bool {
 	p.ctx.ResetHeap()
 	env.Compute(3000) // thermal, power and mode management
 	p.cycles++
-	if p.attitude != nil {
+	if p.attitude.Open() {
 		if n, rc := p.attitude.ReadSamplingInto(p.rbuf[:]); rc == xm.OK && n >= 4 {
 			p.lastAtt = binary.BigEndian.Uint32(p.rbuf[0:4])
 		}
 	}
-	if p.hktm != nil {
+	if p.hktm.Open() {
 		tm := p.tm[:]
 		binary.BigEndian.PutUint32(tm[0:4], p.cycles)
 		binary.BigEndian.PutUint32(tm[4:8], p.lastAtt)
@@ -233,21 +245,21 @@ func (p *platformProg) Step(env xm.Env) bool {
 // --- PAYLOAD: produces science frames ---------------------------------------
 
 type payloadProg struct {
-	ctx    *xal.Ctx
-	sci    *xal.Port
+	ctx    xal.Ctx
+	sci    xal.Port
 	frames uint32
 	frame  [64]byte
 }
 
 func (p *payloadProg) Boot(env xm.Env) {
-	p.ctx = xal.New(env, dataRegion(Payload))
+	p.ctx.Init(env, dataRegion(Payload))
 	p.sci, _ = p.ctx.CreateSamplingPort(ChanScience, 64, xm.SourcePort)
 }
 
 func (p *payloadProg) Step(env xm.Env) bool {
 	p.ctx.ResetHeap()
 	env.Compute(8000) // instrument readout and compression
-	if p.sci != nil {
+	if p.sci.Open() {
 		p.frames++
 		frame := p.frame[:]
 		binary.BigEndian.PutUint32(frame[0:4], p.frames)
@@ -262,10 +274,10 @@ func (p *payloadProg) Step(env xm.Env) bool {
 // --- TMTC: drains telemetry into the downlink queue -------------------------
 
 type tmtcProg struct {
-	ctx      *xal.Ctx
-	hktm     *xal.Port
-	sci      *xal.Port
-	downlink *xal.Port
+	ctx      xal.Ctx
+	hktm     xal.Port
+	sci      xal.Port
+	downlink xal.Port
 	sent     uint32
 	overflow uint32
 	rbuf     [64]byte
@@ -273,7 +285,7 @@ type tmtcProg struct {
 }
 
 func (t *tmtcProg) Boot(env xm.Env) {
-	t.ctx = xal.New(env, dataRegion(TMTC))
+	t.ctx.Init(env, dataRegion(TMTC))
 	t.hktm, _ = t.ctx.CreateSamplingPort(ChanHKTM, 64, xm.DestinationPort)
 	t.sci, _ = t.ctx.CreateSamplingPort(ChanScience, 64, xm.DestinationPort)
 	t.downlink, _ = t.ctx.CreateQueuingPort(ChanDownlink, 16, 16, xm.SourcePort)
@@ -282,14 +294,14 @@ func (t *tmtcProg) Boot(env xm.Env) {
 func (t *tmtcProg) Step(env xm.Env) bool {
 	t.ctx.ResetHeap()
 	env.Compute(2500)
-	t.drain(t.hktm)
-	t.drain(t.sci)
+	t.drain(&t.hktm)
+	t.drain(&t.sci)
 	return false
 }
 
 // drain forwards one telemetry source into the downlink queue.
 func (t *tmtcProg) drain(src *xal.Port) {
-	if src == nil || t.downlink == nil {
+	if !src.Open() || !t.downlink.Open() {
 		return
 	}
 	n, rc := src.ReadSamplingInto(t.rbuf[:])
@@ -324,15 +336,15 @@ type FDIRReport struct {
 }
 
 type fdirProg struct {
-	ctx      *xal.Ctx
-	downlink *xal.Port
+	ctx      xal.Ctx
+	downlink xal.Port
 	report   FDIRReport
 	dbuf     [16]byte
 	line     []byte
 }
 
 func (f *fdirProg) Boot(env xm.Env) {
-	f.ctx = xal.New(env, dataRegion(FDIR))
+	f.ctx.Init(env, dataRegion(FDIR))
 	f.downlink, _ = f.ctx.CreateQueuingPort(ChanDownlink, 16, 16, xm.DestinationPort)
 }
 
@@ -367,7 +379,7 @@ func (f *fdirProg) Step(env xm.Env) bool {
 	}
 	f.report.PartitionsUp = up
 	// Account downlink frames.
-	if f.downlink != nil {
+	if f.downlink.Open() {
 		for {
 			_, rc := f.downlink.ReceiveInto(f.dbuf[:])
 			if rc < 0 || rc == xm.NoAction {

@@ -216,6 +216,52 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// TestRecycledOBSWMatchesFresh: AttachOBSW on a recycled kernel reuses
+// the OBSW state block parked on it, zeroed, so the mission it then
+// flies observes what a newly built system's does: FDIR's report, the
+// telemetry counters, the HM log and the console.
+func TestRecycledOBSWMatchesFresh(t *testing.T) {
+	type mission struct {
+		rep            FDIRReport
+		sent, overflow uint32
+		hm             []xm.HMLogEntry
+		console        string
+	}
+	fly := func(k *xm.Kernel) mission {
+		if err := k.RunMajorFrames(5); err != nil {
+			t.Fatal(err)
+		}
+		var m mission
+		var err error
+		if m.rep, err = Report(k); err != nil {
+			t.Fatal(err)
+		}
+		if m.sent, m.overflow, err = TMTCStats(k); err != nil {
+			t.Fatal(err)
+		}
+		m.hm, m.console = k.HMEntries(), k.Machine().UART().String()
+		return m
+	}
+	fresh, err := NewSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fly(fresh)
+	k, err := NewSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fly(k)
+	k.Machine().Reset()
+	k.Recycle(k.Machine(), xm.LegacyFaults(), nil)
+	if err := AttachOBSW(k); err != nil {
+		t.Fatal(err)
+	}
+	if got := fly(k); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recycled mission differs from a fresh one:\nrecycled: %+v\nfresh:    %+v", got, want)
+	}
+}
+
 func TestShippedXMLMatchesConfig(t *testing.T) {
 	data, err := os.ReadFile("../../configs/eagleeye.xml")
 	if err != nil {

@@ -132,29 +132,54 @@ func (s *Space) FlipRegionBit(i int, bit uint8) (Addr, bool) {
 	return base, true
 }
 
+// Results of Space.resolve that name no region.
+const (
+	accessWraps    = -2 // the access runs past the top of the address space
+	accessUnmapped = -1 // no region covers the whole access
+)
+
+// resolve returns the index of the region that decides an access of size
+// bytes at addr: the first, in base order, that covers it whole. It
+// returns accessWraps or accessUnmapped when no region decides it.
+func (s *Space) resolve(addr Addr, size uint32) int {
+	if size == 0 {
+		size = 1
+	}
+	if uint64(addr)+uint64(size) > 1<<32 {
+		return accessWraps
+	}
+	for i, r := range s.regions {
+		if r.Contains(addr, size) {
+			return i
+		}
+	}
+	return accessUnmapped
+}
+
 // Check validates an access of size bytes at addr with rights p. It returns
 // nil when some region fully covers the access with sufficient rights, and
 // a data_access_exception trap otherwise. Accesses that straddle two
 // regions trap even if both halves would individually be allowed: the model
 // mirrors an MMU that resolves one page descriptor per access.
 func (s *Space) Check(addr Addr, size uint32, p Perm) *Trap {
-	if size == 0 {
-		size = 1
-	}
-	if uint64(addr)+uint64(size) > 1<<32 {
+	switch i := s.resolve(addr, size); {
+	case i == accessWraps:
 		return DataAccessTrap(addr, p, fmt.Sprintf("%s: access wraps the address space", s.name))
+	case i == accessUnmapped:
+		return DataAccessTrap(addr, p, fmt.Sprintf("%s: no mapping", s.name))
+	case s.regions[i].Perm&p != p:
+		return DataAccessTrap(addr, p,
+			fmt.Sprintf("%s: region %s lacks %s", s.name, s.regions[i].Name, p))
 	}
-	for _, r := range s.regions {
-		if !r.Contains(addr, size) {
-			continue
-		}
-		if r.Perm&p != p {
-			return DataAccessTrap(addr, p,
-				fmt.Sprintf("%s: region %s lacks %s", s.name, r.Name, p))
-		}
-		return nil
-	}
-	return DataAccessTrap(addr, p, fmt.Sprintf("%s: no mapping", s.name))
+	return nil
+}
+
+// Allows reports whether Check passes the access, without building the
+// trap a refusal carries: the check for callers that only test a
+// pointer, on whom a refused access costs no allocation.
+func (s *Space) Allows(addr Addr, size uint32, p Perm) bool {
+	i := s.resolve(addr, size)
+	return i >= 0 && s.regions[i].Perm&p == p
 }
 
 // CheckAligned is Check plus natural-alignment validation, which LEON3

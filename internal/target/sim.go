@@ -29,9 +29,11 @@ func init() {
 // — the paper's execution environment. Machines come from a
 // sparc.SnapshotPool, which rewinds them to power-on with Reset, and each
 // machine carries the testbed kernel of its last test (sparc.Machine.Host),
-// which its next test recycles instead of rebuilding. So every test
-// boots from a clean testbed, the way the paper boots TSIM for each one,
-// and pays neither a machine allocation nor a system construction.
+// which its next test recycles instead of rebuilding; the kernel keeps
+// its slot environments and the OBSW state block across the recycle. So
+// every test boots from a clean testbed, the way the paper boots TSIM
+// for each one, and pays neither a machine allocation nor a system
+// construction nor a rebuilt guest runtime.
 type Sim struct {
 	cfg  Config
 	pool *sparc.SnapshotPool
@@ -87,10 +89,12 @@ func (s *Sim) Provision(workers int) error {
 var errNoMachine = errors.New("target: sim slot holds no machine (Acquire before Provision)")
 
 // simSlot is the sim backend's execution slot: the leased machine (nil
-// when acquired before Provision). It backs the SnapshotSlot capability.
+// when acquired before Provision) and the test program its tests run.
+// It backs the SnapshotSlot capability.
 type simSlot struct {
 	owner *Sim
 	m     *sparc.Machine
+	prog  testProg
 }
 
 // Restore rewinds the slot's machine to power-on in place, crashed or
@@ -140,17 +144,19 @@ func (s *Sim) Execute(slot Slot, ds testgen.Dataset, spec RunSpec) Result {
 // ExecuteBatch runs a lease of datasets while holding one slot. Every
 // test boots a fresh incarnation from power-on state: between tests the
 // machine rewinds in-slot, the same Reset a pool round-trip applies, and
-// the testbed kernel is recycled in place rather than rebuilt. The
-// kernel is the one parked on the slot's machine by its last lease; a
-// machine without one (newly allocated) gets a newly built system. At
-// the end of the lease the kernel is parked on the machine again, so it
-// leaves with the machine when the pool discards it. A machine the
-// in-slot rewind cannot certify is replaced through the pool, exactly as
-// a round-trip would have replaced it, and the kernel is re-pointed at
-// the replacement. Results are byte-identical to a loop of Execute calls
-// with pool round-trips in between. Once Config.Ctx is done, the tests
-// after the one in hand come back Aborted with the context's error; a
-// lease of one (Execute) never aborts.
+// the testbed kernel is recycled in place rather than rebuilt, keeping
+// its slot environments and the OBSW state block. The kernel is the one
+// parked on the slot's machine by its last lease; a machine without one
+// (newly allocated) gets a newly built system. At the end of the lease
+// the kernel is parked on the machine again, so it leaves with the
+// machine when the pool discards it. A machine the in-slot rewind cannot
+// certify is replaced through the pool, exactly as a round-trip would
+// have replaced it, and the kernel moves to the replacement. A test
+// allocates little beyond what its Result keeps. Results are
+// byte-identical to a loop of Execute calls with pool round-trips in
+// between. Once Config.Ctx is done, the tests after the one in hand come
+// back Aborted with the context's error; a lease of one (Execute) never
+// aborts.
 func (s *Sim) ExecuteBatch(slot Slot, batch []testgen.Dataset, spec RunSpec) []Result {
 	out := make([]Result, len(batch))
 	sl, _ := slot.(*simSlot)
@@ -164,7 +170,6 @@ func (s *Sim) ExecuteBatch(slot Slot, batch []testgen.Dataset, spec RunSpec) []R
 	// mid-lease replacement cannot Put it away with the old machine.
 	k, _ := sl.m.Host().(*xm.Kernel)
 	sl.m.SetHost(nil)
-	var opts []xm.Option // rebuilt only when the machine or sink changes
 	for i, ds := range batch {
 		if i > 0 && s.cfg.Ctx != nil && s.cfg.Ctx.Err() != nil {
 			for j := i; j < len(batch); j++ {
@@ -177,31 +182,26 @@ func (s *Sim) ExecuteBatch(slot Slot, batch []testgen.Dataset, spec RunSpec) []R
 			// through the pool's discard path.
 			s.pool.Put(sl.m)
 			sl.m = s.pool.Get()
-			opts = nil
 		}
 		var cov *cover.Map
 		if spec.Coverage {
 			cov = &cover.Map{}
-			opts = nil // the sink is per test
-		}
-		if opts == nil {
-			opts = s.sysOptions(sl.m, spec, cov)
 		}
 		if k == nil {
 			var err error
-			if k, err = eagleeye.NewSystem(opts...); err != nil {
+			if k, err = eagleeye.NewSystem(xm.WithFaults(spec.Faults), xm.WithMachine(sl.m), xm.WithCoverage(cov)); err != nil {
 				out[i] = simRunErr(ds, err)
 				continue
 			}
 		} else {
-			k.Recycle(opts...)
+			k.Recycle(sl.m, spec.Faults, cov)
 			if err := eagleeye.AttachOBSW(k); err != nil {
 				out[i] = simRunErr(ds, err)
 				k = nil
 				continue
 			}
 		}
-		out[i] = s.runOn(k, cov, ds, spec)
+		out[i] = s.runOn(k, &sl.prog, cov, ds, spec)
 	}
 	if k != nil {
 		sl.m.SetHost(k)
@@ -212,18 +212,6 @@ func (s *Sim) ExecuteBatch(slot Slot, batch []testgen.Dataset, spec RunSpec) []R
 // simRunErr is the log of a test the harness could not run.
 func simRunErr(ds testgen.Dataset, err error) Result {
 	return Result{Dataset: ds, TestPartition: eagleeye.FDIR, Target: SimName, RunErr: err.Error()}
-}
-
-// sysOptions assembles the construction (or recycle) options for one
-// test: the campaign's fault set, the slot's machine, and the per-test
-// coverage sink when coverage is on.
-func (s *Sim) sysOptions(m *sparc.Machine, spec RunSpec, cov *cover.Map) []xm.Option {
-	opts := make([]xm.Option, 0, 3)
-	opts = append(opts, xm.WithFaults(spec.Faults), xm.WithMachine(m))
-	if cov != nil {
-		opts = append(opts, xm.WithCoverage(cov))
-	}
-	return opts
 }
 
 // layoutFor builds the symbolic-value resolution layout of the EagleEye
@@ -252,6 +240,9 @@ func layoutFor(k *xm.Kernel) (dict.Layout, error) {
 type testProg struct {
 	nr   xm.Nr
 	args []uint64
+	// argv backs args for hypercalls of up to four parameters, which
+	// covers every hypercall of the kernel's ABI.
+	argv [4]uint64
 
 	invocations int
 	returns     []xm.RetCode
@@ -268,11 +259,11 @@ func (p *testProg) Step(env xm.Env) bool {
 
 // runOn drives one dataset on a newly built or recycled testbed system:
 // drive the system into the dataset's phantom state (when it names one —
-// §V extension), arm the fault placeholder in the FDIR partition, run
-// the observation frames and harvest the log. The kernel must have run
-// no frames, its machine at power-on, with the OBSW attached and the
+// §V extension), arm the fault placeholder prog in the FDIR partition,
+// run the observation frames and harvest the log. The kernel must have
+// run no frames, its machine at power-on, with the OBSW attached and the
 // right fault set and coverage sink already wired in.
-func (s *Sim) runOn(k *xm.Kernel, cov *cover.Map, ds testgen.Dataset, spec RunSpec) Result {
+func (s *Sim) runOn(k *xm.Kernel, prog *testProg, cov *cover.Map, ds testgen.Dataset, spec RunSpec) Result {
 	res := Result{Dataset: ds, TestPartition: eagleeye.FDIR, Target: SimName, Cover: cov}
 
 	hc, ok := xm.LookupName(ds.Func.Name)
@@ -290,8 +281,9 @@ func (s *Sim) runOn(k *xm.Kernel, cov *cover.Map, ds testgen.Dataset, spec RunSp
 		res.RunErr = err.Error()
 		return res
 	}
+	*prog = testProg{nr: hc.Nr}
+	prog.args = prog.argv[:0]
 	resolved := make([]dict.Resolved, 0, len(ds.Values))
-	args := make([]uint64, 0, len(ds.Values))
 	for _, v := range ds.Values {
 		r, err := layout.Resolve(v)
 		if err != nil {
@@ -299,7 +291,7 @@ func (s *Sim) runOn(k *xm.Kernel, cov *cover.Map, ds testgen.Dataset, spec RunSp
 			return res
 		}
 		resolved = append(resolved, r)
-		args = append(args, r.Bits)
+		prog.args = append(prog.args, r.Bits)
 	}
 	res.Resolved = resolved
 
@@ -321,7 +313,6 @@ func (s *Sim) runOn(k *xm.Kernel, cov *cover.Map, ds testgen.Dataset, spec RunSp
 		spec.Inject.PreArm(k, eagleeye.FDIR)
 	}
 
-	prog := &testProg{nr: hc.Nr, args: args}
 	if err := k.AttachProgram(eagleeye.FDIR, prog); err != nil {
 		res.RunErr = err.Error()
 		return res

@@ -2,6 +2,8 @@ package target
 
 import (
 	"context"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -103,5 +105,122 @@ func TestCancelledLeaseAborts(t *testing.T) {
 	}
 	if r := sim.Execute(slot, batch[0], spec1()); r.Aborted || r.RunErr != "" {
 		t.Fatalf("a lease of one: Aborted %v, RunErr %q; want it executed", r.Aborted, r.RunErr)
+	}
+}
+
+// paperSuite is the paper's campaign: every dataset of the exhaustive
+// plan over the default header and dictionary.
+func paperSuite(t *testing.T) []testgen.Dataset {
+	t.Helper()
+	suite, err := testgen.Generate(apispec.Default(), dict.Builtin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return suite
+}
+
+// Allocation bounds per test of the paper suite on a recycled sim
+// testbed. A test allocates what its Result keeps (resolved values,
+// returns, the HM log) and little else; at a lease of one the bound also
+// carries the lease's slot and result slice.
+const (
+	maxAllocsPerTestLease1  = 6
+	maxAllocsPerTestLease16 = 4
+)
+
+// TestSimExecuteAllocs runs the paper suite at two major frames through
+// ExecuteBatch on one provisioned Sim, a lease at a time, and bounds the
+// allocations per test: the recycled kernel keeps its slot environments
+// and the OBSW state block, so a path that rebuilds either per test
+// fails it.
+func TestSimExecuteAllocs(t *testing.T) {
+	suite := paperSuite(t)
+	rs := spec1()
+	rs.MAFs = 2
+	sim := NewSim(Config{})
+	if err := sim.Provision(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		lease int
+		max   float64
+	}{{1, maxAllocsPerTestLease1}, {16, maxAllocsPerTestLease16}} {
+		run := func() {
+			for i := 0; i < len(suite); i += tc.lease {
+				slot := sim.Acquire()
+				sim.ExecuteBatch(slot, suite[i:min(i+tc.lease, len(suite))], rs)
+				sim.Release(slot)
+			}
+		}
+		got := testing.AllocsPerRun(2, run) / float64(len(suite))
+		if got > tc.max {
+			t.Errorf("lease of %d: %.2f allocations per test, want at most %v", tc.lease, got, tc.max)
+		}
+		t.Logf("lease of %d: %.2f allocations per test", tc.lease, got)
+	}
+}
+
+// TestRecycledKernelMatchesFresh is the residue gate of the recycled
+// testbed, whose kernel keeps its slot environments and the OBSW state
+// block from test to test. The paper suite runs in a seeded shuffled
+// order on one recycled Sim, at leases of 1 and 7 and once more with
+// coverage on, and every Result must equal the same dataset's on a
+// freshly provisioned Sim. The suite's XM_reset_partition and
+// XM_reset_system datasets re-boot guests mid-test over the reused block.
+func TestRecycledKernelMatchesFresh(t *testing.T) {
+	suite := paperSuite(t)
+	plain := spec1()
+	plain.MAFs = 2
+	covered := plain
+	covered.Coverage = true
+	var want [2][]*Result // by coverage, then suite position
+	for c := range want {
+		want[c] = make([]*Result, len(suite))
+	}
+	fresh := func(x int, rs RunSpec) Result {
+		c := 0
+		if rs.Coverage {
+			c = 1
+		}
+		if want[c][x] == nil {
+			sim := NewSim(Config{})
+			if err := sim.Provision(1); err != nil {
+				t.Fatal(err)
+			}
+			slot := sim.Acquire()
+			r := sim.Execute(slot, suite[x], rs)
+			sim.Release(slot)
+			want[c][x] = &r
+		}
+		return *want[c][x]
+	}
+
+	sim := NewSim(Config{})
+	if err := sim.Provision(1); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(25))
+	for _, pass := range []struct {
+		lease int
+		rs    RunSpec
+	}{{1, plain}, {7, plain}, {7, covered}} {
+		order := rng.Perm(len(suite))
+		batch := make([]testgen.Dataset, 0, pass.lease)
+		for i := 0; i < len(order); i += pass.lease {
+			lease := order[i:min(i+pass.lease, len(order))]
+			batch = batch[:0]
+			for _, x := range lease {
+				batch = append(batch, suite[x])
+			}
+			slot := sim.Acquire()
+			got := sim.ExecuteBatch(slot, batch, pass.rs)
+			sim.Release(slot)
+			for j, x := range lease {
+				if w := fresh(x, pass.rs); !reflect.DeepEqual(got[j], w) {
+					t.Fatalf("lease of %d, coverage %v: %s on the recycled kernel differs from a fresh one\nrecycled: %+v\nfresh:    %+v",
+						pass.lease, pass.rs.Coverage, suite[x], got[j], w)
+				}
+			}
+		}
 	}
 }

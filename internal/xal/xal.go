@@ -36,13 +36,14 @@ type Ctx struct {
 	hmRaw   []byte
 }
 
-// New builds a XAL context over a raw environment. dataArea is the
-// partition's writable area (from the configuration, or discovered with
-// XM_get_partition_mmap); the allocator serves from its upper half so the
-// lower half stays free for static program data.
-func New(env xm.Env, dataArea sparc.Region) *Ctx {
+// Init binds the context to a raw environment, as a program's Boot does
+// for each incarnation; the context may live in the program's own state.
+// dataArea is the partition's writable area (from the configuration, or
+// discovered with XM_get_partition_mmap); the allocator serves from its
+// upper half so the lower half stays free for static program data.
+func (c *Ctx) Init(env xm.Env, dataArea sparc.Region) {
 	half := dataArea.Size / 2
-	c := &Ctx{
+	*c = Ctx{
 		Env:      env,
 		heapBase: dataArea.Base + sparc.Addr(half),
 		heapEnd:  dataArea.Base + sparc.Addr(dataArea.Size),
@@ -50,7 +51,6 @@ func New(env xm.Env, dataArea sparc.Region) *Ctx {
 	}
 	c.ri, _ = env.(xm.ReaderInto)
 	c.hc4, _ = env.(xm.Hypercaller4)
-	return c
 }
 
 // hc issues a hypercall through the fixed-arity fast path when the
@@ -181,37 +181,41 @@ func (c *Ctx) Printf(format string, args ...any) xm.RetCode {
 
 // --- IPC ---------------------------------------------------------------------
 
-// Port is an open IPC port descriptor.
+// Port is an IPC port descriptor. A create that fails returns the zero
+// Port, which is not Open.
 type Port struct {
 	ctx *Ctx
 	ID  int32
 }
 
+// Open reports whether the port was created.
+func (p *Port) Open() bool { return p.ctx != nil }
+
 // CreateSamplingPort attaches to a sampling channel.
-func (c *Ctx) CreateSamplingPort(name string, maxMsgSize, direction uint32) (*Port, xm.RetCode) {
+func (c *Ctx) CreateSamplingPort(name string, maxMsgSize, direction uint32) (Port, xm.RetCode) {
 	namePtr := c.AllocString(name)
 	if namePtr == 0 {
-		return nil, xm.InvalidParam
+		return Port{}, xm.InvalidParam
 	}
 	rc := c.hc(xm.NrCreateSamplingPort, uint64(namePtr), uint64(maxMsgSize), uint64(direction), 0)
 	if rc < 0 {
-		return nil, rc
+		return Port{}, rc
 	}
-	return &Port{ctx: c, ID: int32(rc)}, xm.OK
+	return Port{ctx: c, ID: int32(rc)}, xm.OK
 }
 
 // CreateQueuingPort attaches to a queuing channel.
-func (c *Ctx) CreateQueuingPort(name string, maxNoMsgs, maxMsgSize, direction uint32) (*Port, xm.RetCode) {
+func (c *Ctx) CreateQueuingPort(name string, maxNoMsgs, maxMsgSize, direction uint32) (Port, xm.RetCode) {
 	namePtr := c.AllocString(name)
 	if namePtr == 0 {
-		return nil, xm.InvalidParam
+		return Port{}, xm.InvalidParam
 	}
 	rc := c.hc(xm.NrCreateQueuingPort,
 		uint64(namePtr), uint64(maxNoMsgs), uint64(maxMsgSize), uint64(direction))
 	if rc < 0 {
-		return nil, rc
+		return Port{}, rc
 	}
-	return &Port{ctx: c, ID: int32(rc)}, xm.OK
+	return Port{ctx: c, ID: int32(rc)}, xm.OK
 }
 
 // WriteSampling publishes a message on a sampling port.

@@ -36,7 +36,9 @@ func harness(t *testing.T, fn func(c *Ctx)) *xm.Kernel {
 			return false
 		}
 		done = true
-		fn(New(env, area))
+		var c Ctx
+		c.Init(env, area)
+		fn(&c)
 		return false
 	})); err != nil {
 		t.Fatal(err)

@@ -47,8 +47,8 @@ func (k *Kernel) dispatch(caller *Partition, nr Nr, args []uint64) RetCode {
 func (k *Kernel) route(caller *Partition, nr Nr, args []uint64) RetCode {
 	k.hypercallCount++
 	k.charge(HypercallCost)
-	spec, ok := Lookup(nr)
-	if !ok {
+	spec := specOf(nr)
+	if spec == nil {
 		return UnknownHypercall
 	}
 	if spec.SystemOnly && !caller.System() {

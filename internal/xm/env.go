@@ -143,7 +143,7 @@ func (k *Kernel) copyFromGuest(p *Partition, addr sparc.Addr, size uint32) ([]by
 	if size == 0 {
 		return nil, true
 	}
-	if tr := p.space.Check(addr, size, sparc.PermRead); tr != nil {
+	if !p.space.Allows(addr, size, sparc.PermRead) {
 		return nil, false
 	}
 	data, tr := k.machine.Read(addr, size)
@@ -157,7 +157,7 @@ func (k *Kernel) copyFromGuestInto(p *Partition, addr sparc.Addr, buf []byte) bo
 	if len(buf) == 0 {
 		return true
 	}
-	if tr := p.space.Check(addr, uint32(len(buf)), sparc.PermRead); tr != nil {
+	if !p.space.Allows(addr, uint32(len(buf)), sparc.PermRead) {
 		return false
 	}
 	return k.machine.ReadInto(addr, buf) == nil
@@ -168,7 +168,7 @@ func (k *Kernel) copyToGuest(p *Partition, addr sparc.Addr, data []byte) bool {
 	if len(data) == 0 {
 		return true
 	}
-	if tr := p.space.Check(addr, uint32(len(data)), sparc.PermWrite); tr != nil {
+	if !p.space.Allows(addr, uint32(len(data)), sparc.PermWrite) {
 		return false
 	}
 	return k.machine.Write(addr, data) == nil
@@ -176,12 +176,12 @@ func (k *Kernel) copyToGuest(p *Partition, addr sparc.Addr, data []byte) bool {
 
 // guestWritable reports whether [addr, addr+size) is writable by p.
 func (k *Kernel) guestWritable(p *Partition, addr sparc.Addr, size uint32) bool {
-	return p.space.Check(addr, size, sparc.PermWrite) == nil
+	return p.space.Allows(addr, size, sparc.PermWrite)
 }
 
 // guestReadable reports whether [addr, addr+size) is readable by p.
 func (k *Kernel) guestReadable(p *Partition, addr sparc.Addr, size uint32) bool {
-	return p.space.Check(addr, size, sparc.PermRead) == nil
+	return p.space.Allows(addr, size, sparc.PermRead)
 }
 
 // readGuestString reads a NUL-terminated string of at most max bytes
@@ -200,7 +200,7 @@ func (k *Kernel) readGuestString(p *Partition, addr sparc.Addr, max uint32, buf 
 			n = uint32(len(chunk))
 		}
 		a := addr + sparc.Addr(i)
-		if p.space.Check(a, n, sparc.PermRead) == nil && k.machine.ReadInto(a, chunk[:n]) == nil {
+		if p.space.Allows(a, n, sparc.PermRead) && k.machine.ReadInto(a, chunk[:n]) == nil {
 			for j := uint32(0); j < n; j++ {
 				if chunk[j] == 0 {
 					return append(out, chunk[:j]...), true

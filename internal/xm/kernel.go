@@ -104,6 +104,14 @@ type Kernel struct {
 	// them (0 outside any dispatch).
 	cover   *cover.Map
 	coverNr Nr
+
+	// envs is the slot-environment arena: runSlot takes envs[nenv] and
+	// advances nenv, and Recycle rewinds nenv to 0 (see newSlotEnv).
+	envs []*slotEnv
+	nenv int
+
+	// guest is what guest software parked on the kernel (see Guest).
+	guest any
 }
 
 // Option configures a Kernel at construction.
@@ -145,21 +153,24 @@ func New(cfg Config, opts ...Option) (*Kernel, error) {
 // Recycle returns the kernel to the state New left it in without
 // reallocating its object graph: partitions go back to BOOT with fresh
 // incarnation counters and rebuilt address spaces, channels and ports
-// clear, the health-monitor log and counters wipe, and scheduling
-// restarts at plan 0, MAF 0. Attached programs are detached — reattach
-// guest software before running frames.
+// clear, the health-monitor log and counters wipe, the slot-environment
+// arena rewinds, and scheduling restarts at plan 0, MAF 0. Attached
+// programs are detached — reattach guest software before running
+// frames. What guest software parked with SetGuest stays.
 //
-// The machine is deliberately untouched: Recycle owns the host-side
-// state only, and the caller owns machine state (Reset it to power-on,
-// the state a newly constructed kernel finds, since construction never
-// writes to the machine). Options are re-applied after the reset, so a
-// per-run coverage sink, fault set or replacement machine can be
-// supplied exactly as to New.
+// The kernel takes m as its machine, faults as its fault set and cov as
+// its coverage sink (nil: off), as New takes them through WithMachine,
+// WithFaults and WithCoverage. Recycle never writes to the machine: the
+// caller owns machine state (Reset it to power-on, the state a newly
+// constructed kernel finds, since construction never writes to the
+// machine).
 //
 // A recycled kernel is indistinguishable from a freshly constructed one
 // by guests and by every accessor: the sim target leans on that to run
 // every test on the kernel its machine ran last.
-func (k *Kernel) Recycle(opts ...Option) {
+func (k *Kernel) Recycle(m *sparc.Machine, faults FaultSet, cov *cover.Map) {
+	k.machine, k.faults = m, faults
+	k.cover, k.coverNr = cov, 0
 	k.curPlan, k.nextPlan = 0, -1
 	k.mafCount = 0
 	k.state = KStateRunning
@@ -168,8 +179,7 @@ func (k *Kernel) Recycle(opts ...Option) {
 	k.pendingSysReset, k.pendingSysCold = false, false
 	k.cur = nil
 	k.hypercallCount = 0
-	k.cover, k.coverNr = nil, 0
-	k.faults = LegacyFaults()
+	k.nenv = 0
 	k.hm.recycle()
 	k.ports = k.ports[:0]
 	for _, ch := range k.channels {
@@ -184,10 +194,15 @@ func (k *Kernel) Recycle(opts ...Option) {
 		// unconditionally rather than trusting the last test's history.
 		p.rebuildSpace()
 	}
-	for _, o := range opts {
-		o(k)
-	}
 }
+
+// Guest returns what SetGuest parked on the kernel (nil if nothing).
+// Recycle keeps it, so guest software can park the state its programs
+// run in and reuse it when it reattaches them to the recycled kernel.
+func (k *Kernel) Guest() any { return k.guest }
+
+// SetGuest parks g on the kernel (see Guest).
+func (k *Kernel) SetGuest(g any) { k.guest = g }
 
 // Machine returns the underlying machine.
 func (k *Kernel) Machine() *sparc.Machine { return k.machine }
@@ -344,18 +359,38 @@ func (k *Kernel) runMajorFrame() error {
 	return nil
 }
 
-// slotEnv bundles a slot context with its guest environment in a single
-// allocation. Each slot still gets a fresh identity: guest runtimes
-// retain their boot-time environment, and that environment must keep
-// observing its own slot, so the pair cannot be recycled across slots.
+// slotEnv bundles a slot context with its guest environment.
 type slotEnv struct {
 	sc  slotCtx
 	env guestEnv
 }
 
+// maxSlotEnvs bounds the slot-environment arena: 50 major frames of the
+// EagleEye plan. Slots past it in one test get environments the arena
+// does not keep, so a long run holds no more than this many.
+const maxSlotEnvs = 250
+
+// newSlotEnv hands out a slot environment, from the arena while it
+// lasts. Each slot of a test gets one of its own: guest runtimes retain
+// their boot-time environment, and that environment must keep observing
+// its own slot for as long as the incarnation lives, so an environment
+// is reused only by a later test, after Recycle.
+func (k *Kernel) newSlotEnv() *slotEnv {
+	if k.nenv == len(k.envs) {
+		if len(k.envs) == maxSlotEnvs {
+			return new(slotEnv)
+		}
+		k.envs = append(k.envs, new(slotEnv))
+	}
+	se := k.envs[k.nenv]
+	k.nenv++
+	return se
+}
+
 func (k *Kernel) runSlot(slot SlotConfig, base Time) error {
 	p := k.parts[slot.PartitionID]
-	se := &slotEnv{sc: slotCtx{p: p, start: base + slot.Start, budget: slot.Duration}}
+	se := k.newSlotEnv()
+	*se = slotEnv{sc: slotCtx{p: p, start: base + slot.Start, budget: slot.Duration}}
 	sc, env := &se.sc, &se.env
 	env.k, env.sc = k, sc
 	k.cur = sc

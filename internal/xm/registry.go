@@ -239,18 +239,30 @@ var registry = []Spec{
 	spec(NrSparcIFlush, "XM_sparc_iflush", CatSparc, p("addr", "xmAddress_t")),
 }
 
-// byNr indexes the registry for dispatch.
-var byNr = func() map[Nr]*Spec {
-	m := make(map[Nr]*Spec, len(registry))
+// byNr indexes the registry by hypercall number (nil where no hypercall
+// has that number): the dispatcher reads a caller's rights through it.
+var byNr = func() (t [NumHypercalls + 1]*Spec) {
 	for i := range registry {
 		s := &registry[i]
-		if _, dup := m[s.Nr]; dup {
+		if s.Nr > NumHypercalls {
+			panic(fmt.Sprintf("hypercall nr %d exceeds NumHypercalls", s.Nr))
+		}
+		if t[s.Nr] != nil {
 			panic(fmt.Sprintf("duplicate hypercall nr %d", s.Nr))
 		}
-		m[s.Nr] = s
+		t[s.Nr] = s
 	}
-	return m
+	return t
 }()
+
+// specOf returns the registry entry of a hypercall number (nil when
+// there is none).
+func specOf(nr Nr) *Spec {
+	if nr >= Nr(len(byNr)) {
+		return nil
+	}
+	return byNr[nr]
+}
 
 // byName indexes the registry by hypercall name.
 var byName = func() map[string]*Spec {
@@ -270,8 +282,8 @@ func Hypercalls() []Spec {
 
 // Lookup returns the spec for a hypercall number.
 func Lookup(nr Nr) (Spec, bool) {
-	s, ok := byNr[nr]
-	if !ok {
+	s := specOf(nr)
+	if s == nil {
 		return Spec{}, false
 	}
 	return *s, true

@@ -18,11 +18,11 @@ func (k *Kernel) hcMemoryCopy(caller *Partition, dst, src sparc.Addr, size uint3
 	if size == 0 {
 		return NoAction
 	}
-	if tr := caller.space.Check(src, size, sparc.PermRead); tr != nil {
+	if !caller.space.Allows(src, size, sparc.PermRead) {
 		k.cov(NrMemoryCopy, 0) // source range rejected
 		return InvalidParam
 	}
-	if tr := caller.space.Check(dst, size, sparc.PermWrite); tr != nil {
+	if !caller.space.Allows(dst, size, sparc.PermWrite) {
 		k.cov(NrMemoryCopy, 1) // destination range rejected
 		return InvalidParam
 	}
@@ -48,7 +48,7 @@ func (k *Kernel) hcUpdatePage32(caller *Partition, addr sparc.Addr, value uint32
 		k.cov(NrUpdatePage32, 0) // misaligned page address
 		return InvalidParam
 	}
-	if tr := caller.space.Check(addr, 4, sparc.PermWrite); tr != nil {
+	if !caller.space.Allows(addr, 4, sparc.PermWrite) {
 		k.cov(NrUpdatePage32, 1) // page outside the caller's areas
 		return InvalidParam
 	}

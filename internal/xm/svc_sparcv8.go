@@ -24,7 +24,7 @@ func (k *Kernel) hcSparcAtomic(caller *Partition, dest sparc.Addr, value uint32,
 	if uint32(dest)%4 != 0 {
 		return InvalidParam
 	}
-	if tr := caller.space.Check(dest, 4, sparc.PermRead|sparc.PermWrite); tr != nil {
+	if !caller.space.Allows(dest, 4, sparc.PermRead|sparc.PermWrite) {
 		return InvalidParam
 	}
 	old, tr := k.machine.Read32(dest)
@@ -113,7 +113,7 @@ func (k *Kernel) hcSparcWriteTbr(caller *Partition, tbr uint32) RetCode {
 		k.cov(NrSparcWriteTbr, 0) // unaligned trap base
 		return InvalidParam
 	}
-	if tr := caller.space.Check(sparc.Addr(tbr), 4096, sparc.PermRead); tr != nil {
+	if !caller.space.Allows(sparc.Addr(tbr), 4096, sparc.PermRead) {
 		k.cov(NrSparcWriteTbr, 1) // trap table outside the caller's space
 		return InvalidParam
 	}
@@ -124,7 +124,7 @@ func (k *Kernel) hcSparcWriteTbr(caller *Partition, tbr uint32) RetCode {
 // hcSparcIFlush implements XM_sparc_iflush(addr): flushes the instruction
 // cache line holding addr, which must be mapped by the caller.
 func (k *Kernel) hcSparcIFlush(caller *Partition, addr sparc.Addr) RetCode {
-	if tr := caller.space.Check(addr, 4, sparc.PermRead); tr != nil {
+	if !caller.space.Allows(addr, 4, sparc.PermRead) {
 		return InvalidParam
 	}
 	k.charge(1)
