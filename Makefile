@@ -227,9 +227,11 @@ daemon-smoke:
 # must agree with Check, and Check's trap text with its reference, on the
 # EagleEye partitions' spaces) and over dictionary values (FuzzResolve:
 # resolving the symbolic tokens first must give the bits and error text
-# of parsing the literal first, for any raw value from user XML):
-# long enough to shake out encoding and paging regressions, short enough
-# for every CI run. The corpus under internal/campaign/testdata stays
+# of parsing the literal first, for any raw value from user XML) and
+# over trace events (FuzzTraceEvent: the tracer's encoder must write
+# json.Marshal's bytes for any event, and drop exactly the events
+# json.Marshal refuses): long enough to shake out encoding and paging
+# regressions, short enough for every CI run. The corpus under internal/campaign/testdata stays
 # checked in. CI runs this.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONRecordRoundTrip$$' -fuzztime 10s ./internal/campaign
@@ -238,6 +240,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMachineMemory$$' -fuzztime 10s ./internal/sparc
 	$(GO) test -run '^$$' -fuzz '^FuzzSpaceCheck$$' -fuzztime 10s ./internal/sparc
 	$(GO) test -run '^$$' -fuzz '^FuzzResolve$$' -fuzztime 10s ./internal/dict
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceEvent$$' -fuzztime 10s ./internal/obs
 
 # The invariant lint suite: cmd/xmlint is a go vet tool (see
 # internal/lint) checking determinism, obsnil, registry and seqfield.

@@ -489,7 +489,7 @@ func encodeCost() float64 {
 		fail(err)
 	}
 	if _, err := campaign.StreamPlan(plan, campaign.EngineOptions{Options: ropts},
-		func(pos int, r campaign.Result) { res = r }); err != nil {
+		func(_ int, r campaign.Result, _ []byte) { res = r }); err != nil {
 		fail(err)
 	}
 	rec := campaign.ToRecord(0, res)

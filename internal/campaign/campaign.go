@@ -263,7 +263,7 @@ func RunDatasets(datasets []testgen.Dataset, opts Options) []Result {
 	// Without shard or checkpoint configuration Stream fails only on a
 	// broken target spec, before anything executes; the error then
 	// surfaces in every result's RunErr.
-	_, err := Stream(datasets, EngineOptions{Options: opts}, func(pos int, r Result) {
+	_, err := Stream(datasets, EngineOptions{Options: opts}, func(pos int, r Result, _ []byte) {
 		results[pos] = r
 	})
 	if err != nil {

@@ -42,7 +42,7 @@ func TestCancelledCampaignResumesByteIdentical(t *testing.T) {
 		ShardDir: split, CheckpointPath: filepath.Join(split, "ckpt.jsonl"),
 	}
 	seen := 0
-	s1, err := Stream(datasets, eo, func(int, Result) {
+	s1, err := Stream(datasets, eo, func(int, Result, []byte) {
 		if seen++; seen == 5 {
 			cancel()
 		}

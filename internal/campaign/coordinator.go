@@ -102,34 +102,41 @@ func (c *Coordinator) carve() (Lease, bool) {
 // Next returns the next lease to execute. It returns ok=false once every
 // pending position has been issued, the limit is reached or Close has
 // run.
+//
+// The lease.issue event is emitted after the lock is released, so
+// events of leases issued together may reach the trace out of ID order.
 func (c *Coordinator) Next() (Lease, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return Lease{}, false
 	}
 	l, ok := c.carve()
 	if !ok {
+		c.mu.Unlock()
 		return Lease{}, false
 	}
 	l.ID = c.nextID
 	c.nextID++
 	c.outstanding[l.ID] = l
+	c.mu.Unlock()
 	c.met.OnIssue()
 	c.trace.Emit(obs.Event{Kind: "lease.issue", Lease: l.ID, Start: l.Pos[0], N: len(l.Pos)})
 	return l, true
 }
 
 // Complete retires a lease: its holder executed it, or skipped it on a
-// stop. Completing an unknown (or already completed) ID is a no-op.
+// stop. Completing an unknown (or already completed) ID is a no-op. As
+// in Next, the event is emitted after the lock is released.
 func (c *Coordinator) Complete(id uint64) {
 	c.mu.Lock()
-	if l, ok := c.outstanding[id]; ok {
-		delete(c.outstanding, id)
+	l, ok := c.outstanding[id]
+	delete(c.outstanding, id)
+	c.mu.Unlock()
+	if ok {
 		c.met.OnComplete()
 		c.trace.Emit(obs.Event{Kind: "lease.complete", Lease: id, Start: l.Pos[0], N: len(l.Pos)})
 	}
-	c.mu.Unlock()
 }
 
 // Close stops the issue of leases: every later Next returns ok=false.

@@ -233,8 +233,9 @@ func sourcePlan(src Source) string {
 }
 
 // Stream executes a pre-built dataset list through the engine — the slice
-// adapter over StreamPlan, whose sink contract it keeps.
-func Stream(datasets []testgen.Dataset, eo EngineOptions, sink func(pos int, r Result)) (EngineStats, error) {
+// adapter over StreamPlan, whose sink contract, line argument included,
+// it keeps.
+func Stream(datasets []testgen.Dataset, eo EngineOptions, sink func(pos int, r Result, line []byte)) (EngineStats, error) {
 	return StreamPlan(DatasetSlice(datasets), eo, sink)
 }
 
@@ -248,9 +249,14 @@ func Stream(datasets []testgen.Dataset, eo EngineOptions, sink func(pos int, r R
 // completed exactly once. On a resumed run the tests restored from the
 // shards come first, rebuilt from their records; each executed test
 // follows its shard write, in completion order. No two sink calls
-// overlap. Neither the suite nor the results are retained in memory, so
-// a campaign's footprint does not grow with its test count.
-func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (EngineStats, error) {
+// overlap. line is the record line the test's shard writer has just
+// written and flushed when the campaign checkpoints, without its
+// newline: the bytes MergeShardsIn writes for the test. It is nil for a
+// restored test, after a failed shard write and in a campaign without
+// shards, and valid only during the call; a sink that keeps it copies
+// it. Neither the suite nor the results are retained in memory, so a
+// campaign's footprint does not grow with its test count.
+func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result, line []byte)) (EngineStats, error) {
 	opts := eo.Options.withDefaults()
 	fb, _ := src.(FeedbackSource)
 	if fb != nil {
@@ -363,7 +369,7 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 			}
 			r, err := rec.Result(opts.Header)
 			if err == nil {
-				sink(rec.Seq, r)
+				sink(rec.Seq, r, nil)
 			}
 			return err
 		}); err != nil {
@@ -486,9 +492,12 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 				}
 				return
 			}
-			var err error
+			var (
+				line []byte
+				err  error
+			)
 			if shard != nil {
-				err = shard.write(pos, r)
+				line, err = shard.write(pos, r)
 			}
 			mu.Lock()
 			defer mu.Unlock()
@@ -506,7 +515,7 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result)) (Eng
 				prog.Outcome(outcomeClass(r))
 			}
 			if sink != nil {
-				sink(pos, r)
+				sink(pos, r, line)
 			}
 			stats.Executed++
 		}
@@ -765,9 +774,12 @@ func openShards(st store.LogStore, dir string, n int, resume bool) ([]*shardWrit
 	return writers, nil
 }
 
-func (w *shardWriter) write(pos int, r Result) error {
+// write encodes and writes one record, flushing it when flushEach is
+// set, and returns the record line without its newline: valid until the
+// next write, nil when the write failed.
+func (w *shardWriter) write(pos int, r Result) ([]byte, error) {
 	if w.broken != nil {
-		return w.broken
+		return nil, w.broken
 	}
 	var t0 time.Time
 	if w.encNs != nil {
@@ -785,15 +797,15 @@ func (w *shardWriter) write(pos int, r Result) error {
 	}
 	if err != nil {
 		w.broken = fmt.Errorf("campaign: shard record %d: %w", pos, err)
-		return w.broken
+		return nil, w.broken
 	}
 	if w.flushEach {
 		if err := w.bw.Flush(); err != nil {
 			w.broken = fmt.Errorf("campaign: shard record %d: %w", pos, err)
-			return w.broken
+			return nil, w.broken
 		}
 	}
-	return nil
+	return w.buf[:len(w.buf)-1], nil
 }
 
 func closeShards(writers []*shardWriter) error {

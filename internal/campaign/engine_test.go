@@ -54,7 +54,7 @@ func TestPooledMatchesFresh(t *testing.T) {
 
 	pooled := make([]Result, len(datasets))
 	stats, err := Stream(datasets, EngineOptions{Options: opts, PoolStrict: true},
-		func(pos int, r Result) { pooled[pos] = r })
+		func(pos int, r Result, _ []byte) { pooled[pos] = r })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestPoolOnlyDiscardsCrashes(t *testing.T) {
 	datasets := mixedSuite(t)
 	crashes := 0
 	stats, err := Stream(datasets, EngineOptions{Options: Options{Workers: 2}, PoolStrict: true},
-		func(pos int, r Result) {
+		func(pos int, r Result, _ []byte) {
 			if r.SimCrashed {
 				crashes++
 			}
@@ -187,8 +187,9 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 // resumed campaign: every position reaches it exactly once, the tests
 // restored from the shards before any executed one, and each call
 // carries the result whose record is the uninterrupted run's merged-log
-// line for that position. The sink takes no lock: under -race an
-// overlapping call would be reported.
+// line for that position. An executed test's line argument is that
+// merged-log line, a restored test's is nil. The sink takes no lock:
+// under -race an overlapping call would be reported.
 func TestResumeSinkSeesEveryPositionOnce(t *testing.T) {
 	datasets := mixedSuite(t)
 	opts := Options{Workers: 2, Coverage: true}
@@ -206,8 +207,12 @@ func TestResumeSinkSeesEveryPositionOnce(t *testing.T) {
 	restored := mergedRecords(t, mem, "run")
 	eo.Limit, eo.Resume = 0, true
 	var order []int
-	stats, err := Stream(datasets, eo, func(pos int, r Result) {
+	lines := map[int]string{}
+	stats, err := Stream(datasets, eo, func(pos int, r Result, line []byte) {
 		order = append(order, pos)
+		if line != nil {
+			lines[pos] = string(line)
+		}
 		rec := ToRecord(pos, r)
 		line, err := Codec{}.AppendEncode(nil, &rec)
 		if err != nil {
@@ -241,6 +246,13 @@ func TestResumeSinkSeesEveryPositionOnce(t *testing.T) {
 		if isRestored[pos] != (i < len(restored)) {
 			t.Fatalf("call %d is position %d (restored: %v), but the %d restored positions must come first",
 				i, pos, isRestored[pos], len(restored))
+		}
+		line, ok := lines[pos]
+		switch {
+		case isRestored[pos] && ok:
+			t.Errorf("restored position %d came with a line", pos)
+		case !isRestored[pos] && line+"\n" != string(want[pos]):
+			t.Errorf("position %d: the sink's line is\n%.120s\nwant the merged line\n%.120s", pos, line, want[pos])
 		}
 	}
 }
@@ -477,7 +489,7 @@ func TestStreamBoundedQueue(t *testing.T) {
 	datasets := mixedSuite(t)
 	var seen int
 	stats, err := Stream(datasets, EngineOptions{Options: Options{Workers: 1}},
-		func(pos int, r Result) { seen++ })
+		func(pos int, r Result, _ []byte) { seen++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +514,7 @@ func TestStreamProgressCountsResumedTests(t *testing.T) {
 	eo.Limit = 0
 	eo.Resume = true
 	eo.Obs = o
-	stats, err := Stream(datasets, eo, func(int, Result) {
+	stats, err := Stream(datasets, eo, func(int, Result, []byte) {
 		if first == 0 {
 			first = o.Prog().Snapshot().Done
 		}

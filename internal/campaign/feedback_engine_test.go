@@ -28,7 +28,7 @@ func runFeedback(t *testing.T, opts Options, eo EngineOptions) (map[int]string, 
 	eo.Options = ropts
 	var mu sync.Mutex
 	got := map[int]string{}
-	stats, err := StreamPlan(plan, eo, func(pos int, r Result) {
+	stats, err := StreamPlan(plan, eo, func(pos int, r Result, _ []byte) {
 		mu.Lock()
 		defer mu.Unlock()
 		got[pos] = r.Dataset.String()

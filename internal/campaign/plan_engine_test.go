@@ -46,7 +46,7 @@ func TestStreamPlanMatchesSlice(t *testing.T) {
 	opts := Options{Workers: 4}
 
 	fromPlan := make([]Result, plan.Len())
-	if _, err := StreamPlan(plan, EngineOptions{Options: opts}, func(pos int, r Result) {
+	if _, err := StreamPlan(plan, EngineOptions{Options: opts}, func(pos int, r Result, _ []byte) {
 		fromPlan[pos] = r
 	}); err != nil {
 		t.Fatal(err)

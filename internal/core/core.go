@@ -111,7 +111,7 @@ func RunCampaign(opts campaign.Options, engine ...campaign.EngineOptions) (*Camp
 	if eo.ShardDir == "" {
 		rep.Results = make([]campaign.Result, rep.Total)
 	}
-	stats, err := campaign.StreamPlan(plan, eo, func(pos int, res campaign.Result) {
+	stats, err := campaign.StreamPlan(plan, eo, func(pos int, res campaign.Result, _ []byte) {
 		if rep.Results != nil {
 			rep.Results[pos] = res
 		}

@@ -8,8 +8,10 @@ type Obs struct {
 	// Reg collects metrics for /metrics. Never nil on a New()-built Obs.
 	Reg *Registry
 	// Trace receives campaign/lease events. Nil: the engine creates one
-	// next to the checkpoint shards when a shard dir is configured,
-	// otherwise tracing is off.
+	// next to the checkpoint shards when a shard dir is configured, and
+	// closes it when the campaign returns; otherwise tracing is off. A
+	// tracer set here stays its caller's: it writes events in batches,
+	// and its Close writes the last of them.
 	Trace *Tracer
 	// Progress tracks done/total/outcomes for /progress and -progress.
 	// Never nil on a New()-built Obs.

@@ -105,12 +105,15 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 // seq, as the merge does. Subscription precedes the
 // replay, and live records duplicated by the replay are dropped by seq,
 // so a subscriber — however late it attaches — collects exactly the
-// records of the merged log, byte for byte.
+// records of the merged log, byte for byte. A settled campaign's stream
+// is the replay between its final status and its end.
+//
+// Events leave in batches: the status and the replay together, then
+// every live event the subscriber's channel holds, flushed when the
+// channel drains. The bytes are those of one flush per event.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if j == nil {
+	j, final, ok := s.lookup(r.PathValue("id"))
+	if !ok {
 		httpError(w, http.StatusNotFound, "unknown campaign")
 		return
 	}
@@ -119,21 +122,26 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "response writer cannot stream")
 		return
 	}
-	ch := j.hub.subscribe()
-	defer j.hub.unsubscribe(ch)
+	// A settled campaign's feed is already over: its channel is closed,
+	// and its status is the one it settled with.
+	ch, status, dir := closedFeed, func() Status { return final }, final.Dir
+	if j != nil {
+		ch, status, dir = j.hub.subscribe(), j.status, j.dir
+		defer j.hub.unsubscribe(ch)
+	}
 
-	if err := sse.send("status", mustJSON(j.status())); err != nil {
+	if err := sse.write("status", mustJSON(status())); err != nil {
 		return
 	}
 	// Replay the durable records. A campaign that has not started (or
 	// wrote nothing yet) simply has no shards to list.
 	seen := map[int]bool{}
-	err := campaign.ScanShardLinesIn(s.st, j.dir, func(seq int, line []byte) error {
+	err := campaign.ScanShardLinesIn(s.st, dir, func(seq int, line []byte) error {
 		if seen[seq] {
 			return nil
 		}
 		seen[seq] = true
-		return sse.send("record", line)
+		return sse.write("record", line)
 	})
 	if err != nil {
 		return
@@ -143,35 +151,57 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// past its buffer — then it is told to resubscribe (the replay
 	// path makes reconnection lossless).
 	for {
+		var (
+			ev   event
+			open bool
+		)
 		select {
-		case ev, open := <-ch:
-			if !open {
-				st := j.status()
-				if st.State.Terminal() {
-					sse.send("status", mustJSON(st))
-					sse.send("end", endData(st.State, st.Error))
-				} else {
-					sse.send("end", endData("lagged", "subscriber fell behind; resubscribe to replay"))
-				}
+		case ev, open = <-ch:
+		default:
+			// Nothing queued: what was written leaves now.
+			if sse.flush() != nil {
 				return
 			}
-			if ev.seq >= 0 {
-				if seen[ev.seq] {
-					continue
-				}
-				seen[ev.seq] = true
-			}
-			if err := sse.send(ev.kind, ev.data); err != nil {
+			select {
+			case ev, open = <-ch:
+			case <-r.Context().Done():
 				return
 			}
-			if ev.kind == "end" {
-				return
+		}
+		if !open {
+			st := status()
+			if st.State.Terminal() {
+				sse.write("status", mustJSON(st))
+				sse.write("end", endData(st.State, st.Error))
+			} else {
+				sse.write("end", endData("lagged", "subscriber fell behind; resubscribe to replay"))
 			}
-		case <-r.Context().Done():
+			sse.flush()
+			return
+		}
+		if ev.seq >= 0 {
+			if seen[ev.seq] {
+				continue
+			}
+			seen[ev.seq] = true
+		}
+		if err := sse.write(ev.kind, ev.data); err != nil {
+			return
+		}
+		if ev.kind == "end" {
+			sse.flush()
 			return
 		}
 	}
 }
+
+// closedFeed is the live feed of a settled campaign: closed, with
+// nothing in it.
+var closedFeed = func() chan event {
+	ch := make(chan event)
+	close(ch)
+	return ch
+}()
 
 // --- helpers ------------------------------------------------------------
 

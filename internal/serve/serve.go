@@ -145,8 +145,11 @@ type Server struct {
 	sem chan struct{} // executor slots (MaxActive)
 	wg  sync.WaitGroup
 
-	mu        sync.Mutex
-	jobs      map[string]*job
+	mu   sync.Mutex
+	jobs map[string]*job // live campaigns: queued or running
+	// settled holds the final status of every settled campaign; its job
+	// (hub, context, submission) is gone.
+	settled   map[string]Status
 	order     []string // submission order, for listing
 	perClient map[string]int
 	nextID    int
@@ -163,7 +166,6 @@ type job struct {
 	cancel context.CancelFunc
 	ctx    context.Context
 	hub    *hub
-	done   chan struct{} // closed when the runner settles
 
 	mu       sync.Mutex
 	state    State
@@ -201,6 +203,7 @@ func New(cfg Config) (*Server, error) {
 		st:        cfg.Store,
 		sem:       make(chan struct{}, cfg.MaxActive),
 		jobs:      map[string]*job{},
+		settled:   map[string]Status{},
 		perClient: map[string]int{},
 		nextID:    1,
 	}
@@ -291,7 +294,6 @@ func (s *Server) Submit(sub Submission, client string) (Status, error) {
 		cancel: cancel,
 		ctx:    ctx,
 		hub:    newHub(),
-		done:   make(chan struct{}),
 		state:  StateQueued,
 		total:  total,
 	}
@@ -351,23 +353,20 @@ func (s *Server) run(j *job) {
 	// The sink runs on the worker that executed the test, after the
 	// record is written to its shard and flushed, so every record a
 	// subscriber sees live is already durable — exactly what shard
-	// replay will show a later subscriber. No two calls overlap, so
-	// they share one scratch buffer.
-	var scratch []byte
-	sink := func(pos int, r campaign.Result) {
-		rec := campaign.ToRecord(pos, r)
-		line, encErr := campaign.Codec{}.AppendEncode(scratch[:0], &rec)
-		if encErr != nil {
-			return
-		}
-		scratch = line
+	// replay will show a later subscriber. line is the record as the
+	// shard holds it; a test whose shard write failed has none, and
+	// the campaign fails.
+	sink := func(pos int, _ campaign.Result, line []byte) {
 		j.mu.Lock()
 		j.executed++
 		done, total := j.executed+j.skipped, j.total
 		j.mu.Unlock()
-		j.hub.broadcast(event{kind: "record", data: append([]byte(nil), line...), seq: pos})
-		j.hub.broadcast(event{kind: "progress",
-			data: []byte(fmt.Sprintf(`{"done":%d,"total":%d}`, done, total)), seq: -1})
+		progress := event{kind: "progress", data: progressData(done, total), seq: -1}
+		if line == nil {
+			j.hub.broadcast(progress)
+			return
+		}
+		j.hub.broadcast(event{kind: "record", data: append([]byte(nil), line...), seq: pos}, progress)
 	}
 	stats, err := campaign.StreamPlan(plan, eo, sink)
 	j.mu.Lock()
@@ -385,27 +384,42 @@ func (s *Server) run(j *job) {
 	}
 }
 
-// settle releases the job's per-client slot and logs the outcome.
+// settle releases the job's per-client slot, keeps its final status in
+// place of the job and logs the outcome. The status enters settled and
+// the job leaves jobs in one critical section, so a request that
+// follows the end event always finds the campaign.
 func (s *Server) settle(j *job) {
+	st := j.status()
 	s.mu.Lock()
 	s.perClient[j.client]--
 	if s.perClient[j.client] <= 0 {
 		delete(s.perClient, j.client)
 	}
+	s.settled[j.id] = st
+	delete(s.jobs, j.id)
 	s.mu.Unlock()
-	st := j.status()
 	s.cfg.Logf("campaign %s %s: executed=%d/%d %s", j.id, st.State, st.Executed, st.Total, st.Error)
+}
+
+// lookup returns the live job named id, or the final status of a
+// settled one (with a nil job); ok is false for an unknown ID.
+func (s *Server) lookup(id string) (j *job, final Status, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j = s.jobs[id]; j != nil {
+		return j, Status{}, true
+	}
+	final, ok = s.settled[id]
+	return nil, final, ok
 }
 
 // Cancel cancels a queued or running campaign. It reports false when
 // the ID is unknown; a campaign already terminal is left untouched
 // (the returned status says so).
 func (s *Server) Cancel(id string) (Status, bool) {
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
+	j, final, ok := s.lookup(id)
 	if j == nil {
-		return Status{}, false
+		return final, ok
 	}
 	j.mu.Lock()
 	terminal := j.state.Terminal()
@@ -418,11 +432,9 @@ func (s *Server) Cancel(id string) (Status, bool) {
 
 // Get returns one campaign's status.
 func (s *Server) Get(id string) (Status, bool) {
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
+	j, final, ok := s.lookup(id)
 	if j == nil {
-		return Status{}, false
+		return final, ok
 	}
 	return j.status(), true
 }
@@ -445,13 +457,14 @@ func (s *Server) List() []Status {
 // campaign order — byte-identical to the library's merged log for the
 // same submission. Mid-run it returns the durable prefix.
 func (s *Server) MergedLog(id string, w io.Writer) (int, error) {
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j == nil {
+	j, final, ok := s.lookup(id)
+	switch {
+	case !ok:
 		return 0, fmt.Errorf("serve: unknown campaign %q", id)
+	case j != nil:
+		return campaign.MergeShardsIn(s.st, j.dir, w)
 	}
-	return campaign.MergeShardsIn(s.st, j.dir, w)
+	return campaign.MergeShardsIn(s.st, final.Dir, w)
 }
 
 // Shutdown drains the service: submissions start returning 503, every
@@ -518,8 +531,15 @@ func (j *job) finish(st State, errStr string) {
 	j.state = st
 	j.errStr = errStr
 	j.mu.Unlock()
-	j.hub.broadcast(event{kind: "status", data: mustJSON(j.status()), seq: -1})
-	j.hub.broadcast(event{kind: "end", data: endData(st, errStr), seq: -1})
+	j.hub.broadcast(event{kind: "status", data: mustJSON(j.status()), seq: -1},
+		event{kind: "end", data: endData(st, errStr), seq: -1})
 	j.hub.close()
-	close(j.done)
+}
+
+// progressData is the body of an SSE progress event.
+func progressData(done, total int) []byte {
+	b := make([]byte, 0, len(`{"done":,"total":}`)+40)
+	b = strconv.AppendInt(append(b, `{"done":`...), int64(done), 10)
+	b = strconv.AppendInt(append(b, `,"total":`...), int64(total), 10)
+	return append(b, '}')
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -497,5 +498,80 @@ func TestServiceRestartOnGlobDataDir(t *testing.T) {
 				t.Fatalf("the restarted daemon numbered its campaign %s after %s", second, first)
 			}
 		})
+	}
+}
+
+// TestServiceSettledCampaignsKeepOnlyStatus: a settled campaign leaves
+// only its final status behind, so the daemon's live heap grows by a
+// few hundred bytes per campaign it has run, not by the campaign's job,
+// hub and context. 2,000 one-test campaigns settle on the local store;
+// each must still answer GET with its final state.
+func TestServiceSettledCampaignsKeepOnlyStatus(t *testing.T) {
+	s, err := serve.New(serve.Config{DataDir: t.TempDir(), Store: store.Local(), MaxPerClient: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	await := func(id string, deadline time.Time) {
+		for {
+			st, ok := s.Get(id)
+			switch {
+			case !ok:
+				t.Fatalf("campaign %s is unknown", id)
+			case st.State.Terminal():
+				if st.State != serve.StateDone || st.Executed != 1 {
+					t.Fatalf("campaign %s ended %s with %d executed: %s", id, st.State, st.Executed, st.Error)
+				}
+				return
+			case time.Now().After(deadline):
+				t.Fatalf("campaign %s never settled (state %s)", id, st.State)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	// Campaigns go in waves of 4: the runtime keeps every goroutine it
+	// ever ran at once, and 2,000 queued runners would weigh in with
+	// their own. A wave is terminal before its runners release their
+	// client slots, hence a budget of two waves.
+	settle := func(n int) []string {
+		ids := make([]string, 0, n)
+		deadline := time.Now().Add(120 * time.Second)
+		for len(ids) < n {
+			wave := len(ids)
+			for len(ids) < min(n, wave+4) {
+				st, err := s.Submit(serve.Submission{Plan: "rand:1", Seed: int64(len(ids))}, "ci")
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, st.ID)
+			}
+			for _, id := range ids[wave:] {
+				await(id, deadline)
+			}
+		}
+		return ids
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// The first campaigns pay one-time costs: the metric series, the
+	// pools' first machines.
+	settle(50)
+	before := liveHeap()
+	const n = 2000
+	ids := settle(n)
+	after := liveHeap()
+	perCampaign := (float64(after) - float64(before)) / n
+	t.Logf("live heap %d -> %d bytes: %.0f B per settled campaign", before, after, perCampaign)
+	if perCampaign > 400 {
+		t.Fatalf("the live heap grew %.0f B per settled campaign, want at most 400", perCampaign)
+	}
+	if st, ok := s.Get(ids[0]); !ok || st.State != serve.StateDone {
+		t.Fatalf("settled campaign %s: %+v, %v", ids[0], st, ok)
+	}
+	if got := len(s.List()); got != n+50 {
+		t.Fatalf("List holds %d campaigns, want %d", got, n+50)
 	}
 }

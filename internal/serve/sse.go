@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bufio"
-	"fmt"
 	"net/http"
 	"sync"
 )
@@ -60,16 +59,21 @@ func (h *hub) unsubscribe(ch chan event) {
 	h.mu.Unlock()
 }
 
-// broadcast delivers ev to every subscriber, dropping any whose buffer
-// is full.
-func (h *hub) broadcast(ev event) {
+// broadcast delivers evs, in order, to every subscriber, dropping any
+// whose buffer cannot take them all. Events broadcast together reach a
+// subscriber together, so its handler writes them in one flush.
+func (h *hub) broadcast(evs ...event) {
 	h.mu.Lock()
+subs:
 	for ch := range h.subs {
-		select {
-		case ch <- ev:
-		default:
-			delete(h.subs, ch)
-			close(ch)
+		for _, ev := range evs {
+			select {
+			case ch <- ev:
+			default:
+				delete(h.subs, ch)
+				close(ch)
+				continue subs
+			}
 		}
 	}
 	h.mu.Unlock()
@@ -92,9 +96,10 @@ func (h *hub) close() {
 // sseWriter frames events as Server-Sent Events on one response.
 // Event data is always a single line (campaign records never contain
 // newlines), so each event is exactly "event: <kind>\ndata: <data>\n\n".
+// Written events gather in the buffer until flush, or until it fills.
 type sseWriter struct {
-	bw    *bufio.Writer
-	flush http.Flusher
+	bw *bufio.Writer
+	f  http.Flusher
 }
 
 func newSSEWriter(w http.ResponseWriter) (*sseWriter, bool) {
@@ -105,17 +110,24 @@ func newSSEWriter(w http.ResponseWriter) (*sseWriter, bool) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set("X-Accel-Buffering", "no")
-	return &sseWriter{bw: bufio.NewWriter(w), flush: f}, true
+	return &sseWriter{bw: bufio.NewWriter(w), f: f}, true
 }
 
-// send writes one framed event and flushes it to the client.
-func (w *sseWriter) send(kind string, data []byte) error {
-	if _, err := fmt.Fprintf(w.bw, "event: %s\ndata: %s\n\n", kind, data); err != nil {
-		return err
-	}
+// write frames one event into the buffer.
+func (w *sseWriter) write(kind string, data []byte) error {
+	w.bw.WriteString("event: ")
+	w.bw.WriteString(kind)
+	w.bw.WriteString("\ndata: ")
+	w.bw.Write(data)
+	_, err := w.bw.WriteString("\n\n")
+	return err
+}
+
+// flush sends the events written since the last flush to the client.
+func (w *sseWriter) flush() error {
 	if err := w.bw.Flush(); err != nil {
 		return err
 	}
-	w.flush.Flush()
+	w.f.Flush()
 	return nil
 }

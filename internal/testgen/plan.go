@@ -173,7 +173,16 @@ type Space struct {
 // header, in document order.
 func NewSpace(h *apispec.Header, d *dict.Dictionary) (*Space, error) {
 	s := &Space{}
-	hsh := sha256.New()
+	// The content hash covers every tested function's signature and
+	// value rows: "name(type param;raw|desc|validity,...)\n" each. A
+	// campaign's plan is built more than once, so the input is gathered
+	// by plain appends rather than formatted.
+	var in []byte
+	put := func(parts ...string) {
+		for _, part := range parts {
+			in = append(in, part...)
+		}
+	}
 	for _, f := range h.Tested() {
 		m, err := BuildMatrix(f, d)
 		if err != nil {
@@ -187,16 +196,17 @@ func NewSpace(h *apispec.Header, d *dict.Dictionary) (*Space, error) {
 		} else {
 			s.total += n
 		}
-		fmt.Fprintf(hsh, "%s(", f.Name)
+		put(f.Name, "(")
 		for pi, p := range f.Params {
-			fmt.Fprintf(hsh, "%s %s;", p.Type, p.Name)
+			put(p.Type, " ", p.Name, ";")
 			for _, v := range m.Rows[pi] {
-				fmt.Fprintf(hsh, "%s|%s|%s,", v.Raw, v.Desc, v.Validity)
+				put(v.Raw, "|", v.Desc, "|", v.Validity.String(), ",")
 			}
 		}
-		fmt.Fprint(hsh, ")\n")
+		put(")\n")
 	}
-	s.hash = hex.EncodeToString(hsh.Sum(nil))[:16]
+	sum := sha256.Sum256(in)
+	s.hash = hex.EncodeToString(sum[:])[:16]
 	return s, nil
 }
 

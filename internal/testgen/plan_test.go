@@ -361,3 +361,21 @@ func TestPlanStatsString(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanAtAllocatesOnlyValues: decoding a dataset costs exactly one
+// allocation, its value slice (a Result keeps it); the rank is decoded
+// straight into the values, with no index tuple in between.
+func TestPlanAtAllocatesOnlyValues(t *testing.T) {
+	for _, spec := range []string{StrategyExhaustive, "rand:300"} {
+		p := mustPlan(t, spec, 1)
+		n := p.Len()
+		perDataset := testing.AllocsPerRun(5, func() {
+			for i := 0; i < n; i++ {
+				p.At(i)
+			}
+		}) / float64(n)
+		if perDataset != 1 {
+			t.Errorf("%s: At makes %.3f allocations per dataset, want 1", spec, perDataset)
+		}
+	}
+}

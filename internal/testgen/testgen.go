@@ -124,11 +124,17 @@ func (ds Dataset) InvalidParams() []string {
 // paper's nested generator loops, with the last parameter varying
 // fastest. It is the single definition of dataset order every plan
 // strategy addresses into.
+//
+// The values are filled straight from the rank, last parameter first,
+// as TupleAt decodes it; the value slice is the one allocation, kept by
+// the Result that carries the dataset.
 func (m Matrix) datasetAt(rank int64) Dataset {
-	tuple := m.TupleAt(rank)
-	vals := make([]dict.Value, len(tuple))
-	for i, v := range tuple {
-		vals[i] = m.Rows[i][v]
+	vals := make([]dict.Value, len(m.Rows))
+	r := rank
+	for i := len(m.Rows) - 1; i >= 0; i-- {
+		n := int64(len(m.Rows[i]))
+		vals[i] = m.Rows[i][r%n]
+		r /= n
 	}
 	return Dataset{Func: m.Func, Index: int(rank), Values: vals}
 }
