@@ -127,6 +127,52 @@ func TestFreshRunClearsStaleTrace(t *testing.T) {
 	}
 }
 
+// TestTraceHoldsEveryLeaseOnce: with lease events emitted off the
+// coordinator's lock and written in batches, a finished campaign's
+// trace still holds exactly one lease.issue and one lease.complete per
+// lease, with the same range, and its leases cover every position once.
+func TestTraceHoldsEveryLeaseOnce(t *testing.T) {
+	_, st := obsRun(t, obs.New())
+	type span struct{ start, n int }
+	issued, completed := map[uint64]span{}, map[uint64]span{}
+	covered := map[int]int{}
+	for _, line := range bytes.Split(bytes.TrimSpace(readLog(t, st, "shards/"+TraceName)), []byte("\n")) {
+		var ev obs.Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		var seen map[uint64]span
+		switch ev.Kind {
+		case "lease.issue":
+			seen = issued
+			for pos := ev.Start; pos < ev.Start+ev.N; pos++ {
+				covered[pos]++
+			}
+		case "lease.complete":
+			seen = completed
+		default:
+			continue
+		}
+		if _, dup := seen[ev.Lease]; dup {
+			t.Fatalf("lease %d has two %s events", ev.Lease, ev.Kind)
+		}
+		seen[ev.Lease] = span{ev.Start, ev.N}
+	}
+	if len(issued) == 0 || len(issued) != len(completed) {
+		t.Fatalf("the trace issues %d leases and completes %d", len(issued), len(completed))
+	}
+	for id, sp := range issued {
+		if completed[id] != sp {
+			t.Errorf("lease %d issued as %+v, completed as %+v", id, sp, completed[id])
+		}
+	}
+	for pos := 0; pos < 60; pos++ {
+		if covered[pos] != 1 {
+			t.Errorf("position %d is in %d issued leases, want 1", pos, covered[pos])
+		}
+	}
+}
+
 // BenchmarkObsOverhead pins the cost of the observability seam in its
 // two states. The "off" case is the invariant the whole design hangs on:
 // a nil Obs must cost the hot path roughly one nil check per event —
