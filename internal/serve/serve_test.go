@@ -507,7 +507,7 @@ func TestServiceRestartOnGlobDataDir(t *testing.T) {
 // hub and context. 2,000 one-test campaigns settle on the local store;
 // each must still answer GET with its final state.
 func TestServiceSettledCampaignsKeepOnlyStatus(t *testing.T) {
-	s, err := serve.New(serve.Config{DataDir: t.TempDir(), Store: store.Local(), MaxPerClient: 8})
+	s, err := serve.New(serve.Config{DataDir: t.TempDir(), Store: store.Local(), MaxPerClient: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestServiceSettledCampaignsKeepOnlyStatus(t *testing.T) {
 	// Campaigns go in waves of 4: the runtime keeps every goroutine it
 	// ever ran at once, and 2,000 queued runners would weigh in with
 	// their own. A wave is terminal before its runners release their
-	// client slots, hence a budget of two waves.
+	// client slots, hence a budget well above one wave.
 	settle := func(n int) []string {
 		ids := make([]string, 0, n)
 		deadline := time.Now().Add(120 * time.Second)
