@@ -39,12 +39,12 @@ bench-1x:
 # measurement to BENCH_smoke.json, and gates tests/sec and allocs/test
 # against the committed BENCH_1.json baseline at ±15%. BENCH_0.json is
 # the pre-snapshot-pool seed — the committed pair records the speedup
-# instead of claiming it. The gated run leases 16 tests per slot; first
-# the shipped default, one test per lease, is recorded ungated to
-# BENCH_smoke_default.json. CI runs this and uploads both JSON artifacts.
+# instead of claiming it. The gated run leases 16 tests per slot, the
+# shipped default; first a lease of one test is recorded ungated to
+# BENCH_smoke_lease1.json. CI runs this and uploads both JSON artifacts.
 bench-smoke: bench-1x
-	$(GO) run ./cmd/xmbench -reps 10 -batch 0 -o BENCH_smoke_default.json \
-		-note "ci smoke: the shipped default (one test per lease), recorded, not gated"
+	$(GO) run ./cmd/xmbench -reps 10 -batch 1 -o BENCH_smoke_lease1.json \
+		-note "ci smoke: one test per lease, recorded, not gated"
 	$(GO) run ./cmd/xmbench -reps 10 -o BENCH_smoke.json -baseline BENCH_1.json -gate 15 \
 		-note "ci smoke: gated against the committed BENCH_1.json at ±15%"
 

@@ -112,7 +112,7 @@ func main() {
 	var (
 		n         = flag.Int("n", 2000, "tests per repetition (rand:N plan)")
 		reps      = flag.Int("reps", 20, "timed repetitions (one extra warm-up rep runs untimed)")
-		batch     = flag.Int("batch", 16, "tests leased per worker slot (0 = unbatched)")
+		batch     = flag.Int("batch", 16, "tests leased per worker slot (0 = the engine default, 16; 1 = one test per lease)")
 		workers   = flag.Int("workers", 1, "engine workers (1 = stable per-test numbers)")
 		seed      = flag.Int64("seed", 1, "plan seed")
 		out       = flag.String("o", "", "write the measurement JSON to this file (default stdout)")

@@ -78,7 +78,7 @@ func main() {
 		output   = flag.String("o", "", "write the raw campaign log (JSON Lines) to this file")
 		stream   = flag.String("stream", "", "run the streaming engine, sharding the campaign log into this directory")
 		resume   = flag.Bool("resume", false, "resume an interrupted -stream campaign from its checkpoint")
-		batch    = flag.Int("batch", 0, "tests leased per worker slot on batching targets, amortising the slot round-trip and the remote: frame (0 = one test per lease; identical results)")
+		batch    = flag.Int("batch", 0, "tests leased per worker slot on batching targets (sim, remote:), sharing the lease's round trip and the remote: frame (0 = the default, 16; 1 = one test per lease; identical results)")
 		plan     = flag.String("plan", "", "test plan: exhaustive (default), pairwise, rand:N, boundary, feedback:N, phantom (see -list)")
 		tgt      = flag.String("target", "", "execution target: sim (default), phantom, diff:a,b (see -list)")
 		seed     = flag.Int64("seed", 0, "seed for randomised plans (rand:N, feedback:N)")

@@ -239,8 +239,11 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 
 	// DELETE mid-run leaves a checkpoint the library resumes to the
-	// same bytes as an uninterrupted run.
-	st2 := d.submit(t, `{"plan":"rand:4000","target":"sim","seed":11,"workers":2}`)
+	// same bytes as an uninterrupted run. At 100 major frames per test
+	// the campaign runs for about 0.3 s on two workers, many times
+	// waitFor's 20 ms poll, so the DELETE sent after 20 executed tests
+	// lands mid-run.
+	st2 := d.submit(t, `{"plan":"rand:4000","target":"sim","seed":11,"workers":2,"mafs":100}`)
 	d.waitFor(t, st2.ID, func(s status) bool { return s.Executed >= 20 })
 	req, _ := http.NewRequest(http.MethodDelete, d.base+"/v1/campaigns/"+st2.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -260,7 +263,7 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 	resumeOpts := []xmrobust.Option{
 		xmrobust.WithPlan("rand:4000"), xmrobust.WithTarget("sim"),
-		xmrobust.WithSeed(11), xmrobust.WithWorkers(2),
+		xmrobust.WithSeed(11), xmrobust.WithWorkers(2), xmrobust.WithMAFs(100),
 	}
 	if _, err := xmrobust.Run(append(resumeOpts,
 		xmrobust.WithCheckpoint(cancelled.Dir), xmrobust.WithResume())...); err != nil {

@@ -28,15 +28,12 @@ func run(name string, opts ...xmrobust.Option) *xmrobust.Report {
 }
 
 func main() {
-	// Batched execution leases runs of 16 tests per worker slot on the
-	// copy-on-write snapshot pool — the fast path; results are
-	// byte-identical to the unbatched engine.
-	legacy := run("legacy", xmrobust.WithFaults(xmrobust.LegacyFaults()),
-		xmrobust.WithBatchSize(16))
+	// The engine leases runs of 16 tests per worker slot by default (see
+	// WithBatchSize); results are byte-identical whatever the lease.
+	legacy := run("legacy", xmrobust.WithFaults(xmrobust.LegacyFaults()))
 	fmt.Println(legacy.Summary())
 
-	patched := run("patched", xmrobust.WithPatchedKernel(),
-		xmrobust.WithBatchSize(16))
+	patched := run("patched", xmrobust.WithPatchedKernel())
 	fmt.Println(patched.TableText())
 	fmt.Printf("fault-removal ablation: %d issues on the legacy kernel, %d after the fixes\n",
 		len(legacy.Issues()), len(patched.Issues()))

@@ -20,9 +20,14 @@ import (
 // contract: cancelling a checkpointed campaign mid-run surfaces
 // context.Canceled, leaves flushed shards and a durable checkpoint,
 // and resuming replays the remainder to a merged log byte-identical
-// to an uninterrupted run's.
+// to an uninterrupted run's. The suite repeats the 20-test mixed suite
+// to 200 tests, so that at the default lease of 16 on 2 workers leases
+// are still pending when the sink cancels.
 func TestCancelledCampaignResumesByteIdentical(t *testing.T) {
-	datasets := mixedSuite(t)
+	var datasets []testgen.Dataset
+	for len(datasets) < 200 {
+		datasets = append(datasets, mixedSuite(t)...)
+	}
 	opts := Options{Workers: 2}
 
 	// The uninterrupted reference run.

@@ -65,15 +65,15 @@ type EngineOptions struct {
 	// them; MergeShards restores campaign order.
 	ShardDir string
 
-	// BatchSize leases contiguous runs of pending tests to each worker
-	// when the target can execute them in one held slot (the
-	// target.BatchExecutor capability). Every test recycles the kernel
-	// parked on its machine whatever the lease size; a larger lease only
-	// amortises the slot's pool round-trip and, on remote: targets, the
-	// request frame. Results are byte-identical to unbatched execution —
-	// the capability's contract. 0 or 1, targets without the capability,
-	// and feedback-driven plans (whose At blocks on earlier positions'
-	// coverage) lease one test per slot acquisition.
+	// BatchSize is how many contiguous pending tests a worker leases at
+	// a time when the target can execute them in one call (the
+	// target.BatchExecutor capability): 0 selects DefaultBatchSize, 1 a
+	// lease of one. A lease shares the coordinator round trip, the slot
+	// and, on remote: targets, the request frame; each sim test still
+	// takes its machine from the pool. Results are byte-identical
+	// whatever the lease size — the capability's contract. Targets
+	// without the capability, and feedback-driven plans (whose At blocks
+	// on earlier positions' coverage), lease one test at a time.
 	BatchSize int
 
 	// TargetInstance, when non-nil, is the execution backend itself,
@@ -127,6 +127,14 @@ const (
 	MaxMAFs    = 1000
 	MaxWorkers = 256
 )
+
+// DefaultBatchSize is the lease a BatchSize of 0 selects on a target
+// that batches. Handing out fixed chunks shares the per-lease costs (on
+// a remote: fleet, a request/response round trip) among 16 tests, while
+// the imbalance at the end of a campaign, and the work a remote retry
+// repeats or a cancel abandons, stay one chunk: chunked
+// self-scheduling (Kruskal and Weiss, IEEE TSE 1985).
+const DefaultBatchSize = 16
 
 // Validate refuses a count out of range: MAFs, Workers, BatchSize or
 // Limit below zero, where the engine would otherwise run the default as
@@ -440,6 +448,9 @@ func StreamPlan(src Source, eo EngineOptions, sink func(pos int, r Result, line 
 	// arrives, which a multi-test lease would deadlock on (results only
 	// flow after the whole lease completes).
 	batch := eo.BatchSize
+	if batch == 0 {
+		batch = DefaultBatchSize
+	}
 	be, _ := tgt.(target.BatchExecutor)
 	if batch < 1 || be == nil || fb != nil {
 		batch = 1

@@ -106,8 +106,8 @@ func TestPoolOnlyDiscardsCrashes(t *testing.T) {
 	if stats.Pool.Reused == 0 {
 		t.Fatal("pool never recycled a machine")
 	}
-	// The default lease is one test: one pool Get per test, however the
-	// target recycles between them.
+	// Every test takes its machine from the pool, whatever the lease
+	// (the default is 16 tests): one pool Get per test.
 	if gets := stats.Pool.Allocated + stats.Pool.Reused; gets != uint64(stats.Executed) {
 		t.Fatalf("pool served %d acquires for %d tests, want one per test", gets, stats.Executed)
 	}

@@ -201,10 +201,10 @@ func (c *client) Execute(_ target.Slot, ds testgen.Dataset, spec target.RunSpec)
 }
 
 // ExecuteBatch runs a lease of datasets on some live worker in one
-// round trip — the BatchExecutor capability, so the engine amortises
-// the network round trip exactly like a pooled target amortises
-// recycle-and-verify. Results are byte-identical to unbatched execution
-// whether or not the worker's own target batches.
+// round trip — the BatchExecutor capability, so the tests of a lease
+// share one request frame and one response frame. Results are
+// byte-identical to a lease of one whether or not the worker's own
+// target batches.
 func (c *client) ExecuteBatch(_ target.Slot, batch []testgen.Dataset, spec target.RunSpec) []target.Result {
 	return c.exec(batch, spec)
 }

@@ -224,7 +224,9 @@ func TestObsSmoke(t *testing.T) {
 }
 
 // gateTarget blocks every Execute on a channel — the probe for draining
-// in-flight work through a graceful shutdown.
+// in-flight work through a graceful shutdown. Each Execute signals
+// started without waiting for a reader, so a lease of several tests
+// runs to its end once the gate opens.
 type gateTarget struct {
 	started chan struct{}
 	gate    chan struct{}
@@ -235,7 +237,10 @@ func (g *gateTarget) Provision(int) error  { return nil }
 func (g *gateTarget) Acquire() target.Slot { return nil }
 func (g *gateTarget) Release(target.Slot)  {}
 func (g *gateTarget) Execute(_ target.Slot, _ testgen.Dataset, _ target.RunSpec) target.Result {
-	g.started <- struct{}{}
+	select {
+	case g.started <- struct{}{}:
+	default:
+	}
 	<-g.gate
 	return target.Result{}
 }

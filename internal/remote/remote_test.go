@@ -11,6 +11,7 @@ import (
 	"net"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,6 +175,48 @@ func TestRemoteMergeByteIdentical(t *testing.T) {
 
 	if !bytes.Equal(local, remote) {
 		t.Fatalf("remote merged log differs from local: %d vs %d bytes", len(remote), len(local))
+	}
+}
+
+// countingSim is the sim backend counting the ExecuteBatch calls that
+// reach it.
+type countingSim struct {
+	*target.Sim
+	batches atomic.Int64
+}
+
+func (c *countingSim) ExecuteBatch(slot target.Slot, batch []testgen.Dataset, spec target.RunSpec) []target.Result {
+	c.batches.Add(1)
+	return c.Sim.ExecuteBatch(slot, batch, spec)
+}
+
+// TestRemoteDefaultLease: at the default lease a rand:40 campaign (35
+// distinct tests over two hypercalls) on one loopback worker travels as
+// ⌈35/16⌉ = 3 requests, which reach the worker's target as 3
+// ExecuteBatch calls, while the worker's pool still serves one machine
+// per test. The merged log is the bytes of the local run.
+func TestRemoteDefaultLease(t *testing.T) {
+	plan := testPlan(t, "rand:40", 1, "XM_set_timer", "XM_get_time")
+	local := mergedLog(t, plan, "sim", 2, 0)
+
+	sim := &countingSim{Sim: target.NewSim(target.Config{})}
+	srv := &Server{Target: sim, Workers: 2}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	remote := mergedLog(t, plan, "remote:"+addr, 2, 0)
+
+	if !bytes.Equal(local, remote) {
+		t.Fatalf("remote merged log differs from local: %d vs %d bytes", len(remote), len(local))
+	}
+	n := plan.Len()
+	if got := sim.batches.Load(); got != 3 {
+		t.Errorf("%d tests reached the worker's target as %d ExecuteBatch calls, want 3", n, got)
+	}
+	if ps := sim.PoolStats(); ps.Allocated+ps.Reused != uint64(n) {
+		t.Errorf("the worker's pool served %d acquires for %d tests, want one per test", ps.Allocated+ps.Reused, n)
 	}
 }
 

@@ -67,9 +67,10 @@ type Submission struct {
 	MAFs int `json:"mafs,omitempty"`
 	// Workers is the engine parallelism (0: GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-	// Batch leases contiguous runs of tests per worker slot on batching
-	// targets, amortising the slot round-trip and, on remote: targets,
-	// the request frame (0: one test per lease; results identical
+	// Batch is how many contiguous tests a worker leases at a time on
+	// batching targets (sim, remote:), sharing the lease's coordinator
+	// round trip and, on remote: targets, its request frame (0: the
+	// engine's default of 16; 1: one test per lease; results identical
 	// either way).
 	Batch int `json:"batch,omitempty"`
 	// Limit stops dispatching after N tests (0: run everything); the
@@ -314,18 +315,17 @@ func (s *Server) Submit(sub Submission, client string) (Status, error) {
 // terminal state.
 func (s *Server) run(j *job) {
 	defer s.wg.Done()
-	defer s.settle(j)
 
 	select {
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
 	case <-j.ctx.Done():
 		// Cancelled while queued: nothing ran, nothing was written.
-		j.finish(StateCanceled, context.Cause(j.ctx).Error())
+		s.finish(j, StateCanceled, context.Cause(j.ctx).Error())
 		return
 	}
 	if j.ctx.Err() != nil {
-		j.finish(StateCanceled, context.Cause(j.ctx).Error())
+		s.finish(j, StateCanceled, context.Cause(j.ctx).Error())
 		return
 	}
 
@@ -334,7 +334,7 @@ func (s *Server) run(j *job) {
 
 	plan, ropts, err := campaign.BuildPlan(j.opts)
 	if err != nil {
-		j.finish(StateFailed, err.Error())
+		s.finish(j, StateFailed, err.Error())
 		return
 	}
 	if c, ok := plan.(io.Closer); ok {
@@ -376,29 +376,40 @@ func (s *Server) run(j *job) {
 	case err != nil && j.ctx.Err() != nil:
 		// Shards are flushed and the checkpoint header is on disk: the
 		// campaign directory resumes like any interrupted run.
-		j.finish(StateCanceled, err.Error())
+		s.finish(j, StateCanceled, err.Error())
 	case err != nil:
-		j.finish(StateFailed, err.Error())
+		s.finish(j, StateFailed, err.Error())
 	default:
-		j.finish(StateDone, "")
+		s.finish(j, StateDone, "")
 	}
 }
 
-// settle releases the job's per-client slot, keeps its final status in
-// place of the job and logs the outcome. The status enters settled and
-// the job leaves jobs in one critical section, so a request that
-// follows the end event always finds the campaign.
-func (s *Server) settle(j *job) {
-	st := j.status()
+// finish settles the campaign in its terminal state, then ends its
+// event stream and logs the outcome. In one critical section under
+// s.mu the job takes the terminal state, its client's slot is
+// released, and its final status enters settled as the job leaves
+// jobs. So a client that sees the campaign terminal, by GET or by the
+// end event, may submit again at once, and a request that follows the
+// end event always finds the campaign. Subscribers then get the final
+// status and the end event before their channels close.
+func (s *Server) finish(j *job, st State, errStr string) {
 	s.mu.Lock()
+	j.mu.Lock()
+	j.state = st
+	j.errStr = errStr
+	j.mu.Unlock()
+	final := j.status()
 	s.perClient[j.client]--
 	if s.perClient[j.client] <= 0 {
 		delete(s.perClient, j.client)
 	}
-	s.settled[j.id] = st
+	s.settled[j.id] = final
 	delete(s.jobs, j.id)
 	s.mu.Unlock()
-	s.cfg.Logf("campaign %s %s: executed=%d/%d %s", j.id, st.State, st.Executed, st.Total, st.Error)
+	j.hub.broadcast(event{kind: "status", data: mustJSON(final), seq: -1},
+		event{kind: "end", data: endData(st, errStr), seq: -1})
+	j.hub.close()
+	s.cfg.Logf("campaign %s %s: executed=%d/%d %s", j.id, st, final.Executed, final.Total, errStr)
 }
 
 // lookup returns the live job named id, or the final status of a
@@ -521,19 +532,6 @@ func (j *job) setState(st State) {
 	j.mu.Lock()
 	j.state = st
 	j.mu.Unlock()
-}
-
-// finish records the terminal state and ends the event stream: final
-// status, then the end event, then the hub closes — subscribers drain
-// both before their channels close.
-func (j *job) finish(st State, errStr string) {
-	j.mu.Lock()
-	j.state = st
-	j.errStr = errStr
-	j.mu.Unlock()
-	j.hub.broadcast(event{kind: "status", data: mustJSON(j.status()), seq: -1},
-		event{kind: "end", data: endData(st, errStr), seq: -1})
-	j.hub.close()
 }
 
 // progressData is the body of an SSE progress event.

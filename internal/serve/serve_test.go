@@ -276,10 +276,12 @@ func TestServiceStreamMatchesLibrary(t *testing.T) {
 // TestServiceCancelThenResume: DELETE mid-run cancels the campaign,
 // leaving a checkpoint in the campaign directory from which an
 // ordinary engine resume replays the balance — merged log
-// byte-identical to an uninterrupted run.
+// byte-identical to an uninterrupted run. At 100 major frames per test
+// the campaign runs many times waitFor's poll, so the DELETE sent after
+// 20 executed tests lands mid-run.
 func TestServiceCancelThenResume(t *testing.T) {
 	_, ts := newService(t, serve.Config{})
-	sub := serve.Submission{Plan: "rand:4000", Target: "sim", Seed: 11, Workers: 2}
+	sub := serve.Submission{Plan: "rand:4000", Target: "sim", Seed: 11, Workers: 2, MAFs: 100}
 	st := submit(t, ts.URL, sub)
 
 	waitFor(t, ts.URL, st.ID, func(s serve.Status) bool { return s.Executed >= 20 })
@@ -301,7 +303,7 @@ func TestServiceCancelThenResume(t *testing.T) {
 	}
 
 	// Resume the service's campaign directory through the engine.
-	opts := campaign.Options{Plan: "rand:4000", Target: "sim", Seed: 11, Workers: 2}
+	opts := campaign.Options{Plan: "rand:4000", Target: "sim", Seed: 11, Workers: 2, MAFs: 100}
 	plan, ropts, err := campaign.BuildPlan(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -507,7 +509,7 @@ func TestServiceRestartOnGlobDataDir(t *testing.T) {
 // hub and context. 2,000 one-test campaigns settle on the local store;
 // each must still answer GET with its final state.
 func TestServiceSettledCampaignsKeepOnlyStatus(t *testing.T) {
-	s, err := serve.New(serve.Config{DataDir: t.TempDir(), Store: store.Local(), MaxPerClient: 64})
+	s, err := serve.New(serve.Config{DataDir: t.TempDir(), Store: store.Local(), MaxPerClient: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,8 +532,8 @@ func TestServiceSettledCampaignsKeepOnlyStatus(t *testing.T) {
 	}
 	// Campaigns go in waves of 4: the runtime keeps every goroutine it
 	// ever ran at once, and 2,000 queued runners would weigh in with
-	// their own. A wave is terminal before its runners release their
-	// client slots, hence a budget well above one wave.
+	// their own. A campaign releases its client slot before it shows
+	// terminal, so a budget of one wave admits the next wave at once.
 	settle := func(n int) []string {
 		ids := make([]string, 0, n)
 		deadline := time.Now().Add(120 * time.Second)
@@ -573,5 +575,37 @@ func TestServiceSettledCampaignsKeepOnlyStatus(t *testing.T) {
 	}
 	if got := len(s.List()); got != n+50 {
 		t.Fatalf("List holds %d campaigns, want %d", got, n+50)
+	}
+}
+
+// TestServiceResubmitAfterTerminal: a client at its MaxPerClient budget
+// may submit again as soon as GET shows its campaign terminal, because
+// a campaign releases its client's slot before its terminal state is
+// visible. 2,000 rounds of one-test campaigns at a budget of one: no
+// resubmission may be refused.
+func TestServiceResubmitAfterTerminal(t *testing.T) {
+	s, err := serve.New(serve.Config{DataDir: "data", Store: store.NewMem(), MaxPerClient: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(120 * time.Second)
+	for i := range 2000 {
+		st, err := s.Submit(serve.Submission{Plan: "rand:1", Seed: int64(i)}, "ci")
+		if err != nil {
+			t.Fatalf("round %d: the previous campaign was terminal, and the resubmission was refused: %v", i, err)
+		}
+		for {
+			got, ok := s.Get(st.ID)
+			if !ok {
+				t.Fatalf("campaign %s is unknown", st.ID)
+			}
+			if got.State.Terminal() {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("campaign %s never settled (state %s)", st.ID, got.State)
+			}
+			runtime.Gosched()
+		}
 	}
 }

@@ -26,20 +26,21 @@ func init() {
 
 // Sim is the simulation backend: every test runs the EagleEye testbed on
 // a simulated LEON3 machine for the selected number of cyclic schedules
-// — the paper's execution environment. Machines come from a
-// sparc.SnapshotPool, which rewinds them to power-on with Reset, and each
-// machine carries the testbed kernel of its last test (sparc.Machine.Host),
-// which its next test recycles instead of rebuilding; the kernel keeps
-// its slot environments and the OBSW state block across the recycle. So
-// every test boots from a clean testbed, the way the paper boots TSIM
-// for each one, and pays neither a machine allocation nor a system
-// construction nor a rebuilt guest runtime.
+// — the paper's execution environment. Every test takes its machine from
+// a sparc.SnapshotPool, which rewinds it to power-on with Reset, whatever
+// the lease it runs in, and each machine carries the testbed kernel of
+// its last test (sparc.Machine.Host), which its next test recycles
+// instead of rebuilding; the kernel keeps its slot environments and the
+// OBSW state block across the recycle. So every test boots from a clean
+// testbed, the way the paper boots TSIM for each one, and pays neither a
+// machine allocation nor a system construction nor a rebuilt guest
+// runtime.
 type Sim struct {
 	cfg  Config
 	pool *sparc.SnapshotPool
 
-	// mRestores counts in-slot machine rewinds (between the tests of a
-	// lease and the legs of a composite); nil when obs is off.
+	// mRestores counts in-slot machine rewinds between the legs of a
+	// composite (inject:); nil when obs is off.
 	mRestores *obs.Counter
 }
 
@@ -47,7 +48,7 @@ type Sim struct {
 func NewSim(cfg Config) *Sim {
 	s := &Sim{cfg: cfg}
 	s.mRestores = cfg.Obs.Registry().Counter("xm_sim_slot_restores_total",
-		"In-slot machine rewinds (between a lease's tests and a composite's legs).")
+		"In-slot machine rewinds between a composite's legs (inject:).")
 	return s
 }
 
@@ -99,7 +100,9 @@ type simSlot struct {
 
 // Restore rewinds the slot's machine to power-on in place, crashed or
 // not, and certifies it with the reset invariants: exactly the state a
-// pool round-trip would hand out.
+// pool round-trip would hand out. Only the inject: composite uses it,
+// between its clean and injected legs of one test; the tests of a lease
+// each take a machine from the pool instead.
 func (sl *simSlot) Restore() error {
 	if sl.m == nil {
 		return errNoMachine
@@ -141,22 +144,21 @@ func (s *Sim) Execute(slot Slot, ds testgen.Dataset, spec RunSpec) Result {
 	return s.ExecuteBatch(slot, []testgen.Dataset{ds}, spec)[0]
 }
 
-// ExecuteBatch runs a lease of datasets while holding one slot. Every
-// test boots a fresh incarnation from power-on state: between tests the
-// machine rewinds in-slot, the same Reset a pool round-trip applies, and
-// the testbed kernel is recycled in place rather than rebuilt, keeping
-// its slot environments and the OBSW state block. The kernel is the one
-// parked on the slot's machine by its last lease; a machine without one
-// (newly allocated) gets a newly built system. At the end of the lease
-// the kernel is parked on the machine again, so it leaves with the
-// machine when the pool discards it. A machine the in-slot rewind cannot
-// certify is replaced through the pool, exactly as a round-trip would
-// have replaced it, and the kernel moves to the replacement. A test
-// allocates little beyond what its Result keeps. Results are
-// byte-identical to a loop of Execute calls with pool round-trips in
-// between. Once Config.Ctx is done, the tests after the one in hand come
-// back Aborted with the context's error; a lease of one (Execute) never
-// aborts.
+// ExecuteBatch runs a lease of datasets in one slot. Each test takes its
+// machine from the pool exactly as a lease of one does: between two
+// tests the slot's machine goes back to the pool, which discards a
+// crashed one together with the kernel parked on it, and the next test
+// takes a machine out of it, rewound to power-on and verified, audit
+// included — what Release and Acquire do. So a lease of N tests makes N
+// pool acquires, and what its tests share is the call, the slot and the
+// result slice. Every test recycles the testbed kernel parked on its
+// machine, keeping its slot environments and the OBSW state block; a
+// machine without one (newly allocated) gets a newly built system, which
+// is parked on it in turn. A test allocates little beyond what its
+// Result keeps. Results are byte-identical to a loop of Execute calls
+// with Release and Acquire in between. Once Config.Ctx is done, the
+// tests after the one in hand come back Aborted with the context's
+// error; a lease of one (Execute) never aborts.
 func (s *Sim) ExecuteBatch(slot Slot, batch []testgen.Dataset, spec RunSpec) []Result {
 	out := make([]Result, len(batch))
 	sl, _ := slot.(*simSlot)
@@ -166,47 +168,45 @@ func (s *Sim) ExecuteBatch(slot Slot, batch []testgen.Dataset, spec RunSpec) []R
 		}
 		return out
 	}
-	// Take the parked kernel off the machine while it runs, so a
-	// mid-lease replacement cannot Put it away with the old machine.
-	k, _ := sl.m.Host().(*xm.Kernel)
-	sl.m.SetHost(nil)
 	for i, ds := range batch {
-		if i > 0 && s.cfg.Ctx != nil && s.cfg.Ctx.Err() != nil {
-			for j := i; j < len(batch); j++ {
-				out[j] = Result{Dataset: batch[j], RunErr: s.cfg.Ctx.Err().Error(), Aborted: true}
+		if i > 0 {
+			if s.cfg.Ctx != nil && s.cfg.Ctx.Err() != nil {
+				for j := i; j < len(batch); j++ {
+					out[j] = Result{Dataset: batch[j], RunErr: s.cfg.Ctx.Err().Error(), Aborted: true}
+				}
+				break
 			}
-			break
-		}
-		if i > 0 && sl.Restore() != nil {
-			// Rewind refused (an invariant failure): replace the machine
-			// through the pool's discard path.
 			s.pool.Put(sl.m)
 			sl.m = s.pool.Get()
 		}
-		var cov *cover.Map
-		if spec.Coverage {
-			cov = &cover.Map{}
-		}
-		if k == nil {
-			var err error
-			if k, err = eagleeye.NewSystem(xm.WithFaults(spec.Faults), xm.WithMachine(sl.m), xm.WithCoverage(cov)); err != nil {
-				out[i] = simRunErr(ds, err)
-				continue
-			}
-		} else {
-			k.Recycle(sl.m, spec.Faults, cov)
-			if err := eagleeye.AttachOBSW(k); err != nil {
-				out[i] = simRunErr(ds, err)
-				k = nil
-				continue
-			}
-		}
-		out[i] = s.runOn(k, &sl.prog, cov, ds, spec)
-	}
-	if k != nil {
-		sl.m.SetHost(k)
+		out[i] = s.runTest(sl.m, &sl.prog, ds, spec)
 	}
 	return out
+}
+
+// runTest runs one dataset on m with the kernel parked on it, recycled
+// in place, or on a newly built system that it parks there; a kernel
+// the OBSW cannot attach to is unparked, not reused.
+func (s *Sim) runTest(m *sparc.Machine, prog *testProg, ds testgen.Dataset, spec RunSpec) Result {
+	var cov *cover.Map
+	if spec.Coverage {
+		cov = &cover.Map{}
+	}
+	k, _ := m.Host().(*xm.Kernel)
+	if k == nil {
+		var err error
+		if k, err = eagleeye.NewSystem(xm.WithFaults(spec.Faults), xm.WithMachine(m), xm.WithCoverage(cov)); err != nil {
+			return simRunErr(ds, err)
+		}
+		m.SetHost(k)
+	} else {
+		k.Recycle(m, spec.Faults, cov)
+		if err := eagleeye.AttachOBSW(k); err != nil {
+			m.SetHost(nil)
+			return simRunErr(ds, err)
+		}
+	}
+	return s.runOn(k, prog, cov, ds, spec)
 }
 
 // simRunErr is the log of a test the harness could not run.

@@ -119,6 +119,61 @@ func paperSuite(t *testing.T) []testgen.Dataset {
 	return suite
 }
 
+// TestLeaseTakesAMachinePerTest: every test of a sim lease takes its
+// machine from the pool, as a lease of one does, so a crashed machine is
+// discarded mid-lease instead of rewound in the slot. One lease of 16
+// paper-suite datasets holds the two that crash the simulator
+// (XM_set_timer, seq 283 and 285), neither of them last: the pool must
+// serve 16 acquires and discard 2 machines, and each result must equal
+// the same test run as a lease of one.
+func TestLeaseTakesAMachinePerTest(t *testing.T) {
+	suite := paperSuite(t)
+	lease := suite[275:291]
+	rs := spec1()
+	rs.MAFs = 2
+	for _, seq := range []int{283, 285} {
+		if ds := suite[seq]; ds.Func.Name != "XM_set_timer" {
+			t.Fatalf("paper suite position %d is %s, want an XM_set_timer dataset", seq, ds)
+		}
+	}
+
+	sim := NewSim(Config{})
+	if err := sim.Provision(1); err != nil {
+		t.Fatal(err)
+	}
+	before := sim.PoolStats()
+	slot := sim.Acquire()
+	got := sim.ExecuteBatch(slot, lease, rs)
+	sim.Release(slot)
+	after := sim.PoolStats()
+	if gets := after.Allocated + after.Reused - before.Allocated - before.Reused; gets != 16 {
+		t.Errorf("a lease of 16 made %d pool acquires, want 16", gets)
+	}
+	if d := after.Discarded - before.Discarded; d != 2 {
+		t.Errorf("a lease holding 2 crashing tests discarded %d machines, want 2", d)
+	}
+
+	one := NewSim(Config{})
+	if err := one.Provision(1); err != nil {
+		t.Fatal(err)
+	}
+	crashes := 0
+	for i, ds := range lease {
+		slot := one.Acquire()
+		want := one.Execute(slot, ds, rs)
+		one.Release(slot)
+		if want.SimCrashed {
+			crashes++
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("%s in a lease of 16 differs from a lease of one\nlease of 16: %+v\nlease of 1:  %+v", ds, got[i], want)
+		}
+	}
+	if crashes != 2 {
+		t.Fatalf("the lease crashed the simulator %d times, want 2", crashes)
+	}
+}
+
 // Allocation bounds per test of the paper suite on a recycled sim
 // testbed. A test allocates what its Result keeps (resolved values,
 // returns, the HM log) and little else; at a lease of one the bound also

@@ -87,9 +87,10 @@ type RunSpec struct {
 
 // SnapshotSlot is an optional capability of slots whose backing state
 // can be rewound in place: Restore returns the slot to its power-on
-// state. Composites use it to recycle a slot between execution legs
-// without a Release/Acquire round-trip through the backend's pool; the
-// rewound state is exactly what a round-trip would have produced.
+// state. The inject: composite uses it to recycle a slot between the
+// two legs of one test without a Release/Acquire round-trip through the
+// backend's pool; the rewound state is exactly what a round-trip would
+// have produced.
 type SnapshotSlot interface {
 	Restore() error
 }
@@ -99,10 +100,11 @@ type SnapshotSlot interface {
 // remote worker hand every lease on such a target to one ExecuteBatch
 // call, a lease of one included; other targets get one Execute per
 // test. Each dataset executes with exactly Execute's semantics: the
-// results are byte-identical to a loop of Execute calls with pool
-// round-trips in between — only the per-test overhead amortises across
-// the lease (the slot round-trip, and for the remote client the frame),
-// never what a test observes.
+// results are byte-identical to a loop of Execute calls with Release
+// and Acquire in between. What the tests of a lease share is the
+// coordinator round trip, the slot and, for the remote client, the
+// request and response frames; each sim test still takes its machine
+// from the pool, and nothing a test observes depends on the lease.
 type BatchExecutor interface {
 	ExecuteBatch(slot Slot, batch []testgen.Dataset, spec RunSpec) []Result
 }

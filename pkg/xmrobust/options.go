@@ -144,13 +144,15 @@ func WithCheckpoint(dir string) Option { return func(c *config) { c.eng.ShardDir
 func WithResume() Option { return func(c *config) { c.eng.Resume = true } }
 
 // WithBatchSize leases contiguous runs of n tests to each engine worker
-// on targets that batch (sim and remote:). Every sim test already
-// rewinds its machine with Reset and recycles the testbed kernel parked
-// on it, whatever the lease size; a larger lease only amortises the
-// slot's pool round-trip and, on remote: targets, the request frame.
-// Results are byte-identical to unbatched execution — the capability's
-// contract, pinned by the engine's batching tests. Targets without the
-// capability and feedback-driven plans ignore it.
+// on targets that batch (sim and remote:); without it, or with 0, a
+// lease holds campaign.DefaultBatchSize (16) tests, and 1 means one
+// test per lease. Every sim test takes its machine from the pool and
+// recycles the testbed kernel parked on it, whatever the lease size; a
+// lease shares only the coordinator round trip, the slot and, on
+// remote: targets, the request frame. Results are byte-identical
+// whatever the lease — the capability's contract, pinned by the
+// engine's batching tests. Targets without the capability and
+// feedback-driven plans lease one test at a time.
 func WithBatchSize(n int) Option { return func(c *config) { c.eng.BatchSize = n } }
 
 // WithLimit stops dispatching after n tests this call (0: run
